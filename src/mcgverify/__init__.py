@@ -14,6 +14,7 @@ from .errors import (
     ConjugacyMismatch,
     DeterminantOutOfRange,
     GenusMismatch,
+    InvariantViolation,
     McgVerifyError,
     OutOfRange,
     UnknownClaim,

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, UnknownClaim
+from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
 from .homology import (
     EgRotationSpec,
     abelianize,
@@ -35,7 +35,8 @@ from .homology import (
 from .lantern import canonical_rules, reversed_lantern_rules, verify_lemma1
 from .mcg import (
     Inconclusive,
-    compose,
+    Inner,
+    NotInner,
     crosscap_slide,
     curve_class,
     curve_image,
@@ -43,7 +44,7 @@ from .mcg import (
     format_mcg_word,
     get_catalog,
     inverse_word,
-    mcg_equal,
+    is_inner,
     order_of,
     talpha,
     tbeta,
@@ -158,18 +159,13 @@ def _order_claim(genus, word, expected):
 def _identity_claim(genus, w1, w2):
     def run(bounds: Bounds):
         catalog = get_catalog(genus)
-        result = mcg_equal(catalog, w1, w2, bound=bounds.conj)
-        if isinstance(result, Inconclusive):
-            return "inconclusive", f"inconclusive at conjugator bound {result.bound}", None
         diff = evaluate(catalog, tuple(w1) + inverse_word(w2))
-        witness = None
-        if result:
-            from .mcg import Inner, is_inner
-
-            status = is_inner(catalog.presentation, diff, bound=bounds.conj)
-            if isinstance(status, Inner):
-                witness = format_word(status.witness)
-        return _status(result), bool(result), witness
+        status = is_inner(catalog.presentation, diff, bound=bounds.conj)
+        if isinstance(status, Inner):
+            return "pass", True, format_word(status.witness)
+        if isinstance(status, NotInner):
+            return "fail", False, None
+        return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
 
     return run
 
@@ -589,7 +585,8 @@ def build_claims(genus_range=(3, 9), ks=range(2, 14), ps=(1, 2, 3), qs=(0, 1, 2)
     claims.extend(_lantern_claims())
     claims.sort(key=lambda c: c.id)
     ids = [c.id for c in claims]
-    assert len(ids) == len(set(ids)), "claim ids must be unique"
+    if len(ids) != len(set(ids)):
+        raise InvariantViolation("claim ids must be unique")
     return claims
 
 

@@ -89,6 +89,12 @@ def _cmd_run(args) -> int:
     k_range = _parse_range(args.k, "k")
     p_range = _parse_range(args.p, "p")
     q_range = _parse_range(args.q, "q")
+    for flag, value, least in (("--bound-conj", args.bound_conj, 0),
+                               ("--bound-order", args.bound_order, 0),
+                               ("--budget", args.budget, 0),
+                               ("--jobs", args.jobs, 1)):
+        if value < least:
+            raise SystemExit(f"mcgverify: {flag} must be at least {least}, got {value}")
     bounds = Bounds(conj=args.bound_conj, order=args.bound_order, budget=args.budget)
 
     if args.cache:

@@ -36,3 +36,8 @@ class BudgetExceeded(McgVerifyError):
 
 class UnknownClaim(McgVerifyError):
     """Claim id not present in the catalog."""
+
+
+class InvariantViolation(McgVerifyError):
+    """An internal consistency check failed.  This is a bug in the package,
+    never a verdict; the check runs under ``python -O`` too."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DeterminantOutOfRange, OutOfRange
+from .errors import DeterminantOutOfRange, InvariantViolation, OutOfRange
 from .words import get_presentation
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,8 @@ def build_eg_rotation(spec: EgRotationSpec):
     if spec.extra_crosscap:
         index[("d",)] = pos
         pos += 1
-    assert pos == size
+    if pos != size:
+        raise InvariantViolation(f"rotation basis has {pos} classes, expected {size}")
 
     def dropped_c_expansion():
         # c_k of the last summand = -(all other one-sided classes)
@@ -282,5 +283,6 @@ def decompose_genus(g: int, k: int) -> GenusDecomposition:
             f"genus {g} admits no decomposition with p odd for k={k}"
         )
     decomp = GenusDecomposition(k=k, g=g, p=p, q=q, plus_one=plus_one, n=n, m=m, r=r)
-    assert decomp.reconstructs()
+    if not decomp.reconstructs():
+        raise InvariantViolation(f"decomposition of genus {g} for k={k} does not reconstruct")
     return decomp

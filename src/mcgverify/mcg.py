@@ -24,6 +24,11 @@ formula fails loudly with :class:`ValidationFailure`.
 
 Composition convention: products act right-to-left, ``(f g)(x) = f(g(x))``,
 matching the usual composition of homeomorphisms.
+
+A word is evaluated by appending its generators on the right, left to
+right: ``(acc . gen)(x_j) = acc(gen(x_j))``.  Each generator moves only two
+to four of the g generator images, so only those images are recomputed and
+every other one is carried over unchanged.
 """
 
 from __future__ import annotations
@@ -313,6 +318,12 @@ class GeneratorCatalog:
             self.curves["b"] = BETA_WORD
         self.curves["e"] = y_inv((g - 2, g - 1))
 
+        # (index, image) of every generator image a symbol moves
+        self._moves = {
+            symbol: tuple((j, im) for j, im in enumerate(auto.images) if im != (j + 1,))
+            for symbol, auto in self._autos.items()
+        }
+
         # reduced automorphisms of composite words, memoized per catalog;
         # persisted across runs only via the explicit cache-directory flag
         self._eval_cache: dict = {}
@@ -333,6 +344,30 @@ class GeneratorCatalog:
         out += [("e", 0, 1), ("y", 0, 1)]
         return out
 
+    def moves(self, symbol) -> tuple:
+        """(index, image) pairs of the generator images ``symbol`` moves."""
+        kind, idx, sign = symbol
+        try:
+            return self._moves[(kind, idx, sign)]
+        except KeyError:
+            raise KeyError(f"no generator {symbol} in genus {self.genus}") from None
+
+
+def _append(catalog: GeneratorCatalog, images, word) -> list:
+    """Images of ``acc . word`` from the images of ``acc``.
+
+    Symbols are applied on the right, left to right.  For an image x_j a
+    symbol does not move, ``(acc . gen)(x_j) = acc(x_j)`` is already
+    reduced, so only the moved images are recomputed.
+    """
+    pres = catalog.presentation
+    images = list(images)
+    for symbol in word:
+        moved = [(j, substitute(pres, images, im)) for j, im in catalog.moves(symbol)]
+        for j, im in moved:
+            images[j] = im
+    return images
+
 
 def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
     """Evaluate a mapping-class word, rightmost symbol applied first."""
@@ -340,9 +375,7 @@ def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
     cached = catalog._eval_cache.get(word)
     if cached is not None:
         return cached
-    acc = identity_automorphism(catalog.genus)
-    for symbol in reversed(word):
-        acc = compose(catalog.automorphism(symbol), acc)
+    acc = Automorphism(catalog.genus, _append(catalog, _letter_images(catalog.genus), word))
     catalog._eval_cache[word] = acc
     return acc
 
@@ -424,6 +457,7 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = 16):
         raise ValueError("max_order must be >= 1")
     from .homology import abelianize, matrix_identity, matrix_mul
 
+    word = tuple(word)
     auto = evaluate(catalog, word)
     m = abelianize(auto)
     ident = matrix_identity(catalog.genus - 1)
@@ -438,13 +472,11 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = 16):
         return InfiniteWithinBound(max_order)
 
     pres = catalog.presentation
-    step = None
-    power = identity_automorphism(catalog.genus)
-    for n in range(1, max_order + 1):
-        power = compose(auto, power)
-        if n % matrix_order:
-            continue
-        status = is_inner(pres, power, bound=bound)
+    step = word * matrix_order
+    images = _letter_images(catalog.genus)
+    for n in range(matrix_order, max_order + 1, matrix_order):
+        images = _append(catalog, images, step)
+        status = is_inner(pres, Automorphism(catalog.genus, images), bound=bound)
         if isinstance(status, Inner):
             return n
         if isinstance(status, Inconclusive):

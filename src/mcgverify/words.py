@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from .errors import BudgetExceeded, ConjugacyMismatch
+from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation
 
 Word = tuple  # tuple of nonzero ints
 
@@ -160,13 +160,15 @@ class SurfacePresentation:
             for k in range(len(base)):
                 shifts.append(base[k:] + base[:k])
         self.relator_shifts = tuple(shifts)
-        assert len(set(self.relator_shifts)) == 4 * genus
+        if len(set(self.relator_shifts)) != 4 * genus:
+            raise InvariantViolation("relator rotations are not distinct")
 
         g = genus
         # Prefix of length g+1 determines the rotation uniquely (length-2
         # runs cannot fill a window of length g+1 >= 4).
         self._strict = {s[: g + 1]: s for s in self.relator_shifts}
-        assert len(self._strict) == 4 * genus
+        if len(self._strict) != 4 * genus:
+            raise InvariantViolation("strict-reduction prefixes are not unique")
         # Exactly-half table: half a rotation equals the inverse of the
         # complementary half.
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
@@ -250,9 +252,9 @@ def is_trivial(pres: SurfacePresentation, word) -> bool:
     """
     w = dehn_reduce(pres, word)
     result = _is_trivial_reduced(pres, w)
-    # Abelianization is a one-sided oracle: a trivial word must die in
-    # H_1.  Active in test builds (assertions on).
-    assert not result or not any(pres.abelianized(word)), "trivial word with nonzero homology"
+    # Abelianization is a one-sided oracle: a trivial word must die in H_1.
+    if result and any(pres.abelianized(word)):
+        raise InvariantViolation(f"trivial word {format_word(word)} has nonzero homology")
     return result
 
 
@@ -471,5 +473,6 @@ def find_conjugators(pres: SurfacePresentation, a, b, bound: int = 16) -> list:
         candidates.append(mul(base, power))
         candidates.append(mul(base, inv_power))
     verified = [c for c in candidates if is_trivial(pres, mul(c, a, inverse(c), inverse(b)))]
-    assert verified, "canonical matching produced no valid conjugator"
+    if not verified:
+        raise InvariantViolation("canonical matching produced no valid conjugator")
     return verified

@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import mcgverify.claims
 from mcgverify.claims import (
     Bounds,
     build_claims,
@@ -16,7 +17,7 @@ from mcgverify.claims import (
     find_claim,
     run_claims,
 )
-from mcgverify.errors import UnknownClaim
+from mcgverify.errors import InvariantViolation, UnknownClaim
 
 
 def load_schema():
@@ -66,6 +67,13 @@ def test_catalog_contains_expected_families():
         "lemma1.reversed",
     ]:
         assert required in ids, required
+
+
+def test_duplicate_claim_ids_raise(monkeypatch):
+    lantern = mcgverify.claims._lantern_claims
+    monkeypatch.setattr(mcgverify.claims, "_lantern_claims", lambda: lantern() * 2)
+    with pytest.raises(InvariantViolation):
+        build_claims()
 
 
 def test_provenance_tags_valid():
@@ -118,6 +126,10 @@ def test_exit_code_logic():
 # CLI
 
 
+def rows_without_millis(proc):
+    return [{k: v for k, v in row.items() if k != "millis"} for row in json.loads(proc.stdout)]
+
+
 def test_cli_run_text_passes():
     proc = run_cli("run", "--filter", "thm1.order.*.g5", "--genus", "5..5")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -145,15 +157,34 @@ def test_cli_empty_filter_match_exits_zero():
 
 def test_cli_reports_reproducible():
     args = ("run", "--filter", "cor4.decomp.g232.*", "--format", "json")
-    a = run_cli(*args)
-    b = run_cli(*args)
-    rows_a = [
-        {k: v for k, v in row.items() if k != "millis"} for row in json.loads(a.stdout)
-    ]
-    rows_b = [
-        {k: v for k, v in row.items() if k != "millis"} for row in json.loads(b.stdout)
-    ]
-    assert rows_a == rows_b
+    assert rows_without_millis(run_cli(*args)) == rows_without_millis(run_cli(*args))
+
+
+def test_cli_report_same_under_python_O():
+    """No check rests on assert: -O (which strips asserts) gives the same report."""
+    args = ("run", "--filter", "thm1.*", "--genus", "3..6", "--format", "json")
+    plain = run_cli(*args)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "mcgverify.cli", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert rows_without_millis(optimized) == rows_without_millis(plain)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--bound-conj", "-3"),
+    ("--bound-order", "-1"),
+    ("--budget", "-1"),
+    ("--jobs", "0"),
+])
+def test_cli_out_of_range_flag_exits_4(flag, value):
+    proc = run_cli("run", "--filter", "thm1.order.s.g5", "--genus", "5..5", flag, value)
+    assert proc.returncode == 4
+    assert flag in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_explain_known():

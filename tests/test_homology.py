@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from mcgverify.errors import DeterminantOutOfRange, OutOfRange
+from mcgverify.errors import DeterminantOutOfRange, InvariantViolation, OutOfRange
 from mcgverify.homology import (
     EgRotationSpec,
+    GenusDecomposition,
     HomologyMatrix,
     abelianize,
     build_eg_rotation,
@@ -218,6 +219,12 @@ def test_decompose_examples():
     assert (d.p, d.q, d.plus_one) == (1, 0, False)
     d = decompose_genus(13, 12)
     assert (d.p, d.q, d.plus_one) == (1, 0, True)
+
+
+def test_decompose_reconstruction_check_raises(monkeypatch):
+    monkeypatch.setattr(GenusDecomposition, "reconstructs", lambda self: False)
+    with pytest.raises(InvariantViolation):
+        decompose_genus(232, 12)
 
 
 def test_decompose_full_ranges():

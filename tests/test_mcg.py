@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mcgverify.claims import word_r, word_r_prime, word_s, word_s_prime
 from mcgverify.errors import GenusMismatch
 from mcgverify.homology import abelianize, matrix_identity, matrix_mul
 from mcgverify.mcg import (
@@ -139,6 +140,45 @@ def test_compose_associative_at_group_level(rng):
             assert is_trivial(pres, mul(x, inverse(y)))
 
 
+def evaluate_by_compose(catalog, word):
+    """Oracle: the right-to-left chain of full compositions, recomputing
+    every image at every symbol."""
+    acc = identity_automorphism(catalog.genus)
+    for symbol in reversed(word):
+        acc = compose(catalog.automorphism(symbol), acc)
+    return acc
+
+
+def test_generator_moves_match_images(catalog):
+    sizes = {"a": 2, "u": 2, "y": 2, "e": 3, "b": 4}
+    for sym in all_symbols(catalog.genus):
+        moves = catalog.moves(sym)
+        assert len(moves) == sizes[sym[0]], sym
+        images = catalog.automorphism(sym).images
+        moved = dict(moves)
+        for j, im in enumerate(images):
+            assert im == moved.get(j, (j + 1,))
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 7, 12])
+def test_evaluate_matches_compose_chain(genus):
+    """Sparse right-application agrees with the full compose chain on every
+    image, as group elements."""
+    rng = random.Random(7000 + genus)
+    cat = get_catalog(genus)
+    pres = cat.presentation
+    syms = all_symbols(genus)
+    seen = set()
+    for _ in range(80):
+        word = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 7)))
+        seen.update(word)
+        got = evaluate(cat, word)
+        want = evaluate_by_compose(cat, word)
+        for x, y in zip(got.images, want.images):
+            assert is_trivial(pres, mul(x, inverse(y)))
+    assert seen == set(syms)
+
+
 # ---------------------------------------------------------------------------
 # inner automorphisms
 
@@ -203,6 +243,20 @@ def test_order_examples_odd_genus():
     sp = (talpha(1),) + s
     assert order_of(cat, sp, 20) == 8
     assert order_of(cat, s + (tbeta(),), 20) == 6
+
+
+@pytest.mark.parametrize("genus", [31, 32])
+def test_orders_above_benchmark_window(genus):
+    cat = get_catalog(genus)
+    even = genus % 2 == 0
+    expected = {
+        word_s: genus if even else 2 * genus,
+        word_s_prime: genus - 1 if even else 2 * (genus - 1),
+        word_r: genus,
+        word_r_prime: genus - 1,
+    }
+    for word, order in expected.items():
+        assert order_of(cat, word(genus), 4 * genus) == order, word.__name__
 
 
 def test_order_of_identity_word(catalog):

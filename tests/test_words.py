@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcgverify.words
-from mcgverify.errors import ConjugacyMismatch
+from mcgverify.errors import ConjugacyMismatch, InvariantViolation
 from mcgverify.words import (
     CyclicWord,
     SurfacePresentation,
@@ -232,6 +232,19 @@ def test_find_conjugators_all_verify(pres4, rng):
 def test_find_conjugators_mismatch_raises(pres4):
     with pytest.raises(ConjugacyMismatch):
         find_conjugators(pres4, (1,), (2,))
+
+
+def test_find_conjugators_no_verified_candidate_raises(pres4, monkeypatch):
+    monkeypatch.setattr(mcgverify.words, "is_trivial", lambda pres, word: False)
+    with pytest.raises(InvariantViolation):
+        find_conjugators(pres4, (1,), (2, 1, -2))
+
+
+def test_is_trivial_homology_oracle_raises(pres4, monkeypatch):
+    monkeypatch.setattr(mcgverify.words, "_is_trivial_reduced", lambda pres, word: True)
+    assert is_trivial(pres4, pres4.relator)
+    with pytest.raises(InvariantViolation):
+        is_trivial(pres4, (1,))
 
 
 # ---------------------------------------------------------------------------
