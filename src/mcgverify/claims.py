@@ -11,7 +11,7 @@ source label, and a provenance tag:
 * ``trivial`` -- immediate from the definitions.
 
 Reports are reproducible: claims are evaluated with explicit bounds and
-the report is ordered by claim id regardless of parallelism.
+the report is ordered by claim id.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
@@ -618,17 +617,9 @@ def run_claim(claim: Claim, bounds: Bounds) -> ClaimReport:
     )
 
 
-def run_claims(claims, bounds: Bounds = Bounds(), jobs: int = 1):
-    """Run the given claims; the report is sorted by claim id and the
-    verdicts do not depend on ``jobs``."""
-    claims = sorted(claims, key=lambda c: c.id)
-    if jobs <= 1:
-        reports = [run_claim(c, bounds) for c in claims]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: run_claim(c, bounds), claims))
-    reports.sort(key=lambda r: r.id)
-    return reports
+def run_claims(claims, bounds: Bounds = Bounds()):
+    """Run the given claims in order of claim id."""
+    return [run_claim(c, bounds) for c in sorted(claims, key=lambda c: c.id)]
 
 
 def exit_code(reports) -> int:

@@ -5,7 +5,8 @@ Subcommands:
 * ``mcgverify run``     -- execute the built-in claim catalog (optionally
   filtered) and print a text or JSON report.
 * ``mcgverify explain`` -- describe one claim: statement, source label,
-  expected value, provenance.
+  expected value, provenance.  Any id ``run`` can produce resolves: the
+  catalog is built from the parameters the id names.
 * ``mcgverify list``    -- list claim ids.
 
 Exit codes: 0 all selected claims pass (or none selected), 2 some claim
@@ -16,9 +17,8 @@ bad arguments.
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
-from pathlib import Path
 
 from .claims import (
     Bounds,
@@ -30,9 +30,11 @@ from .claims import (
     run_claims,
 )
 from .errors import UnknownClaim
-from .mcg import get_catalog
 
 USAGE_EXIT = 4
+
+# least value of each rotation-model parameter (EgRotationSpec)
+MODEL_LEAST = {"k": 2, "p": 1, "q": 0}
 
 
 def _parse_range(text: str, name: str):
@@ -52,36 +54,6 @@ def _parse_range(text: str, name: str):
     raise SystemExit(f"mcgverify: bad {name} range {text!r} (expected A..B)") from None
 
 
-def _load_cache(cache_dir: Path):
-    for path in cache_dir.glob("catalog-g*.json"):
-        try:
-            genus = int(path.stem.split("-g")[1])
-            data = json.loads(path.read_text())
-        except (ValueError, json.JSONDecodeError):
-            continue
-        catalog = get_catalog(genus)
-        from .mcg import Automorphism
-
-        for entry in data:
-            word = tuple(tuple(sym) for sym in entry["word"])
-            images = [tuple(im) for im in entry["images"]]
-            catalog._eval_cache[word] = Automorphism(genus, images)
-
-
-def _save_cache(cache_dir: Path):
-    from .mcg import _CATALOGS
-
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    for genus, catalog in _CATALOGS.items():
-        if not catalog._eval_cache:
-            continue
-        data = [
-            {"word": [list(sym) for sym in word], "images": [list(im) for im in auto.images]}
-            for word, auto in catalog._eval_cache.items()
-        ]
-        (cache_dir / f"catalog-g{genus}.json").write_text(json.dumps(data))
-
-
 def _cmd_run(args) -> int:
     genus_range = _parse_range(args.genus, "genus")
     if genus_range[0] < 3:
@@ -89,16 +61,15 @@ def _cmd_run(args) -> int:
     k_range = _parse_range(args.k, "k")
     p_range = _parse_range(args.p, "p")
     q_range = _parse_range(args.q, "q")
-    for flag, value, least in (("--bound-conj", args.bound_conj, 0),
+    for flag, value, least in (("--k", k_range[0], MODEL_LEAST["k"]),
+                               ("--p", p_range[0], MODEL_LEAST["p"]),
+                               ("--q", q_range[0], MODEL_LEAST["q"]),
+                               ("--bound-conj", args.bound_conj, 0),
                                ("--bound-order", args.bound_order, 0),
-                               ("--budget", args.budget, 0),
-                               ("--jobs", args.jobs, 1)):
+                               ("--budget", args.budget, 0)):
         if value < least:
             raise SystemExit(f"mcgverify: {flag} must be at least {least}, got {value}")
     bounds = Bounds(conj=args.bound_conj, order=args.bound_order, budget=args.budget)
-
-    if args.cache:
-        _load_cache(Path(args.cache))
 
     claims = build_claims(
         genus_range=genus_range,
@@ -107,10 +78,7 @@ def _cmd_run(args) -> int:
         qs=range(q_range[0], q_range[1] + 1),
     )
     selected = filter_claims(claims, args.filter)
-    reports = run_claims(selected, bounds=bounds, jobs=args.jobs)
-
-    if args.cache:
-        _save_cache(Path(args.cache))
+    reports = run_claims(selected, bounds=bounds)
 
     if args.format == "json":
         print(report_json(reports))
@@ -130,10 +98,35 @@ def _cmd_run(args) -> int:
     return exit_code(reports)
 
 
+def _claims_for_id(claim_id: str):
+    """The catalog built from the parameters ``claim_id`` names: ``.g<n>``
+    is the genus, ``.k<k>.p<p>.q<q>`` the rotation model of a
+    ``lemma-embed`` id, and the ``.k<k>`` of a ``cor4`` id its rotation
+    order (its ``.g<n>`` is the genus it decomposes).  Parameters an id does
+    not name keep their defaults; an id naming a parameter below its least
+    value selects nothing."""
+    params = {}
+    for part in claim_id.split("."):
+        match = re.fullmatch(r"([gkpq])(\d+)", part)
+        if match:
+            params[match[1]] = int(match[2])
+    if any(params.get(name, least) < least for name, least in MODEL_LEAST.items()):
+        return []
+    cor4 = claim_id.startswith("cor4.")
+    ranges = {}
+    if "g" in params and not cor4:
+        ranges["genus_range"] = (params["g"], params["g"])
+    if "k" in params:
+        ranges["cor4_ks" if cor4 else "ks"] = (params["k"],)
+    for name in ("p", "q"):
+        if name in params:
+            ranges[name + "s"] = (params[name],)
+    return build_claims(**ranges)
+
+
 def _cmd_explain(args) -> int:
-    claims = build_claims()
     try:
-        claim = find_claim(claims, args.id)
+        claim = find_claim(_claims_for_id(args.id), args.id)
     except UnknownClaim:
         print(f"mcgverify: unknown claim id {args.id!r}", file=sys.stderr)
         return USAGE_EXIT
@@ -154,8 +147,17 @@ def _cmd_list(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit with USAGE_EXIT, not argparse's 2, which
+    means that some claim failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcgverify",
         description="Batch verification of mapping-class-group torsion computations.",
     )
@@ -167,14 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", default="2..13", help="rotation order range for the model grid")
     run.add_argument("--p", default="1..3", help="nonorientable summand count range")
     run.add_argument("--q", default="0..2", help="orientable summand count range")
-    run.add_argument("--jobs", type=int, default=1, help="parallel workers")
     run.add_argument("--bound-conj", type=int, default=16, help="conjugator power bound")
     run.add_argument("--bound-order", type=int, default=0,
                      help="order search bound (default 4*genus)")
     run.add_argument("--budget", type=int, default=100_000,
                      help="rewriting search budget (node expansions)")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--cache", default="", help="directory for persistent element cache")
     run.set_defaults(func=_cmd_run)
 
     explain = sub.add_parser("explain", help="describe one claim")

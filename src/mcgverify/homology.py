@@ -226,10 +226,6 @@ def build_eg_rotation(spec: EgRotationSpec):
     return entries
 
 
-def eg_determinant(spec: EgRotationSpec) -> int:
-    return determinant(build_eg_rotation(spec))
-
-
 def eg_matrix_power_identity(spec: EgRotationSpec) -> bool:
     """Necessary condition for order k: the rotation matrix has order
     dividing k on homology."""

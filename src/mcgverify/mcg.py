@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from .errors import GenusMismatch, ValidationFailure
 from .words import (
-    EMPTY,
     SurfacePresentation,
     cyclic_canonical,
     dehn_reduce,
@@ -50,7 +49,6 @@ from .words import (
     is_trivial,
     mul,
 )
-from .errors import ConjugacyMismatch
 
 # ---------------------------------------------------------------------------
 # Automorphisms
@@ -284,7 +282,7 @@ class GeneratorCatalog:
     and the curve words for alpha_1..alpha_{g-1}, beta, eps.
 
     Built by :func:`build_catalog`, which also certifies the formulas.
-    Immutable after construction and safe to share between threads.
+    Immutable after construction.
     """
 
     def __init__(self, genus: int):
@@ -324,8 +322,7 @@ class GeneratorCatalog:
             for symbol, auto in self._autos.items()
         }
 
-        # reduced automorphisms of composite words, memoized per catalog;
-        # persisted across runs only via the explicit cache-directory flag
+        # reduced automorphisms of composite words, memoized per catalog
         self._eval_cache: dict = {}
 
     def automorphism(self, symbol) -> Automorphism:
@@ -419,10 +416,6 @@ def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     auto = evaluate(catalog, word)
     raw = curve.key if isinstance(curve, CurveClass) else tuple(curve)
     return CurveClass(catalog.presentation, auto(raw))
-
-
-def curves_equal(a: CurveClass, b: CurveClass) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------

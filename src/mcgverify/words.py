@@ -26,7 +26,7 @@ exchanges matters at every genus: for example ``x1^2 x2^2`` equals
 other.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
-plus internal memo tables and may be shared between threads.
+plus internal memo tables.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ def mul(*words) -> Word:
             else:
                 out.append(letter)
     return tuple(out)
-
-
-def conjugate(c, word) -> Word:
-    """c * word * c^-1, reduced."""
-    return mul(c, word, inverse(c))
 
 
 def parse_word(text: str) -> Word:
@@ -384,38 +379,6 @@ def cyclic_canonical(pres: SurfacePresentation, word) -> Word:
         cached = _canonical_with_conj(pres, word)[0]
         pres._canonical_cache[word] = cached
     return cached
-
-
-class CyclicWord:
-    """A conjugacy class of pi_1(N_g), represented canonically.  Equality
-    is invariant under rotation of the input word."""
-
-    __slots__ = ("genus", "word")
-
-    def __init__(self, pres: SurfacePresentation, word):
-        self.genus = pres.genus
-        self.word = cyclic_canonical(pres, tuple(word))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicWord)
-            and self.genus == other.genus
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.word))
-
-    def __len__(self):
-        return len(self.word)
-
-    def __repr__(self):
-        return f"CyclicWord({format_word(self.word)})"
-
-
-def cyclic_reduce(pres: SurfacePresentation, word) -> CyclicWord:
-    """Cyclically Dehn-reduced class of a word (canonical representative)."""
-    return CyclicWord(pres, word)
 
 
 def is_conjugate(pres: SurfacePresentation, a, b) -> bool:

@@ -100,10 +100,10 @@ def test_find_claim_unknown():
         find_claim(build_claims(), "bogus.id")
 
 
-def test_run_claims_deterministic_and_parallel_stable():
+def test_run_claims_deterministic():
     claims = filter_claims(build_claims(), "thm1.*.g5")
-    first = run_claims(claims, Bounds(), jobs=1)
-    second = run_claims(claims, Bounds(), jobs=4)
+    first = run_claims(claims, Bounds())
+    second = run_claims(claims, Bounds())
     assert [r.id for r in first] == [r.id for r in second]
     assert [(r.status, r.observed) for r in first] == [
         (r.status, r.observed) for r in second
@@ -178,13 +178,36 @@ def test_cli_report_same_under_python_O():
     ("--bound-conj", "-3"),
     ("--bound-order", "-1"),
     ("--budget", "-1"),
-    ("--jobs", "0"),
 ])
 def test_cli_out_of_range_flag_exits_4(flag, value):
     proc = run_cli("run", "--filter", "thm1.order.s.g5", "--genus", "5..5", flag, value)
     assert proc.returncode == 4
     assert flag in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--jobs", "2"),       # removed option
+    ("--cache", "x"),      # removed option
+    ("--bogus",),
+    ("--budget", "abc"),
+    ("--k", "1..2"),
+    ("--p", "0..1"),
+    ("--q=-1..0",),        # "--q -1..0" would read -1..0 as an option
+], ids="-".join)
+def test_cli_bad_arguments_exit_4(args):
+    """Bad arguments exit 4, never 2 (some claim failed) or a traceback."""
+    proc = run_cli("run", "--filter", "lemma-embed.det.*", *args)
+    assert proc.returncode == 4, proc.stderr
+    assert args[0].split("=")[0] in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_help_exits_0():
+    proc = run_cli("run", "--help")
+    assert proc.returncode == 0
+    assert "--jobs" not in proc.stdout and "--cache" not in proc.stdout
 
 
 def test_cli_explain_known():
@@ -194,9 +217,37 @@ def test_cli_explain_known():
     assert "stated" in proc.stdout
 
 
+EXPLAINED = {
+    "thm1.order.s.g12": "12",  # genus outside the default 3..9
+    "lemma-embed.det.k20.p1.q0": "-1",  # k outside the default 2..13
+    "lemma-embed.power.k13.p4.q3.x": "True",  # p, q outside 1..3, 0..2
+    "cor4.decomp.g232.k12": "True",
+}
+
+
+@pytest.mark.parametrize("claim_id", EXPLAINED)
+def test_cli_explain_resolves_id_parameters(claim_id):
+    """explain builds the claims from the parameters the id names."""
+    proc = run_cli("explain", claim_id)
+    assert proc.returncode == 0, proc.stderr
+    assert f"id:          {claim_id}\n" in proc.stdout
+    assert f"expected:    {EXPLAINED[claim_id]}\n" in proc.stdout
+
+
 def test_cli_explain_unknown_exits_4():
     proc = run_cli("explain", "no.such.claim")
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("claim_id", [
+    "thm1.order.s.g2",  # genus below 3
+    "thm1.order.t12.g4",  # a genus-3 family at another genus
+    "lemma-embed.det.k1.p1.q0",  # k below 2
+])
+def test_cli_explain_id_run_cannot_produce_exits_4(claim_id):
+    proc = run_cli("explain", claim_id)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
 
 
 def test_cli_list_filters():
@@ -225,14 +276,3 @@ def test_cli_bound_order_flag():
     rows = json.loads(proc.stdout)
     assert proc.returncode == 2
     assert rows[0]["status"] == "fail"
-
-
-def test_cli_cache_roundtrip(tmp_path):
-    cache = tmp_path / "cache"
-    args = ("run", "--filter", "thm1.id.talpha1.g5", "--cache", str(cache))
-    first = run_cli(*args)
-    assert first.returncode == 0
-    assert any(cache.glob("catalog-g5.json"))
-    second = run_cli(*args)
-    assert second.returncode == 0
-    assert "1 pass" in second.stdout

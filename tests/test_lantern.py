@@ -106,6 +106,12 @@ def test_lemma_verifies():
     assert verify_lemma1(canonical_rules()) is True
 
 
+def test_derivation_chain_steps_distinct():
+    # a step equal to its predecessor would verify nothing
+    assert all(a != b for a, b in zip(DERIVATION_CHAIN, DERIVATION_CHAIN[1:]))
+    assert DERIVATION_CHAIN[0] == STEP_TARGET and DERIVATION_CHAIN[-1] == STEP_F
+
+
 @pytest.mark.parametrize(
     "removed",
     ["f ta3 f^-1", "g td1 g^-1", "g tg g^-1", "h td2 h^-1", "h tb h^-1"],
