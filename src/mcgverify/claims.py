@@ -10,6 +10,20 @@ source label, and a provenance tag:
 * ``derived`` -- computed here by an independent route,
 * ``trivial`` -- immediate from the definitions.
 
+A claim is plain data.  ``run_claim`` looks its ``kind`` up in ``RUNNERS``;
+the runner builds what it checks from the claim's ``params`` and compares
+the result with the claim's ``expected``.  The claims about one genus come
+from the family table ``FAMILIES``, and their mapping-class words are built
+only when a claim runs, so building, listing or explaining a catalog at a
+high genus builds no word.
+
+Claim ids name their parameters: ``.g<n>`` is the genus (of a ``cor4`` id,
+the genus it decomposes), ``.k<k>.p<p>.q<q>`` the rotation model of a
+``lemma-embed`` id, and the ``.k<k>`` of a ``cor4`` id its rotation order.
+``resolve_claims`` builds the catalog from the parameters an id or an id
+glob names, so ``explain`` and ``list`` find every claim ``run`` can
+produce.
+
 Reports are reproducible: claims are evaluated with explicit bounds and
 the report is ordered by claim id.
 """
@@ -17,12 +31,16 @@ the report is ordered by claim id.
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import json
+import re
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
 from .homology import (
+    MODEL_LEAST,
     EgRotationSpec,
     abelianize,
     build_eg_rotation,
@@ -35,7 +53,6 @@ from .lantern import canonical_rules, reversed_lantern_rules, verify_lemma1
 from .mcg import (
     Inconclusive,
     Inner,
-    NotInner,
     crosscap_slide,
     curve_class,
     curve_image,
@@ -47,6 +64,7 @@ from .mcg import (
     order_of,
     talpha,
     tbeta,
+    teps,
     transposition,
     word_power,
 )
@@ -70,13 +88,16 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Claim:
+    """One decidable statement; ``params`` holds what its kind's runner
+    needs to decide it."""
+
     id: str
     kind: str
     description: str
     source: str
     provenance: str
     expected: object
-    runner: object = field(repr=False, compare=False)
+    params: dict
 
 
 @dataclass
@@ -130,399 +151,207 @@ def word_x(g):
     return (talpha(g - 1), transposition(g - 2)) + tail
 
 
-# ---------------------------------------------------------------------------
-# Claim runners (each returns (status, observed, witness))
+def _conjugate(x, w):
+    """The word x w x^-1."""
+    return x + w + inverse_word(x)
 
 
-def _status(ok) -> str:
-    if ok is True:
-        return "pass"
-    if ok is False:
-        return "fail"
-    return "inconclusive"
+def _equation(lhs, rhs):
+    """lhs rhs^-1: inner exactly when lhs = rhs in the mapping class group."""
+    return tuple(lhs) + inverse_word(rhs)
 
 
-def _order_claim(genus, word, expected):
-    def run(bounds: Bounds):
-        catalog = get_catalog(genus)
-        result = order_of(catalog, word, bounds.order_bound(genus), bound=bounds.conj)
-        if isinstance(result, Inconclusive):
-            return "inconclusive", f"inconclusive at conjugator bound {result.bound}", None
-        if isinstance(result, int):
-            return _status(result == expected), result, format_mcg_word(word)
-        return "fail", f"no order within {bounds.order_bound(genus)}", None
-
-    return run
-
-
-def _identity_claim(genus, w1, w2):
-    def run(bounds: Bounds):
-        catalog = get_catalog(genus)
-        diff = evaluate(catalog, tuple(w1) + inverse_word(w2))
-        status = is_inner(catalog.presentation, diff, bound=bounds.conj)
-        if isinstance(status, Inner):
-            return "pass", True, format_word(status.witness)
-        if isinstance(status, NotInner):
-            return "fail", False, None
-        return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
-
-    return run
-
-
-def _orbit_claim(genus, word, start_curve, expected_curve):
-    def run(bounds: Bounds):
-        catalog = get_catalog(genus)
-        image = curve_image(catalog, word, curve_class(catalog, catalog.curves[start_curve]))
-        target = curve_class(catalog, catalog.curves[expected_curve])
-        return _status(image == target), format_word(image.key), format_word(target.key)
-
-    return run
-
-
-def _det_claim(genus, word, expected):
-    def run(bounds: Bounds):
-        catalog = get_catalog(genus)
-        matrix = abelianize(evaluate(catalog, word))
-        det = matrix.det()
-        in_twist = in_twist_subgroup(matrix)
-        return _status(det == expected), det, f"in_twist_subgroup={in_twist}"
-
-    return run
-
-
-def _eg_det_claim(spec, expected):
-    def run(bounds: Bounds):
-        det = determinant(build_eg_rotation(spec))
-        return _status(det == expected), det, f"genus={spec.genus}"
-
-    return run
-
-
-def _eg_power_claim(spec):
-    def run(bounds: Bounds):
-        ok = eg_matrix_power_identity(spec)
-        return _status(ok), ok, f"matrix size {spec.genus - 1}"
-
-    return run
-
-
-def _decomp_claim(g, k):
-    def run(bounds: Bounds):
-        d = decompose_genus(g, k)
-        ok = d.reconstructs() and d.p % 2 == 1 and d.q >= 0
-        observed = {"p": d.p, "q": d.q, "plus_one": d.plus_one}
-        witness = f"n={d.n} m={d.m} r={d.r}"
-        return _status(ok), observed, witness
-
-    return run
-
-
-def _lemma_claim():
-    def run(bounds: Bounds):
-        ok = verify_lemma1(canonical_rules(), budget=bounds.budget)
-        return _status(ok), ok, "derivation chain verified"
-
-    return run
-
-
-def _ablation_claim(removed):
-    def run(bounds: Bounds):
-        rules = canonical_rules().without(removed) if removed else reversed_lantern_rules()
-        # a failed derivation is the expected outcome; exceeding the budget
-        # is also a failure to derive
-        budget = min(bounds.budget, 15_000)
-        try:
-            derived = verify_lemma1(rules, budget=budget)
-        except BudgetExceeded:
-            return "pass", "budget exhausted without derivation", f"budget={budget}"
-        return _status(not derived), derived, None
-
-    return run
+def _stb():
+    return word_s(5) + (tbeta(),)
 
 
 # ---------------------------------------------------------------------------
-# Catalog construction
+# The families of claims about one genus
+
+
+@dataclass(frozen=True)
+class Family:
+    """The claims ``id`` names about the genus-g surface: one for each g with
+    ``when(g)``, times each index i in ``indices(g)`` when that is given.
+
+    ``id``, ``description`` and ``curve`` are templates over ``g``, ``i``,
+    ``g1`` = g-1, ``g3`` = g-3 and ``expected``; ``expected`` and
+    ``provenance`` are values or functions of (g, i).  ``word(g, i)`` builds
+    the mapping-class word the claim checks: the element of an ``order``
+    claim, the class of a ``determinant`` claim, the map sending ``curve``
+    to the expected curve of a ``curve_image`` claim, and ``lhs rhs^-1`` of
+    an ``identity`` claim ``lhs = rhs``.
+    """
+
+    id: str
+    kind: str
+    when: Callable
+    description: str
+    source: str
+    expected: object
+    word: Callable
+    provenance: object = "stated"
+    indices: Callable = None
+    curve: str = None
+
+
+ROTATION_ORDERS = "theorem-1 proof: orders of the crosscap rotations"
+CHAIN_ORDERS = "theorem-1 proof: orders of the chain-twist products"
+GENUS_3 = "theorem-1 proof, genus-3 case: three torsion generators"
+GENUS_5 = "theorem-1 proof, genus-5 case"
+X_IMAGES = "theorem-1 proof: images under the conjugating element x"
+EPS_ORBIT = "theorem-1 proof: eps joins the twist-curve orbit"
+CRITERION = "determinant criterion for the twist subgroup"
+THIRD_GENERATOR = "theorem-1 proof: the third generator is outside the twist subgroup"
+TSUB = "twist-subgroup generators of the theorem-1 proof"
+
+FAMILIES = {family.id: family for family in (
+    # element orders
+    Family("thm1.order.r.g{g}", "order", lambda g: g >= 5,
+           "r = u1..u{g1} has order {g}", ROTATION_ORDERS,
+           lambda g, i: g, lambda g, i: word_r(g)),
+    Family("thm1.order.rprime.g{g}", "order", lambda g: g >= 5,
+           "r' = u2..u{g1} has order {g1}", ROTATION_ORDERS,
+           lambda g, i: g - 1, lambda g, i: word_r_prime(g)),
+    Family("thm1.order.s.g{g}", "order", lambda g: g >= 5,
+           "s = t_a1..t_a{g1} has order {expected}", CHAIN_ORDERS,
+           lambda g, i: g if g % 2 == 0 else 2 * g, lambda g, i: word_s(g)),
+    Family("thm1.order.sprime.g{g}", "order", lambda g: g >= 5,
+           "s' = t_a1^2 t_a2..t_a{g1} has order {expected}", CHAIN_ORDERS,
+           lambda g, i: g - 1 if g % 2 == 0 else 2 * (g - 1), lambda g, i: word_s_prime(g)),
+    Family("thm1.order.st-beta.g5", "order", lambda g: g == 5,
+           "s t_b has order 6", GENUS_5, 6, lambda g, i: _stb()),
+    Family("thm1.order.t12.g3", "order", lambda g: g == 3,
+           "t_a1 t_a2 has order 6", GENUS_3, 6, lambda g, i: (talpha(1), talpha(2))),
+    Family("thm1.order.t112.g3", "order", lambda g: g == 3,
+           "t_a1^2 t_a2 has order 4", GENUS_3, 4,
+           lambda g, i: (talpha(1), talpha(1), talpha(2))),
+    Family("thm1.order.u2.g3", "order", lambda g: g == 3,
+           "u2 has order 2", GENUS_3, 2, lambda g, i: (transposition(2),)),
+    # identities up to inner automorphism
+    Family("thm1.id.chain-power.g{g}", "identity", lambda g: g >= 4,
+           "(s')^{g1} = s^{g}", "theorem-1 proof: braid-relation consequence", True,
+           lambda g, i: _equation(word_power(word_s_prime(g), g - 1), word_power(word_s(g), g))),
+    Family("thm1.id.talpha1.g{g}", "identity", lambda g: g >= 5,
+           "t_a1 = s' s^-1", "theorem-1 proof: recovering the first twist", True,
+           lambda g, i: _equation((talpha(1),), word_s_prime(g) + inverse_word(word_s(g)))),
+    Family("thm1.id.talpha4.g5", "identity", lambda g: g == 5,
+           "t_a4 = (s t_b)^-1 t_b (s t_b)", GENUS_5, True,
+           lambda g, i: _equation((talpha(4),), _conjugate(inverse_word(_stb()), (tbeta(),)))),
+    # curve images
+    Family("thm1.orbit.s.a{i}.g{g}", "curve_image", lambda g: g >= 5,
+           "s(a{i}) = {expected}", "theorem-1 proof: chain curves lie in one s-orbit",
+           lambda g, i: f"a{i + 1}", lambda g, i: word_s(g),
+           indices=lambda g: range(1, g - 1), curve="a{i}"),
+    Family("thm1.orbit.r.a{i}.g{g}", "curve_image", lambda g: g >= 5,
+           "r(a{i}) = {expected}", "theorem-1 proof: chain curves lie in one r-orbit",
+           lambda g, i: f"a{i + 1}", lambda g, i: word_r(g),
+           indices=lambda g: range(1, g - 1), curve="a{i}"),
+    Family("thm1.orbit.yrprimey.g5", "curve_image", lambda g: g == 5,
+           "y^-1 r' y(a2) = e", "theorem-1 proof, genus-5 case: reaching the eps twist", "e",
+           lambda g, i: _conjugate((crosscap_slide(-1),), word_r_prime(5)), curve="a2"),
+    Family("thm1.orbit.x-a4.g{g}", "curve_image", lambda g: g >= 6,
+           "x(a4) = b", X_IMAGES, "b", lambda g, i: word_x(g), curve="a4"),
+    Family("thm1.orbit.x-a2.g{g}", "curve_image", lambda g: g >= 6,
+           "x(a2) = a3", X_IMAGES, "a3", lambda g, i: word_x(g), curve="a2"),
+    Family("thm1.orbit.x-a3.g6", "curve_image", lambda g: g == 6,
+           "x(a3) = e", X_IMAGES, "e", lambda g, i: word_x(g), curve="a3"),
+    Family("thm1.orbit.x-alast.g{g}", "curve_image", lambda g: g >= 7,
+           "x(a{g1}) = e", X_IMAGES, "e", lambda g, i: word_x(g), curve="a{g1}"),
+    Family("thm1.orbit.xr2x.g{g}", "curve_image", lambda g: g >= 6,
+           "x r^2 x^-1(a3) = b", "theorem-1 proof: beta joins the twist-curve orbit", "b",
+           lambda g, i: _conjugate(word_x(g), word_power(word_r(g), 2)), curve="a3"),
+    Family("thm1.orbit.xrx.g6", "curve_image", lambda g: g == 6,
+           "x r x^-1(a3) = e", EPS_ORBIT, "e",
+           lambda g, i: _conjugate(word_x(g), word_r(g)), curve="a3"),
+    Family("thm1.orbit.xrkx.g{g}", "curve_image", lambda g: g >= 7,
+           "x r^{g3} x^-1(a3) = e", EPS_ORBIT, "e",
+           lambda g, i: _conjugate(word_x(g), word_power(word_r(g), g - 3)), curve="a3"),
+    # determinants on homology
+    Family("twist.det.a{i}.g{g}", "determinant", lambda g: True,
+           "det of the twist t_a{i} on homology is +1", CRITERION, 1,
+           lambda g, i: (talpha(i),), indices=lambda g: range(1, g)),
+    Family("twist.det.b.g{g}", "determinant", lambda g: g >= 4,
+           "det of the twist t_b on homology is +1", CRITERION, 1, lambda g, i: (tbeta(),)),
+    Family("twist.det.e.g{g}", "determinant", lambda g: True,
+           "det of the twist t_e on homology is +1", CRITERION, 1, lambda g, i: (teps(),)),
+    Family("mcg.det.u{i}.g{g}", "determinant", lambda g: True,
+           "det of the crosscap transposition u{i} is -1",
+           "crosscap transpositions lie outside the twist subgroup", -1,
+           lambda g, i: (transposition(i),), indices=lambda g: range(1, g)),
+    Family("mcg.det.y.g{g}", "determinant", lambda g: True,
+           "det of the crosscap slide y is -1", "product of a twist (+1) and a transposition (-1)",
+           -1, lambda g, i: (crosscap_slide(),), provenance="derived"),
+    Family("thm1.det.r.g{g}", "determinant", lambda g: True,
+           "det(r) = {expected}", "theorem-1 proof: r is outside the twist subgroup for even genus",
+           lambda g, i: (-1) ** (g - 1), lambda g, i: word_r(g),
+           provenance=lambda g, i: "stated" if g % 2 == 0 else "derived"),
+    Family("thm1.det.rprime.g{g}", "determinant", lambda g: True,
+           "det(r') = {expected}", "theorem-1 proof: r' is outside the twist subgroup for odd genus",
+           lambda g, i: (-1) ** g, lambda g, i: word_r_prime(g),
+           provenance=lambda g, i: "stated" if g % 2 else "derived"),
+    Family("tsub.det.s.g{g}", "determinant", lambda g: True,
+           "det(s) = +1 (s is a product of twists)", TSUB, 1, lambda g, i: word_s(g),
+           provenance="trivial"),
+    Family("tsub.det.stbeta.g5", "determinant", lambda g: g == 5,
+           "det(s t_b) = +1", TSUB + ", genus 5", 1, lambda g, i: _stb(), provenance="trivial"),
+    Family("tsub.det.ysy.g5", "determinant", lambda g: g == 5,
+           "det(y^-1 s y) = +1", TSUB + ", genus 5", 1,
+           lambda g, i: _conjugate((crosscap_slide(-1),), word_s(5)), provenance="trivial"),
+    Family("tsub.det.xsx.g{g}", "determinant", lambda g: g >= 6,
+           "det(x s x^-1) = +1", TSUB, 1, lambda g, i: _conjugate(word_x(g), word_s(g)),
+           provenance="trivial"),
+    Family("thm1.det.xrx.g{g}", "determinant", lambda g: g >= 6 and g % 2 == 0,
+           "det(x r x^-1) = -1", THIRD_GENERATOR, -1,
+           lambda g, i: _conjugate(word_x(g), word_r(g))),
+    Family("thm1.det.xrprimex.g{g}", "determinant", lambda g: g >= 6 and g % 2 == 1,
+           "det(x r' x^-1) = -1", THIRD_GENERATOR, -1,
+           lambda g, i: _conjugate(word_x(g), word_r_prime(g))),
+)}
+
+
+def _value(field, g, i):
+    return field(g, i) if callable(field) else field
 
 
 def _genus_claims(g: int):
     claims = []
-
-    def add(cid, kind, description, source, provenance, expected, runner):
-        claims.append(Claim(cid, kind, description, source, provenance, expected, runner))
-
-    even = g % 2 == 0
-
-    if g >= 5:
-        add(
-            f"thm1.order.r.g{g}", "order",
-            f"r = u1..u{g-1} has order {g}",
-            "theorem-1 proof: orders of the crosscap rotations",
-            "stated", g, _order_claim(g, word_r(g), g),
-        )
-        add(
-            f"thm1.order.rprime.g{g}", "order",
-            f"r' = u2..u{g-1} has order {g-1}",
-            "theorem-1 proof: orders of the crosscap rotations",
-            "stated", g - 1, _order_claim(g, word_r_prime(g), g - 1),
-        )
-        s_order = g if even else 2 * g
-        sp_order = g - 1 if even else 2 * (g - 1)
-        add(
-            f"thm1.order.s.g{g}", "order",
-            f"s = t_a1..t_a{g-1} has order {s_order}",
-            "theorem-1 proof: orders of the chain-twist products",
-            "stated", s_order, _order_claim(g, word_s(g), s_order),
-        )
-        add(
-            f"thm1.order.sprime.g{g}", "order",
-            f"s' = t_a1^2 t_a2..t_a{g-1} has order {sp_order}",
-            "theorem-1 proof: orders of the chain-twist products",
-            "stated", sp_order, _order_claim(g, word_s_prime(g), sp_order),
-        )
-
-    if g == 5:
-        add(
-            "thm1.order.st-beta.g5", "order",
-            "s t_b has order 6",
-            "theorem-1 proof, genus-5 case",
-            "stated", 6, _order_claim(5, word_s(5) + (tbeta(),), 6),
-        )
-    if g == 3:
-        add(
-            "thm1.order.t12.g3", "order",
-            "t_a1 t_a2 has order 6",
-            "theorem-1 proof, genus-3 case: three torsion generators",
-            "stated", 6, _order_claim(3, (talpha(1), talpha(2)), 6),
-        )
-        add(
-            "thm1.order.t112.g3", "order",
-            "t_a1^2 t_a2 has order 4",
-            "theorem-1 proof, genus-3 case: three torsion generators",
-            "stated", 4, _order_claim(3, (talpha(1), talpha(1), talpha(2)), 4),
-        )
-        add(
-            "thm1.order.u2.g3", "order",
-            "u2 has order 2",
-            "theorem-1 proof, genus-3 case: three torsion generators",
-            "stated", 2, _order_claim(3, (transposition(2),), 2),
-        )
-
-    if g >= 4:
-        add(
-            f"thm1.id.chain-power.g{g}", "identity",
-            f"(s')^{g-1} = s^{g}",
-            "theorem-1 proof: braid-relation consequence",
-            "stated", True,
-            _identity_claim(g, word_power(word_s_prime(g), g - 1), word_power(word_s(g), g)),
-        )
-    if g >= 5:
-        add(
-            f"thm1.id.talpha1.g{g}", "identity",
-            "t_a1 = s' s^-1",
-            "theorem-1 proof: recovering the first twist",
-            "stated", True,
-            _identity_claim(g, (talpha(1),), word_s_prime(g) + inverse_word(word_s(g))),
-        )
-    if g == 5:
-        stb = word_s(5) + (tbeta(),)
-        add(
-            "thm1.id.talpha4.g5", "identity",
-            "t_a4 = (s t_b)^-1 t_b (s t_b)",
-            "theorem-1 proof, genus-5 case",
-            "stated", True,
-            _identity_claim(5, (talpha(4),), inverse_word(stb) + (tbeta(),) + stb),
-        )
-
-    if g >= 5:
-        for i in range(1, g - 1):
-            add(
-                f"thm1.orbit.s.a{i}.g{g}", "curve_image",
-                f"s(a{i}) = a{i+1}",
-                "theorem-1 proof: chain curves lie in one s-orbit",
-                "stated", f"a{i+1}", _orbit_claim(g, word_s(g), f"a{i}", f"a{i+1}"),
-            )
-            add(
-                f"thm1.orbit.r.a{i}.g{g}", "curve_image",
-                f"r(a{i}) = a{i+1}",
-                "theorem-1 proof: chain curves lie in one r-orbit",
-                "stated", f"a{i+1}", _orbit_claim(g, word_r(g), f"a{i}", f"a{i+1}"),
-            )
-    if g == 5:
-        w = (crosscap_slide(-1),) + word_r_prime(5) + (crosscap_slide(),)
-        add(
-            "thm1.orbit.yrprimey.g5", "curve_image",
-            "y^-1 r' y(a2) = e",
-            "theorem-1 proof, genus-5 case: reaching the eps twist",
-            "stated", "e", _orbit_claim(5, w, "a2", "e"),
-        )
-    if g >= 6:
-        x = word_x(g)
-        add(
-            f"thm1.orbit.x-a4.g{g}", "curve_image",
-            "x(a4) = b",
-            "theorem-1 proof: images under the conjugating element x",
-            "stated", "b", _orbit_claim(g, x, "a4", "b"),
-        )
-        add(
-            f"thm1.orbit.x-a2.g{g}", "curve_image",
-            "x(a2) = a3",
-            "theorem-1 proof: images under the conjugating element x",
-            "stated", "a3", _orbit_claim(g, x, "a2", "a3"),
-        )
-        if g == 6:
-            add(
-                "thm1.orbit.x-a3.g6", "curve_image",
-                "x(a3) = e",
-                "theorem-1 proof: images under the conjugating element x",
-                "stated", "e", _orbit_claim(6, x, "a3", "e"),
-            )
-        else:
-            add(
-                f"thm1.orbit.x-alast.g{g}", "curve_image",
-                f"x(a{g-1}) = e",
-                "theorem-1 proof: images under the conjugating element x",
-                "stated", "e", _orbit_claim(g, x, f"a{g-1}", "e"),
-            )
-        xr2x = x + word_power(word_r(g), 2) + inverse_word(x)
-        add(
-            f"thm1.orbit.xr2x.g{g}", "curve_image",
-            "x r^2 x^-1(a3) = b",
-            "theorem-1 proof: beta joins the twist-curve orbit",
-            "stated", "b", _orbit_claim(g, xr2x, "a3", "b"),
-        )
-        if g == 6:
-            xrx = x + word_r(g) + inverse_word(x)
-            add(
-                "thm1.orbit.xrx.g6", "curve_image",
-                "x r x^-1(a3) = e",
-                "theorem-1 proof: eps joins the twist-curve orbit",
-                "stated", "e", _orbit_claim(6, xrx, "a3", "e"),
-            )
-        else:
-            xrkx = x + word_power(word_r(g), g - 3) + inverse_word(x)
-            add(
-                f"thm1.orbit.xrkx.g{g}", "curve_image",
-                f"x r^{g-3} x^-1(a3) = e",
-                "theorem-1 proof: eps joins the twist-curve orbit",
-                "stated", "e", _orbit_claim(g, xrkx, "a3", "e"),
-            )
-
-    # determinant criterion
-    for i in range(1, g):
-        add(
-            f"twist.det.a{i}.g{g}", "determinant",
-            f"det of the twist t_a{i} on homology is +1",
-            "determinant criterion for the twist subgroup",
-            "stated", 1, _det_claim(g, (talpha(i),), 1),
-        )
-    if g >= 4:
-        add(
-            f"twist.det.b.g{g}", "determinant",
-            "det of the twist t_b on homology is +1",
-            "determinant criterion for the twist subgroup",
-            "stated", 1, _det_claim(g, (tbeta(),), 1),
-        )
-    add(
-        f"twist.det.e.g{g}", "determinant",
-        "det of the twist t_e on homology is +1",
-        "determinant criterion for the twist subgroup",
-        "stated", 1, _det_claim(g, (("e", 0, 1),), 1),
-    )
-    for i in range(1, g):
-        add(
-            f"mcg.det.u{i}.g{g}", "determinant",
-            f"det of the crosscap transposition u{i} is -1",
-            "crosscap transpositions lie outside the twist subgroup",
-            "stated", -1, _det_claim(g, (transposition(i),), -1),
-        )
-    add(
-        f"mcg.det.y.g{g}", "determinant",
-        "det of the crosscap slide y is -1",
-        "product of a twist (+1) and a transposition (-1)",
-        "derived", -1, _det_claim(g, (crosscap_slide(),), -1),
-    )
-    add(
-        f"thm1.det.r.g{g}", "determinant",
-        f"det(r) = {(-1) ** (g - 1)}",
-        "theorem-1 proof: r is outside the twist subgroup for even genus",
-        "stated" if even else "derived", (-1) ** (g - 1),
-        _det_claim(g, word_r(g), (-1) ** (g - 1)),
-    )
-    add(
-        f"thm1.det.rprime.g{g}", "determinant",
-        f"det(r') = {(-1) ** g}",
-        "theorem-1 proof: r' is outside the twist subgroup for odd genus",
-        "stated" if not even else "derived", (-1) ** g,
-        _det_claim(g, word_r_prime(g), (-1) ** g),
-    )
-    add(
-        f"tsub.det.s.g{g}", "determinant",
-        "det(s) = +1 (s is a product of twists)",
-        "twist-subgroup generators of the theorem-1 proof",
-        "trivial", 1, _det_claim(g, word_s(g), 1),
-    )
-    if g == 5:
-        add(
-            "tsub.det.stbeta.g5", "determinant",
-            "det(s t_b) = +1",
-            "twist-subgroup generators of the theorem-1 proof, genus 5",
-            "trivial", 1, _det_claim(5, word_s(5) + (tbeta(),), 1),
-        )
-        w = (crosscap_slide(-1),) + word_s(5) + (crosscap_slide(),)
-        add(
-            "tsub.det.ysy.g5", "determinant",
-            "det(y^-1 s y) = +1",
-            "twist-subgroup generators of the theorem-1 proof, genus 5",
-            "trivial", 1, _det_claim(5, w, 1),
-        )
-    if g >= 6:
-        x = word_x(g)
-        add(
-            f"tsub.det.xsx.g{g}", "determinant",
-            "det(x s x^-1) = +1",
-            "twist-subgroup generators of the theorem-1 proof",
-            "trivial", 1, _det_claim(g, x + word_s(g) + inverse_word(x), 1),
-        )
-        if even:
-            add(
-                f"thm1.det.xrx.g{g}", "determinant",
-                "det(x r x^-1) = -1",
-                "theorem-1 proof: the third generator is outside the twist subgroup",
-                "stated", -1, _det_claim(g, x + word_r(g) + inverse_word(x), -1),
-            )
-        else:
-            add(
-                f"thm1.det.xrprimex.g{g}", "determinant",
-                "det(x r' x^-1) = -1",
-                "theorem-1 proof: the third generator is outside the twist subgroup",
-                "stated", -1, _det_claim(g, x + word_r_prime(g) + inverse_word(x), -1),
-            )
-
+    for family in FAMILIES.values():
+        if not family.when(g):
+            continue
+        for i in family.indices(g) if family.indices else (None,):
+            expected = _value(family.expected, g, i)
+            names = {"g": g, "i": i, "g1": g - 1, "g3": g - 3, "expected": expected}
+            params = {"family": family.id, "genus": g, "index": i}
+            if family.curve:
+                params["curve"] = family.curve.format_map(names)
+            claims.append(Claim(
+                family.id.format_map(names), family.kind,
+                family.description.format_map(names), family.source,
+                _value(family.provenance, g, i), expected, params,
+            ))
     return claims
 
 
 def _eg_claims(ks, ps, qs):
     claims = []
-    for k in ks:
-        for p in ps:
-            for q in qs:
-                for extra in (False, True):
-                    spec = EgRotationSpec(k, p, q, extra)
-                    suffix = f"k{k}.p{p}.q{q}" + (".x" if extra else "")
-                    expected = (-1) ** p if k % 2 == 0 else 1
-                    claims.append(Claim(
-                        f"lemma-embed.det.{suffix}", "eg_det",
-                        f"rotation of the symmetric genus-{spec.genus} model has det {expected}",
-                        "embedding lemma: determinant of the order-k rotation",
-                        "stated" if k % 2 == 0 else "derived",
-                        expected, _eg_det_claim(spec, expected),
-                    ))
-                    claims.append(Claim(
-                        f"lemma-embed.power.{suffix}", "eg_power",
-                        f"rotation matrix of the genus-{spec.genus} model has order dividing {k}",
-                        "embedding lemma: the rotation has order k",
-                        "stated", True, _eg_power_claim(spec),
-                    ))
+    for k, p, q, extra in itertools.product(ks, ps, qs, (False, True)):
+        params = {"k": k, "p": p, "q": q, "extra_crosscap": extra}
+        genus = EgRotationSpec(**params).genus
+        suffix = f"k{k}.p{p}.q{q}" + (".x" if extra else "")
+        expected = (-1) ** p if k % 2 == 0 else 1
+        claims.append(Claim(
+            f"lemma-embed.det.{suffix}", "eg_det",
+            f"rotation of the symmetric genus-{genus} model has det {expected}",
+            "embedding lemma: determinant of the order-k rotation",
+            "stated" if k % 2 == 0 else "derived", expected, params,
+        ))
+        claims.append(Claim(
+            f"lemma-embed.power.{suffix}", "eg_power",
+            f"rotation matrix of the genus-{genus} model has order dividing {k}",
+            "embedding lemma: the rotation has order k",
+            "stated", True, params,
+        ))
     return claims
 
 
@@ -537,7 +366,7 @@ def _cor4_claims(ks):
                 f"cor4.decomp.g{g}.k{k}", "decomposition",
                 f"genus {g} decomposes as pk + 2q(k-1) (+1) with p odd, k={k}",
                 "genus-decomposition corollary: division with remainder",
-                "derived", True, _decomp_claim(g, k),
+                "derived", True, {"genus": g, "k": k},
             ))
     return claims
 
@@ -547,7 +376,7 @@ def _lantern_claims():
         "lemma1.proof", "lantern",
         "the twist t_a1 is derivable from the relation and the hypotheses",
         "four-holed-sphere twist derivation",
-        "stated", True, _lemma_claim(),
+        "stated", True, {"ablate": None},
     )]
     ablations = [
         ("lemma1.ablate.f", "f ta3 f^-1"),
@@ -561,13 +390,13 @@ def _lantern_claims():
             cid, "lantern",
             f"removing the hypothesis {rule} breaks the derivation",
             "four-holed-sphere twist derivation: hypothesis ablation",
-            "derived", "no derivation", _ablation_claim(rule),
+            "derived", "no derivation", {"ablate": rule},
         ))
     claims.append(Claim(
         "lemma1.reversed", "lantern",
         "reversing the relation's right-hand side breaks the derivation",
         "four-holed-sphere twist derivation: relation ablation",
-        "derived", "no derivation", _ablation_claim(None),
+        "derived", "no derivation", {"ablate": "relation"},
     ))
     return claims
 
@@ -595,14 +424,140 @@ def filter_claims(claims, pattern: str):
     return [c for c in claims if fnmatch.fnmatchcase(c.id, pattern)]
 
 
+def resolve_claims(pattern: str):
+    """The claims matching the id or id glob ``pattern``, from the catalog
+    built for the parameters its ``.g<n>``, ``.k<k>``, ``.p<p>`` and
+    ``.q<q>`` parts name; parameters it does not name keep their defaults.
+    A pattern naming a rotation-model parameter below its least value
+    selects nothing."""
+    params = {}
+    for part in pattern.split("."):
+        match = re.fullmatch(r"([gkpq])(\d+)", part)
+        if match:
+            params[match[1]] = int(match[2])
+    if any(params.get(name, least) < least for name, least in MODEL_LEAST.items()):
+        return []
+    cor4 = pattern.startswith("cor4.")
+    ranges = {}
+    if "g" in params and not cor4:
+        ranges["genus_range"] = (params["g"], params["g"])
+    if "k" in params:
+        ranges["cor4_ks" if cor4 else "ks"] = (params["k"],)
+    for name in ("p", "q"):
+        if name in params:
+            ranges[name + "s"] = (params[name],)
+    return filter_claims(build_claims(**ranges), pattern)
+
+
 # ---------------------------------------------------------------------------
-# Runner
+# Runners: one per kind, each returns (status, observed, witness)
+
+
+def _status(ok) -> str:
+    if ok is True:
+        return "pass"
+    if ok is False:
+        return "fail"
+    return "inconclusive"
+
+
+def _family_word(claim):
+    """The genus of a family claim and its word, built now."""
+    genus, index = claim.params["genus"], claim.params["index"]
+    return genus, FAMILIES[claim.params["family"]].word(genus, index)
+
+
+def _run_order(claim, bounds):
+    genus, word = _family_word(claim)
+    catalog = get_catalog(genus)
+    result = order_of(catalog, word, bounds.order_bound(genus), bound=bounds.conj)
+    if isinstance(result, Inconclusive):
+        return "inconclusive", f"inconclusive at conjugator bound {result.bound}", None
+    if isinstance(result, int):
+        return _status(result == claim.expected), result, format_mcg_word(word)
+    return "fail", f"no order within {bounds.order_bound(genus)}", None
+
+
+def _run_identity(claim, bounds):
+    genus, word = _family_word(claim)
+    catalog = get_catalog(genus)
+    status = is_inner(catalog.presentation, evaluate(catalog, word), bound=bounds.conj)
+    if isinstance(status, Inconclusive):
+        return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
+    inner = isinstance(status, Inner)
+    return _status(inner == claim.expected), inner, format_word(status.witness) if inner else None
+
+
+def _run_curve_image(claim, bounds):
+    genus, word = _family_word(claim)
+    catalog = get_catalog(genus)
+    image = curve_image(catalog, word, curve_class(catalog, catalog.curves[claim.params["curve"]]))
+    target = curve_class(catalog, catalog.curves[claim.expected])
+    return _status(image == target), format_word(image.key), format_word(target.key)
+
+
+def _run_determinant(claim, bounds):
+    genus, word = _family_word(claim)
+    matrix = abelianize(evaluate(get_catalog(genus), word))
+    det = matrix.det()
+    in_twist = in_twist_subgroup(matrix)
+    return _status(det == claim.expected), det, f"in_twist_subgroup={in_twist}"
+
+
+def _run_eg_det(claim, bounds):
+    spec = EgRotationSpec(**claim.params)
+    det = determinant(build_eg_rotation(spec))
+    return _status(det == claim.expected), det, f"genus={spec.genus}"
+
+
+def _run_eg_power(claim, bounds):
+    spec = EgRotationSpec(**claim.params)
+    ok = eg_matrix_power_identity(spec)
+    return _status(ok == claim.expected), ok, f"matrix size {spec.genus - 1}"
+
+
+def _run_decomposition(claim, bounds):
+    d = decompose_genus(claim.params["genus"], claim.params["k"])
+    ok = d.reconstructs() and d.p % 2 == 1 and d.q >= 0
+    observed = {"p": d.p, "q": d.q, "plus_one": d.plus_one}
+    return _status(ok == claim.expected), observed, f"n={d.n} m={d.m} r={d.r}"
+
+
+def _run_lantern(claim, bounds):
+    """The derivation of t_a1 when ``params["ablate"]`` is None; otherwise
+    the rule set without that hypothesis (``"relation"``: with the relation
+    reversed), which must not derive it."""
+    ablate = claim.params["ablate"]
+    if ablate is None:
+        ok = verify_lemma1(canonical_rules(), budget=bounds.budget)
+        return _status(ok == claim.expected), ok, "derivation chain verified"
+    rules = reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
+    # a failed derivation is the expected outcome; exceeding the budget
+    # is also a failure to derive
+    budget = min(bounds.budget, 15_000)
+    try:
+        derived = verify_lemma1(rules, budget=budget)
+    except BudgetExceeded:
+        return "pass", "budget exhausted without derivation", f"budget={budget}"
+    return _status(not derived), derived, None
+
+
+RUNNERS = {
+    "order": _run_order,
+    "identity": _run_identity,
+    "curve_image": _run_curve_image,
+    "determinant": _run_determinant,
+    "eg_det": _run_eg_det,
+    "eg_power": _run_eg_power,
+    "decomposition": _run_decomposition,
+    "lantern": _run_lantern,
+}
 
 
 def run_claim(claim: Claim, bounds: Bounds) -> ClaimReport:
     start = time.perf_counter()
     try:
-        status, observed, witness = claim.runner(bounds)
+        status, observed, witness = RUNNERS[claim.kind](claim, bounds)
     except BudgetExceeded as exc:
         status, observed, witness = "inconclusive", str(exc), None
     millis = (time.perf_counter() - start) * 1000.0

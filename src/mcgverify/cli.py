@@ -5,9 +5,12 @@ Subcommands:
 * ``mcgverify run``     -- execute the built-in claim catalog (optionally
   filtered) and print a text or JSON report.
 * ``mcgverify explain`` -- describe one claim: statement, source label,
-  expected value, provenance.  Any id ``run`` can produce resolves: the
-  catalog is built from the parameters the id names.
-* ``mcgverify list``    -- list claim ids.
+  expected value, provenance.
+* ``mcgverify list``    -- list the claims whose ids match a glob.
+
+``explain`` and ``list`` build the catalog from the parameters their id or
+glob names (``.g12`` is genus 12, ``.k20.p1.q0`` a rotation model; see
+``claims.resolve_claims``), so they find any claim ``run`` can produce.
 
 Exit codes: 0 all selected claims pass (or none selected), 2 some claim
 failed, 3 some claim inconclusive and none failed, 4 unknown claim id or
@@ -17,7 +20,6 @@ bad arguments.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from .claims import (
@@ -27,14 +29,13 @@ from .claims import (
     filter_claims,
     find_claim,
     report_json,
+    resolve_claims,
     run_claims,
 )
 from .errors import UnknownClaim
+from .homology import EgRotationSpec
 
 USAGE_EXIT = 4
-
-# least value of each rotation-model parameter (EgRotationSpec)
-MODEL_LEAST = {"k": 2, "p": 1, "q": 0}
 
 
 def _parse_range(text: str, name: str):
@@ -61,14 +62,15 @@ def _cmd_run(args) -> int:
     k_range = _parse_range(args.k, "k")
     p_range = _parse_range(args.p, "p")
     q_range = _parse_range(args.q, "q")
-    for flag, value, least in (("--k", k_range[0], MODEL_LEAST["k"]),
-                               ("--p", p_range[0], MODEL_LEAST["p"]),
-                               ("--q", q_range[0], MODEL_LEAST["q"]),
-                               ("--bound-conj", args.bound_conj, 0),
-                               ("--bound-order", args.bound_order, 0),
-                               ("--budget", args.budget, 0)):
-        if value < least:
-            raise SystemExit(f"mcgverify: {flag} must be at least {least}, got {value}")
+    try:
+        EgRotationSpec(k_range[0], p_range[0], q_range[0])  # the least model the ranges name
+    except ValueError as exc:  # it names the parameter: "k must be at least 2, got 1"
+        raise SystemExit(f"mcgverify: --{exc}") from None
+    for flag, value in (("--bound-conj", args.bound_conj),
+                        ("--bound-order", args.bound_order),
+                        ("--budget", args.budget)):
+        if value < 0:
+            raise SystemExit(f"mcgverify: {flag} must be at least 0, got {value}")
     bounds = Bounds(conj=args.bound_conj, order=args.bound_order, budget=args.budget)
 
     claims = build_claims(
@@ -98,35 +100,9 @@ def _cmd_run(args) -> int:
     return exit_code(reports)
 
 
-def _claims_for_id(claim_id: str):
-    """The catalog built from the parameters ``claim_id`` names: ``.g<n>``
-    is the genus, ``.k<k>.p<p>.q<q>`` the rotation model of a
-    ``lemma-embed`` id, and the ``.k<k>`` of a ``cor4`` id its rotation
-    order (its ``.g<n>`` is the genus it decomposes).  Parameters an id does
-    not name keep their defaults; an id naming a parameter below its least
-    value selects nothing."""
-    params = {}
-    for part in claim_id.split("."):
-        match = re.fullmatch(r"([gkpq])(\d+)", part)
-        if match:
-            params[match[1]] = int(match[2])
-    if any(params.get(name, least) < least for name, least in MODEL_LEAST.items()):
-        return []
-    cor4 = claim_id.startswith("cor4.")
-    ranges = {}
-    if "g" in params and not cor4:
-        ranges["genus_range"] = (params["g"], params["g"])
-    if "k" in params:
-        ranges["cor4_ks" if cor4 else "ks"] = (params["k"],)
-    for name in ("p", "q"):
-        if name in params:
-            ranges[name + "s"] = (params[name],)
-    return build_claims(**ranges)
-
-
 def _cmd_explain(args) -> int:
     try:
-        claim = find_claim(_claims_for_id(args.id), args.id)
+        claim = find_claim(resolve_claims(args.id), args.id)
     except UnknownClaim:
         print(f"mcgverify: unknown claim id {args.id!r}", file=sys.stderr)
         return USAGE_EXIT
@@ -140,9 +116,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    claims = build_claims()
-    selected = filter_claims(claims, args.filter)
-    for claim in selected:
+    for claim in resolve_claims(args.filter):
         print(f"{claim.id}  [{claim.provenance}]  {claim.description}")
     return 0
 

@@ -124,6 +124,10 @@ def in_twist_subgroup(matrix: HomologyMatrix) -> bool:
 # Rotation matrices of the symmetric models E_g
 
 
+# least value of each rotation-model parameter
+MODEL_LEAST = {"k": 2, "p": 1, "q": 0}
+
+
 @dataclass(frozen=True)
 class EgRotationSpec:
     """Parameters of the order-k rotation model: p nonorientable genus-k
@@ -136,8 +140,10 @@ class EgRotationSpec:
     extra_crosscap: bool = False
 
     def __post_init__(self):
-        if self.k < 2 or self.p < 1 or self.q < 0:
-            raise ValueError("need k >= 2, p >= 1, q >= 0")
+        for name, least in MODEL_LEAST.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @property
     def genus(self) -> int:

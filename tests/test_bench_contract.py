@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mcgverify
+from mcgverify.claims import RUNNERS, build_claims
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -41,3 +42,9 @@ def test_tracer_modules_import(module):
 
 def test_child_calls_get_catalog():
     assert callable(mcgverify.get_catalog)
+
+
+def test_claim_kinds_match_runners_and_tracer():
+    """A renamed kind would drop out of the per-kind bench metrics."""
+    kinds = {claim.kind for claim in build_claims()}
+    assert kinds == set(RUNNERS) == set(tracer_constant("CLAIM_KINDS"))

@@ -1,8 +1,10 @@
 """Claim catalog integrity and the command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -15,6 +17,7 @@ from mcgverify.claims import (
     exit_code,
     filter_claims,
     find_claim,
+    run_claim,
     run_claims,
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
@@ -109,6 +112,29 @@ def test_run_claims_deterministic():
         (r.status, r.observed) for r in second
     ]
     assert all(r.status == "pass" for r in first)
+
+
+def test_build_claims_builds_no_words():
+    """Words are built when a claim runs: a genus-300 catalog stays small."""
+    tracemalloc.start()
+    try:
+        build_claims(genus_range=(300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("claim_id,wrong", [
+    ("thm1.order.s.g5", 11),
+    ("twist.det.a1.g5", -1),
+    ("lemma-embed.det.k12.p1.q0", 1),
+    ("thm1.orbit.s.a1.g5", "a3"),
+])
+def test_run_claim_compares_stated_expected(claim_id, wrong):
+    claim = find_claim(build_claims(genus_range=(5, 5)), claim_id)
+    assert run_claim(claim, Bounds()).status == "pass"
+    assert run_claim(dataclasses.replace(claim, expected=wrong), Bounds()).status == "fail"
 
 
 def test_exit_code_logic():
@@ -222,6 +248,7 @@ EXPLAINED = {
     "lemma-embed.det.k20.p1.q0": "-1",  # k outside the default 2..13
     "lemma-embed.power.k13.p4.q3.x": "True",  # p, q outside 1..3, 0..2
     "cor4.decomp.g232.k12": "True",
+    "thm1.orbit.xrkx.g2000": "'e'",  # words of about g^2 symbols, not built
 }
 
 
@@ -232,6 +259,15 @@ def test_cli_explain_resolves_id_parameters(claim_id):
     assert proc.returncode == 0, proc.stderr
     assert f"id:          {claim_id}\n" in proc.stdout
     assert f"expected:    {EXPLAINED[claim_id]}\n" in proc.stdout
+
+
+@pytest.mark.parametrize("claim_id", EXPLAINED)
+def test_cli_list_resolves_id_parameters(claim_id):
+    """list resolves its filter's parameters the way explain does."""
+    proc = run_cli("list", "--filter", claim_id)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{claim_id}  ["), proc.stdout
 
 
 def test_cli_explain_unknown_exits_4():
