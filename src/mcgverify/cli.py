@@ -34,6 +34,7 @@ from .claims import (
 )
 from .errors import UnknownClaim
 from .homology import EgRotationSpec
+from .lantern import DEFAULT_BUDGET
 
 USAGE_EXIT = 4
 
@@ -146,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--bound-conj", type=int, default=16, help="conjugator power bound")
     run.add_argument("--bound-order", type=int, default=0,
                      help="order search bound (default 4*genus)")
-    run.add_argument("--budget", type=int, default=100_000,
+    run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="rewriting search budget (node expansions)")
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.set_defaults(func=_cmd_run)

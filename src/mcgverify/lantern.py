@@ -17,17 +17,20 @@ boundary twist as a product of f, g, h, a conjugate of f, and inverses:
 the relation is rearranged into three difference blocks, the hypotheses on
 g and h replace two blocks by conjugates of the first, and the hypothesis
 on f rewrites the remaining interior twist.  Removing any single
-hypothesis must break the chain; the test suite checks exactly that.
+hypothesis breaks the chain: :func:`check_countermodel` checks a shipped
+finite countermodel for each, which rules out derivations of any length.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from importlib import resources
 
 from .errors import BudgetExceeded
 
 ATOMS = ("ta1", "tb", "tg", "ta5", "ta3", "td1", "td2", "f", "g", "h")
+DEFAULT_BUDGET = 100_000  # node expansions of a joinability search
 
 # An expression is a tuple of (atom, +-1) pairs, freely reduced.
 
@@ -141,6 +144,40 @@ def canonical_rules() -> RuleSet:
     return load_rules()
 
 
+def load_countermodels() -> dict:
+    path = resources.files("mcgverify.data").joinpath("lantern_countermodels.json")
+    return json.loads(path.read_text())
+
+
+def check_countermodel(ablate: str) -> str:
+    """Check the shipped countermodel for the rules without ``ablate``: every
+    atom permutes range(n), words act left to right, every kept base rule holds
+    and ta1 != STEP_F.  Returns the witness; raises ValueError naming the failed check."""
+    rules = reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
+    model = load_countermodels().get(ablate, {})
+    atoms = model.get("atoms", {})
+    n = len(atoms.get(ATOMS[0], ()))
+    for atom in ATOMS:
+        if atom not in atoms:
+            raise ValueError(f"atom {atom} missing from the model")
+        if sorted(x for x in atoms[atom] if type(x) is int) != list(range(n)):
+            raise ValueError(f"atom {atom} is not a permutation of the {n} points")
+
+    def value(expr):
+        image = list(range(n))
+        for atom, sign in expr:
+            perm = atoms[atom] if sign > 0 else sorted(range(n), key=atoms[atom].__getitem__)
+            image = [perm[x] for x in image]
+        return image
+
+    for lhs, rhs in rules.base_rules:
+        if value(lhs) != value(rhs):
+            raise ValueError(f"rule {format_expr(lhs)} -> {format_expr(rhs)} fails in the model")
+    if value(STEP_TARGET) == value(STEP_F):
+        raise ValueError("ta1 equals the derivation's final product in the model")
+    return f"countermodel {model.get('name')!r} on {n} points"
+
+
 def _neighbors(rules: RuleSet, expr, max_len: int):
     for lhs, rhs in rules.rules:
         ln = len(lhs)
@@ -154,7 +191,8 @@ def _neighbors(rules: RuleSet, expr, max_len: int):
                     yield new
 
 
-def verify_step(rules: RuleSet, lhs, rhs, budget: int = 100_000, max_len: int = None) -> bool:
+def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET,
+                max_len: int = None) -> bool:
     """True iff lhs and rhs are joinable under the rules and free
     reduction.  Bidirectional BFS; symmetric in lhs/rhs.  Raises
     BudgetExceeded after ``budget`` node expansions."""
@@ -205,7 +243,7 @@ STEP_F = parse_expr(
 DERIVATION_CHAIN = (STEP_TARGET, STEP_BLOCKS, STEP_GH, STEP_F)
 
 
-def verify_lemma1(rules: RuleSet, budget: int = 100_000) -> bool:
+def verify_lemma1(rules: RuleSet, budget: int = DEFAULT_BUDGET) -> bool:
     """Replay the full derivation: the relation rearranged into difference
     blocks, the g/h hypotheses substituted, then the f hypothesis
     substituted, which gives the final product.  Each consecutive pair is

@@ -8,7 +8,6 @@ comparisons throughout.
 import random
 
 from mcgverify.claims import Bounds, build_claims, filter_claims, run_claims
-from mcgverify.errors import BudgetExceeded
 from mcgverify.homology import (
     EgRotationSpec,
     abelianize,
@@ -18,7 +17,7 @@ from mcgverify.homology import (
     matrix_identity,
     matrix_power,
 )
-from mcgverify.lantern import canonical_rules, verify_lemma1
+from mcgverify.lantern import canonical_rules, check_countermodel, verify_lemma1
 from mcgverify.mcg import (
     crosscap_slide,
     curve_class,
@@ -176,8 +175,7 @@ def test_criterion_6_decomposition_ranges():
 
 
 def test_criterion_7_symbolic_derivation():
-    rules = canonical_rules()
-    assert verify_lemma1(rules) is True
+    assert verify_lemma1(canonical_rules()) is True
     for removed in (
         "f ta3 f^-1",
         "g td1 g^-1",
@@ -185,11 +183,8 @@ def test_criterion_7_symbolic_derivation():
         "h td2 h^-1",
         "h tb h^-1",
     ):
-        try:
-            derived = verify_lemma1(rules.without(removed), budget=15_000)
-        except BudgetExceeded:
-            derived = False
-        assert derived is False, removed
+        # a finite countermodel: no derivation of any length
+        assert check_countermodel(removed).startswith("countermodel "), removed
     print("ACCEPTANCE 7 (symbolic derivation + ablations): PASS")
 
 

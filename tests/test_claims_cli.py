@@ -188,16 +188,17 @@ def test_cli_reports_reproducible():
 
 def test_cli_report_same_under_python_O():
     """No check rests on assert: -O (which strips asserts) gives the same report."""
-    args = ("run", "--filter", "thm1.*", "--genus", "3..6", "--format", "json")
-    plain = run_cli(*args)
-    optimized = subprocess.run(
-        [sys.executable, "-O", "-m", "mcgverify.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == 0, optimized.stderr
-    assert rows_without_millis(optimized) == rows_without_millis(plain)
+    for claims in ("thm1.*", "lemma1.*"):
+        args = ("run", "--filter", claims, "--genus", "3..6", "--format", "json")
+        plain = run_cli(*args)
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "mcgverify.cli", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == 0, optimized.stderr
+        assert rows_without_millis(optimized) == rows_without_millis(plain)
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -2,8 +2,11 @@
 
 import pytest
 
+import mcgverify.lantern
+from mcgverify.claims import Bounds, find_claim, resolve_claims, run_claim, run_claims
 from mcgverify.errors import BudgetExceeded
 from mcgverify.lantern import (
+    ATOMS,
     DERIVATION_CHAIN,
     STEP_BLOCKS,
     STEP_F,
@@ -11,8 +14,10 @@ from mcgverify.lantern import (
     STEP_TARGET,
     RuleSet,
     canonical_rules,
+    check_countermodel,
     format_expr,
     invert_expr,
+    load_countermodels,
     load_rules,
     parse_expr,
     parse_rules,
@@ -117,15 +122,103 @@ def test_derivation_chain_steps_distinct():
     ["f ta3 f^-1", "g td1 g^-1", "g tg g^-1", "h td2 h^-1", "h tb h^-1"],
 )
 def test_single_hypothesis_ablation_breaks_derivation(removed):
-    rules = canonical_rules().without(removed)
-    try:
-        assert verify_lemma1(rules, budget=15_000) is False
-    except BudgetExceeded:
-        pass  # equally a failure to derive
+    # a finite countermodel rules out derivations of every length, where an
+    # exhausted search would rule out none
+    assert check_countermodel(removed) == "countermodel 'rotations of Z/7' on 7 points"
 
 
 def test_reversed_lantern_fails():
     assert verify_lemma1(reversed_lantern_rules(), budget=120_000) is False
+
+
+# ---------------------------------------------------------------------------
+# the shipped countermodels, checked by an evaluator of their own
+
+
+ABLATIONS = ["f ta3 f^-1", "g td1 g^-1", "g tg g^-1", "h td2 h^-1", "h tb h^-1", "relation"]
+
+
+def _kept_rules(ablate):
+    return reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
+
+
+def _act(atoms, expr):
+    """The permutation an expression induces, its atoms applied left to right."""
+
+    def image(x):
+        for atom, sign in expr:
+            x = atoms[atom][x] if sign > 0 else atoms[atom].index(x)
+        return x
+
+    return [image(x) for x in range(len(atoms["ta1"]))]
+
+
+def _satisfies(atoms, rules):
+    return all(_act(atoms, lhs) == _act(atoms, rhs) for lhs, rhs in rules)
+
+
+def test_countermodels_cover_each_ablation_with_every_atom():
+    models = load_countermodels()
+    assert sorted(models) == sorted(ABLATIONS)
+    for model in models.values():
+        n = len(model["atoms"]["ta1"])
+        assert n <= 16 and sorted(model["atoms"]) == sorted(ATOMS)
+        assert all(sorted(perm) == list(range(n)) for perm in model["atoms"].values())
+
+
+@pytest.mark.parametrize("ablate", ABLATIONS)
+def test_countermodel_satisfies_its_kept_rules_and_their_variants(ablate):
+    atoms = load_countermodels()[ablate]["atoms"]
+    rules = _kept_rules(ablate)
+    # the variants are claimed to be consequences of the base rules
+    assert _satisfies(atoms, rules.base_rules) and _satisfies(atoms, rules.rules)
+    assert _act(atoms, STEP_TARGET) != _act(atoms, STEP_F)
+
+
+@pytest.mark.parametrize("ablate", ABLATIONS)
+def test_countermodel_fails_every_other_rule_set(ablate):
+    atoms = load_countermodels()[ablate]["atoms"]
+    assert not _satisfies(atoms, canonical_rules().base_rules)
+    for other in ABLATIONS:
+        if other != ablate:
+            assert not _satisfies(atoms, _kept_rules(other).base_rules), other
+
+
+IDENTITY_7 = list(range(7))
+
+
+@pytest.mark.parametrize("claim_id,names,perm,failure", [
+    ("lemma1.ablate.f", ("g",), [0, 0, 1, 2, 3, 4, 5],
+     "atom g is not a permutation of the 7 points"),
+    ("lemma1.ablate.g-d1", ("h",), None, "atom h missing from the model"),
+    ("lemma1.ablate.h-b", ("tg",), list(range(8)),
+     "atom tg is not a permutation of the 7 points"),
+    ("lemma1.reversed", ("f",), list(range(16)),
+     "rule f ta3 f^-1 -> ta5 fails in the model"),
+    ("lemma1.ablate.f", ("ta1",), IDENTITY_7,
+     "rule ta1 tb tg ta5 -> ta3 td1 td2 fails in the model"),
+    ("lemma1.ablate.g-g", ATOMS, IDENTITY_7,
+     "ta1 equals the derivation's final product in the model"),
+])
+def test_corrupted_countermodel_fails_claim(monkeypatch, claim_id, names, perm, failure):
+    claim = find_claim(resolve_claims(claim_id), claim_id)
+    models = load_countermodels()
+    atoms = models[claim.params["ablate"]]["atoms"]
+    for name in names:
+        if perm is None:
+            del atoms[name]
+        else:
+            atoms[name] = perm
+    monkeypatch.setattr(mcgverify.lantern, "load_countermodels", lambda: models)
+    report = run_claim(claim, Bounds())
+    assert (report.status, report.observed, report.witness) == ("fail", failure, None)
+
+
+def test_lemma1_ablations_do_not_rest_on_the_search_budget():
+    reports = run_claims(resolve_claims("lemma1.*"), Bounds(budget=1))
+    status = {r.id: r.status for r in reports}
+    assert status.pop("lemma1.proof") == "inconclusive"
+    assert len(status) == 6 and set(status.values()) == {"pass"}
 
 
 # ---------------------------------------------------------------------------
