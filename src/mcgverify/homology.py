@@ -11,7 +11,8 @@ pieces, plus an optional fixed crosscap), whose determinant is (-1)^p for
 even k, and the genus-decomposition arithmetic g = pk + 2q(k-1) (+1).
 
 All arithmetic is exact over Python integers; determinants use
-fraction-free (Bareiss) elimination.
+fraction-free (Bareiss) elimination, and matrix orders iterate the basis
+vectors through the sparse columns of the matrix.
 """
 
 from __future__ import annotations
@@ -49,8 +50,35 @@ def matrix_power(a, k: int):
     return result
 
 
+def matrix_order(entries, limit: int):
+    """Least n <= limit with entries^n equal to the identity, or None.
+
+    Iterates the basis vectors through the sparse columns of the matrix:
+    after step n, vector j is column j of entries^n, so the powers 1..limit
+    are tested in order at the cost of the nonzeros touched rather than a
+    dense product per power.
+    """
+    n = len(entries)
+    columns = [[(i, row[j]) for i, row in enumerate(entries) if row[j]] for j in range(n)]
+    vectors = [{j: 1} for j in range(n)]
+    for power in range(1, limit + 1):
+        for j, vec in enumerate(vectors):
+            image = {}
+            for k, c in vec.items():
+                for i, m in columns[k]:
+                    image[i] = image.get(i, 0) + c * m
+            vectors[j] = {i: x for i, x in image.items() if x}
+        if all(vec == {j: 1} for j, vec in enumerate(vectors)):
+            return power
+    return None
+
+
 def determinant(matrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    A row whose pivot-column entry is 0 is only rescaled by pivot / prev at
+    a step, so it is left alone when the pivot equals the previous one.
+    """
     a = [list(row) for row in matrix]
     n = len(a)
     if n == 0:
@@ -66,10 +94,18 @@ def determinant(matrix) -> int:
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+            row = a[i]
+            factor = row[k]
+            if factor:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+            elif pivot != prev:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
@@ -87,22 +123,13 @@ class HomologyMatrix:
     def det(self) -> int:
         return determinant(self.entries)
 
-    def __mul__(self, other: "HomologyMatrix") -> "HomologyMatrix":
-        return HomologyMatrix(self.genus, matrix_mul(self.entries, other.entries))
-
-    def power(self, k: int) -> "HomologyMatrix":
-        return HomologyMatrix(self.genus, matrix_power(self.entries, k))
-
-    def is_identity(self) -> bool:
-        return self.entries == matrix_identity(self.genus - 1)
-
 
 def abelianize(auto) -> HomologyMatrix:
     """Matrix of the induced map on H_1(N_g; R).
 
     Column i is the exponent vector of the image of x_i with c_g
-    eliminated.  Functorial: abelianize(compose(a, b)) equals
-    abelianize(a) * abelianize(b).
+    eliminated.  Functorial: abelianize(compose(a, b)).entries equals
+    matrix_mul(abelianize(a).entries, abelianize(b).entries).
     """
     g = auto.genus
     pres = get_presentation(g)

@@ -154,12 +154,20 @@ def check_countermodel(ablate: str) -> str:
     atom permutes range(n), words act left to right, every kept base rule holds
     and ta1 != STEP_F.  Returns the witness; raises ValueError naming the failed check."""
     rules = reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
-    model = load_countermodels().get(ablate, {})
+    models = load_countermodels()
+    model = models.get(ablate, {}) if isinstance(models, dict) else None
+    if not isinstance(model, dict):
+        raise ValueError(f"the model for {ablate!r} is not a table")
     atoms = model.get("atoms", {})
-    n = len(atoms.get(ATOMS[0], ()))
+    if not isinstance(atoms, dict):
+        raise ValueError("the model's atoms are not a table")
     for atom in ATOMS:
         if atom not in atoms:
             raise ValueError(f"atom {atom} missing from the model")
+        if not isinstance(atoms[atom], list):
+            raise ValueError(f"atom {atom} is not a list of points")
+    n = len(atoms[ATOMS[0]])
+    for atom in ATOMS:
         if sorted(x for x in atoms[atom] if type(x) is int) != list(range(n)):
             raise ValueError(f"atom {atom} is not a permutation of the {n} points")
 

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenusMismatch, ValidationFailure
+from .homology import abelianize, matrix_order
 from .words import (
     SurfacePresentation,
     cyclic_canonical,
-    dehn_reduce,
     find_conjugators,
     format_word,
     free_reduce,
@@ -48,6 +48,7 @@ from .words import (
     is_conjugate,
     is_trivial,
     mul,
+    reduce_image,
 )
 
 # ---------------------------------------------------------------------------
@@ -89,14 +90,14 @@ class Automorphism:
 
 
 def substitute(pres: SurfacePresentation, images, word) -> tuple:
-    """Apply an image table to a word and reduce."""
-    out = []
-    for letter in word:
-        img = images[abs(letter) - 1]
-        if letter < 0:
-            img = inverse(img)
-        out.extend(img)
-    return dehn_reduce(pres, tuple(out))
+    """Apply an image table to a word and Dehn-reduce.
+
+    The images must be freely reduced, so that the concatenation cancels
+    only where two images meet (:func:`~mcgverify.words.reduce_image`):
+    ``build_catalog`` certifies the generator images, and every computed
+    image is Dehn-reduced.
+    """
+    return reduce_image(pres, images, word)
 
 
 def identity_automorphism(genus: int) -> Automorphism:
@@ -442,32 +443,24 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = 16):
 
     The homology matrix gives a cheap necessary condition: an inner power
     must act trivially on H_1, so only multiples of the matrix order are
-    tested at the pi_1 level.  Proper divisors of the answer are thereby
-    certified to fail.  Returns the order, InfiniteWithinBound(max_order),
-    or Inconclusive if a witness search was indecisive.
+    tested at the pi_1 level.  The matrix order comes from iterating the
+    basis vectors through the matrix's sparse columns
+    (:func:`~mcgverify.homology.matrix_order`), with no dense product.
+    Proper divisors of the answer are thereby certified to fail.  Returns
+    the order, InfiniteWithinBound(max_order), or Inconclusive if a witness
+    search was indecisive.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    from .homology import abelianize, matrix_identity, matrix_mul
-
     word = tuple(word)
-    auto = evaluate(catalog, word)
-    m = abelianize(auto)
-    ident = matrix_identity(catalog.genus - 1)
-    acc = m.entries
-    matrix_order = None
-    for n in range(1, max_order + 1):
-        if acc == ident:
-            matrix_order = n
-            break
-        acc = matrix_mul(acc, m.entries)
-    if matrix_order is None:
+    period = matrix_order(abelianize(evaluate(catalog, word)).entries, max_order)
+    if period is None:
         return InfiniteWithinBound(max_order)
 
     pres = catalog.presentation
-    step = word * matrix_order
+    step = word * period
     images = _letter_images(catalog.genus)
-    for n in range(matrix_order, max_order + 1, matrix_order):
+    for n in range(period, max_order + 1, period):
         images = _append(catalog, images, step)
         status = is_inner(pres, Automorphism(catalog.genus, images), bound=bound)
         if isinstance(status, Inner):
@@ -500,7 +493,8 @@ def _relator_certificate(pres: SurfacePresentation, auto: Automorphism) -> bool:
 def build_catalog(genus: int) -> GeneratorCatalog:
     """Build and certify the generator catalog for one genus.
 
-    The validation suite rejects any wrongly derived formula: relator
+    The validation suite rejects any wrongly derived formula: freely
+    reduced images (which :func:`substitute` relies on), relator
     certificate for every generator, exact inverse composition, locality,
     braid relations along the chain, commutation of distant twists, and
     homology classes of the stored curve words.  Raises ValidationFailure
@@ -514,9 +508,12 @@ def build_catalog(genus: int) -> GeneratorCatalog:
     for symbol in catalog.symbols():
         kind, idx, sign = symbol
         auto = catalog.automorphism(symbol)
+        inv = catalog.automorphism((kind, idx, -1))
+        for stored in (auto, inv):
+            if any(free_reduce(im) != im for im in stored.images):
+                raise ValidationFailure(f"image of {symbol} or its inverse not freely reduced")
         if not _relator_certificate(pres, auto):
             raise ValidationFailure(f"relator certificate failed for {symbol}")
-        inv = catalog.automorphism((kind, idx, -1))
         if compose(auto, inv) != ident or compose(inv, auto) != ident:
             raise ValidationFailure(f"stored inverse wrong for {symbol}")
 

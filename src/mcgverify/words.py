@@ -225,6 +225,26 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     return _strict_pass(pres, free_reduce(word))
 
 
+def reduce_image(pres: SurfacePresentation, images, word) -> Word:
+    """Dehn-reduced image of ``word`` under the substitution x_i -> images[i-1].
+
+    The images must be freely reduced; that precondition is the caller's.
+    The result equals ``dehn_reduce`` of the concatenated images: a freely
+    reduced image can only cancel against the end of the product built so
+    far, so free cancellation runs only where two images meet, and the
+    strict pass then sees the same freely reduced word.
+    """
+    out = []
+    for letter in word:
+        piece = images[letter - 1] if letter > 0 else inverse(images[-letter - 1])
+        k = 0
+        while out and k < len(piece) and out[-1] == -piece[k]:
+            out.pop()
+            k += 1
+        out.extend(piece[k:])
+    return _strict_pass(pres, tuple(out))
+
+
 def _half_swaps_linear(pres: SurfacePresentation, word: Word):
     """Yield words obtained by one half-for-half exchange at any position.
     Length is preserved before free reduction; afterwards it can only

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -28,13 +30,19 @@ def load_schema():
     return json.loads(text)
 
 
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "mcgverify.cli", *args],
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, interpreter_flags=()):
+    # the child does not get pytest's pythonpath, so it is given the checkout's src
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *interpreter_flags, "-m", "mcgverify.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
-    return proc
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +199,7 @@ def test_cli_report_same_under_python_O():
     for claims in ("thm1.*", "lemma1.*"):
         args = ("run", "--filter", claims, "--genus", "3..6", "--format", "json")
         plain = run_cli(*args)
-        optimized = subprocess.run(
-            [sys.executable, "-O", "-m", "mcgverify.cli", *args],
-            capture_output=True,
-            text=True,
-        )
+        optimized = run_cli(*args, interpreter_flags=("-O",))
         assert plain.returncode == 0, plain.stderr
         assert optimized.returncode == 0, optimized.stderr
         assert rows_without_millis(optimized) == rows_without_millis(plain)

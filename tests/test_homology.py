@@ -18,6 +18,7 @@ from mcgverify.homology import (
     in_twist_subgroup,
     matrix_identity,
     matrix_mul,
+    matrix_order,
     matrix_power,
 )
 from mcgverify.mcg import (
@@ -65,13 +66,60 @@ def test_determinant_against_cofactor_oracle(rng):
         assert determinant(m) == cofactor_det([list(r) for r in m])
 
 
+def test_determinant_rescales_rows_with_zero_pivot_column_entry():
+    # step 0 rescales row 1 by 2/1 and step 1 divides by that pivot
+    m = ((2, 1, 0), (0, 3, 1), (1, 0, 2))
+    assert determinant(m) == cofactor_det([list(r) for r in m]) == 13
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randrange(2, 8)
+        # about half the entries 0, and pivots other than +-1
+        m = tuple(tuple(rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n))
+                  for _ in range(n))
+        assert determinant(m) == cofactor_det([list(r) for r in m]), m
+
+
+def dense_order(m, limit):
+    """Oracle: the least n <= limit with the dense power equal to I."""
+    ident = matrix_identity(len(m))
+    return next((n for n in range(1, limit + 1) if matrix_power(m, n) == ident), None)
+
+
+def test_matrix_order_small_cases():
+    cycle = tuple(tuple(1 if i == (j + 1) % 5 else 0 for j in range(5)) for i in range(5))
+    assert matrix_order(cycle, 5) == 5
+    assert matrix_order(cycle, 4) is None
+    assert matrix_order(matrix_identity(3), 1) == 1
+    assert matrix_order(((1, 1), (0, 1)), 50) is None
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_matrix_order_against_dense_powers(genus):
+    rng = random.Random(5100 + genus)
+    cat = get_catalog(genus)
+    twists = [talpha(i, s) for i in range(1, genus) for s in (1, -1)]
+    flips = [transposition(i, s) for i in range(1, genus) for s in (1, -1)]
+    flips += [crosscap_slide(1), crosscap_slide(-1)]
+    outcomes = set()
+    for _ in range(30):
+        # transpositions and slides have finite homology order; twists mostly not
+        syms = flips if rng.random() < 0.6 else flips + twists
+        word = tuple(rng.choice(syms) for _ in range(rng.randrange(1, 7)))
+        m = abelianize(evaluate(cat, word)).entries
+        limit = rng.randrange(1, 3 * genus)
+        got = matrix_order(m, limit)
+        assert got == dense_order(m, limit), word
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # abelianization of mapping classes
 
 
 def test_identity_abelianizes_to_identity():
     m = abelianize(identity_automorphism(5))
-    assert m.is_identity()
+    assert m.entries == matrix_identity(4)
 
 
 @pytest.mark.parametrize("genus", [3, 5, 6, 9])
@@ -123,9 +171,9 @@ def test_functoriality_of_abelianize(rng):
     for _ in range(200):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
-        left = abelianize(evaluate(cat, w1 + w2))
-        right = abelianize(evaluate(cat, w1)) * abelianize(evaluate(cat, w2))
-        assert left.entries == right.entries
+        left = abelianize(evaluate(cat, w1 + w2)).entries
+        m1, m2 = (abelianize(evaluate(cat, w)).entries for w in (w1, w2))
+        assert left == matrix_mul(m1, m2)
 
 
 def test_det_counts_orientation_reversers(rng):

@@ -199,13 +199,22 @@ IDENTITY_7 = list(range(7))
      "rule ta1 tb tg ta5 -> ta3 td1 td2 fails in the model"),
     ("lemma1.ablate.g-g", ATOMS, IDENTITY_7,
      "ta1 equals the derivation's final product in the model"),
+    ("lemma1.ablate.f", ("h",), 5, "atom h is not a list of points"),
+    ("lemma1.ablate.g-d1", ("atoms",), IDENTITY_7, "the model's atoms are not a table"),
+    ("lemma1.reversed", ("model",), "Q8", "the model for 'relation' is not a table"),
 ])
 def test_corrupted_countermodel_fails_claim(monkeypatch, claim_id, names, perm, failure):
     claim = find_claim(resolve_claims(claim_id), claim_id)
     models = load_countermodels()
-    atoms = models[claim.params["ablate"]]["atoms"]
+    ablate = claim.params["ablate"]
+    atoms = models[ablate]["atoms"]
     for name in names:
-        if perm is None:
+        # "model" and "atoms" replace a whole level; other names are atoms
+        if name == "model":
+            models[ablate] = perm
+        elif name == "atoms":
+            models[ablate]["atoms"] = perm
+        elif perm is None:
             del atoms[name]
         else:
             atoms[name] = perm
