@@ -68,22 +68,21 @@ from .mcg import (
     transposition,
     word_power,
 )
-from .words import format_word
+from .words import CONJ_BOUND, format_word
 
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search bounds shared by a run."""
+    """The rewriting budget of a run, the one bound a run sets.
 
-    conj: int = 16
-    order: int = 0  # 0 = default 4*genus per claim
+    The other bounds a verdict depends on are fixed: conjugator powers up
+    to ``CONJ_BOUND`` and orders up to 4g.  ``as_dict`` reports all three.
+    """
+
     budget: int = DEFAULT_BUDGET
 
-    def order_bound(self, genus: int) -> int:
-        return self.order if self.order > 0 else 4 * genus
-
     def as_dict(self) -> dict:
-        return {"conj": self.conj, "order": self.order or "4g", "budget": self.budget}
+        return {"conj": CONJ_BOUND, "order": "4g", "budget": self.budget}
 
 
 @dataclass(frozen=True)
@@ -470,18 +469,18 @@ def _family_word(claim):
 def _run_order(claim, bounds):
     genus, word = _family_word(claim)
     catalog = get_catalog(genus)
-    result = order_of(catalog, word, bounds.order_bound(genus), bound=bounds.conj)
+    result = order_of(catalog, word, 4 * genus)
     if isinstance(result, Inconclusive):
         return "inconclusive", f"inconclusive at conjugator bound {result.bound}", None
     if isinstance(result, int):
         return _status(result == claim.expected), result, format_mcg_word(word)
-    return "fail", f"no order within {bounds.order_bound(genus)}", None
+    return "fail", f"no order within {4 * genus}", None
 
 
 def _run_identity(claim, bounds):
     genus, word = _family_word(claim)
     catalog = get_catalog(genus)
-    status = is_inner(catalog.presentation, evaluate(catalog, word), bound=bounds.conj)
+    status = is_inner(catalog.presentation, evaluate(catalog, word), bound=CONJ_BOUND)
     if isinstance(status, Inconclusive):
         return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
     inner = isinstance(status, Inner)

@@ -67,12 +67,9 @@ def _cmd_run(args) -> int:
         EgRotationSpec(k_range[0], p_range[0], q_range[0])  # the least model the ranges name
     except ValueError as exc:  # it names the parameter: "k must be at least 2, got 1"
         raise SystemExit(f"mcgverify: --{exc}") from None
-    for flag, value in (("--bound-conj", args.bound_conj),
-                        ("--bound-order", args.bound_order),
-                        ("--budget", args.budget)):
-        if value < 0:
-            raise SystemExit(f"mcgverify: {flag} must be at least 0, got {value}")
-    bounds = Bounds(conj=args.bound_conj, order=args.bound_order, budget=args.budget)
+    if args.budget < 0:
+        raise SystemExit(f"mcgverify: --budget must be at least 0, got {args.budget}")
+    bounds = Bounds(budget=args.budget)
 
     claims = build_claims(
         genus_range=genus_range,
@@ -144,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", default="2..13", help="rotation order range for the model grid")
     run.add_argument("--p", default="1..3", help="nonorientable summand count range")
     run.add_argument("--q", default="0..2", help="orientable summand count range")
-    run.add_argument("--bound-conj", type=int, default=16, help="conjugator power bound")
-    run.add_argument("--bound-order", type=int, default=0,
-                     help="order search bound (default 4*genus)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="rewriting search budget (node expansions)")
     run.add_argument("--format", choices=("text", "json"), default="text")

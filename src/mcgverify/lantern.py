@@ -199,19 +199,18 @@ def _neighbors(rules: RuleSet, expr, max_len: int):
                     yield new
 
 
-def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET,
-                max_len: int = None) -> bool:
+def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff lhs and rhs are joinable under the rules and free
-    reduction.  Bidirectional BFS; symmetric in lhs/rhs.  Raises
+    reduction, through expressions at most 4 letters longer than the
+    longer endpoint.  Bidirectional BFS; symmetric in lhs/rhs.  Raises
     BudgetExceeded after ``budget`` node expansions."""
     start = reduce_expr(lhs)
     goal = reduce_expr(rhs)
     if start == goal:
         return True
-    if max_len is None:
-        # the replayed derivation never overshoots its endpoints by more
-        # than one insertion; slack 4 keeps failing searches exhaustible
-        max_len = max(len(start), len(goal)) + 4
+    # the replayed derivation never overshoots its endpoints by more than
+    # one insertion; slack 4 keeps failing searches exhaustible
+    max_len = max(len(start), len(goal)) + 4
     sides = [
         ({start: None}, deque([start])),
         ({goal: None}, deque([goal])),

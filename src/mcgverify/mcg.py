@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .errors import GenusMismatch, ValidationFailure
 from .homology import abelianize, matrix_order
 from .words import (
+    CONJ_BOUND,
     SurfacePresentation,
     cyclic_canonical,
     find_conjugators,
@@ -148,7 +149,7 @@ class InfiniteWithinBound:
     bound: int
 
 
-def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = 16):
+def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = CONJ_BOUND):
     """Decide whether ``a`` is an inner automorphism.
 
     Returns Inner(witness) with a verified conjugator, NotInner when some
@@ -423,7 +424,7 @@ def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
 # Equality and orders up to inner automorphism
 
 
-def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = 16):
+def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = CONJ_BOUND):
     """True iff the two mapping-class words define the same mapping class.
 
     Decided by checking that evaluate(w1) . evaluate(w2)^-1 is inner.
@@ -438,7 +439,7 @@ def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = 16):
     return status
 
 
-def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = 16):
+def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):
     """Least n <= max_order with evaluate(word)^n inner.
 
     The homology matrix gives a cheap necessary condition: an inner power

@@ -26,11 +26,13 @@ exchanges matters at every genus: for example ``x1^2 x2^2`` equals
 other.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
-plus internal memo tables.
+plus one memo table, ``_canonical_cache``, which maps a word to its
+canonical cyclic form and the conjugator that reaches it.  It is unbounded.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import deque
 
@@ -43,6 +45,10 @@ EMPTY: Word = ()
 # Component searches are tiny in practice; the cap only guards against a
 # pathological input locking up a batch run.
 SATURATION_CAP = 200_000
+
+# Conjugator search: powers z^k, |k| <= CONJ_BOUND, of the centralizer root.
+# The catalog's claims need |k| <= 2 at every genus checked (3..30, 40, 50).
+CONJ_BOUND = 16
 
 
 def free_reduce(word) -> Word:
@@ -79,14 +85,7 @@ def mul(*words) -> Word:
     >>> mul((1, 2), (-2, 3))
     (1, 3)
     """
-    out = []
-    for word in words:
-        for letter in word:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+    return free_reduce(itertools.chain.from_iterable(words))
 
 
 def parse_word(text: str) -> Word:
@@ -169,7 +168,6 @@ class SurfacePresentation:
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
 
         self._canonical_cache: dict = {}
-        self._trivial_cache: dict = {}
 
     def __repr__(self):
         return f"SurfacePresentation(genus={self.genus})"
@@ -279,12 +277,8 @@ def _is_trivial_reduced(pres: SurfacePresentation, w: Word) -> bool:
             return True
         if pres.genus >= 4:
             return False
-        cached = pres._trivial_cache.get(w)
-        if cached is not None:
-            return cached
         shorter = _shorter_equivalent(pres, w)
         if shorter is None:
-            pres._trivial_cache[w] = False
             return False
         w = shorter
 
@@ -326,23 +320,6 @@ def _cyclic_free_reduce(word: Word, conj: Word) -> tuple:
     return w, tuple(pre)
 
 
-def _cyclic_shrink(pres: SurfacePresentation, word: Word, conj: Word):
-    """Apply strict Dehn reduction over all rotations until stable.
-    Returns (core, conj) with the original word conjugate to core by conj."""
-    w, conj = _cyclic_free_reduce(word, conj)
-    changed = True
-    while changed and w:
-        changed = False
-        for k in range(len(w)):
-            rotated = w[k:] + w[:k]
-            reduced = _strict_pass(pres, rotated)
-            if len(reduced) < len(w):
-                w, conj = _cyclic_free_reduce(reduced, conj + w[:k])
-                changed = True
-                break
-    return w, conj
-
-
 def _component(pres: SurfacePresentation, start: Word):
     """Closure of a cyclically reduced word under rotation and
     half-exchange at constant length.  Yields a dict word -> conjugator
@@ -376,29 +353,33 @@ def _component(pres: SurfacePresentation, start: Word):
 
 def _canonical_with_conj(pres: SurfacePresentation, word) -> tuple:
     """Canonical cyclic form K and conjugator c with word = c K c^-1 in the
-    group.  Conjugate words share the same K."""
-    w = dehn_reduce(pres, word)
-    conj = EMPTY
-    w, conj = _cyclic_shrink(pres, w, conj)
+    group.  Conjugate words share the same K.
+
+    The Dehn-reduced word is cyclically reduced and its component searched;
+    a member that strict reduction shortens (a rotation included) restarts
+    the search from that shorter word, so the final component is one of
+    cyclically strict-reduced words.  The pair is memoized per word in
+    ``pres._canonical_cache``.
+    """
+    word = tuple(word)
+    cached = pres._canonical_cache.get(word)
+    if cached is not None:
+        return cached
+    w, conj = _cyclic_free_reduce(dehn_reduce(pres, word), EMPTY)
     while w:
         outcome, payload, extra = _component(pres, w)
-        if outcome == "shrunk":
-            w2, conj2 = _cyclic_shrink(pres, payload, mul(conj, extra))
-            w, conj = w2, conj2
-            continue
-        members = payload
-        best = min(members)
-        return best, mul(conj, members[best])
-    return EMPTY, conj
+        if outcome == "done":
+            w = min(payload)
+            conj = mul(conj, payload[w])
+            break
+        w, conj = payload, mul(conj, extra)
+    pres._canonical_cache[word] = (w, conj)
+    return w, conj
 
 
 def cyclic_canonical(pres: SurfacePresentation, word) -> Word:
     """Canonical representative of the conjugacy class of ``word``."""
-    cached = pres._canonical_cache.get(word)
-    if cached is None:
-        cached = _canonical_with_conj(pres, word)[0]
-        pres._canonical_cache[word] = cached
-    return cached
+    return _canonical_with_conj(pres, word)[0]
 
 
 def is_conjugate(pres: SurfacePresentation, a, b) -> bool:
@@ -427,7 +408,7 @@ def _primitive_root(pres: SurfacePresentation, canon: Word, conj: Word) -> Word:
     return mul(conj, canon, inverse(conj))
 
 
-def find_conjugators(pres: SurfacePresentation, a, b, bound: int = 16) -> list:
+def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
     """Candidate conjugators c with c a c^-1 = b.
 
     One base conjugator is recovered from the canonical-form matching; it

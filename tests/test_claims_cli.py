@@ -23,6 +23,7 @@ from mcgverify.claims import (
     run_claims,
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
+from mcgverify.lantern import DEFAULT_BUDGET
 
 
 def load_schema():
@@ -180,7 +181,8 @@ def test_cli_run_json_validates_against_schema():
     rows = json.loads(proc.stdout)
     jsonschema.validate(rows, load_schema())
     assert all(row["status"] == "pass" for row in rows)
-    assert all(row["bounds"]["conj"] == 16 for row in rows)
+    assert all(row["bounds"] == {"conj": 16, "order": "4g", "budget": DEFAULT_BUDGET}
+               for row in rows)
 
 
 def test_cli_empty_filter_match_exits_zero():
@@ -206,8 +208,6 @@ def test_cli_report_same_under_python_O():
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--bound-conj", "-3"),
-    ("--bound-order", "-1"),
     ("--budget", "-1"),
 ])
 def test_cli_out_of_range_flag_exits_4(flag, value):
@@ -220,6 +220,8 @@ def test_cli_out_of_range_flag_exits_4(flag, value):
 @pytest.mark.parametrize("args", [
     ("--jobs", "2"),       # removed option
     ("--cache", "x"),      # removed option
+    ("--bound-order", "4"),  # removed option: the order bound is 4g
+    ("--bound-conj", "3"),   # removed option: the power bound is CONJ_BOUND
     ("--bogus",),
     ("--budget", "abc"),
     ("--k", "1..2"),
@@ -238,7 +240,8 @@ def test_cli_bad_arguments_exit_4(args):
 def test_cli_help_exits_0():
     proc = run_cli("run", "--help")
     assert proc.returncode == 0
-    assert "--jobs" not in proc.stdout and "--cache" not in proc.stdout
+    for removed in ("--jobs", "--cache", "--bound-conj", "--bound-order"):
+        assert removed not in proc.stdout
 
 
 def test_cli_explain_known():
@@ -308,12 +311,3 @@ def test_cli_genus_range_restricts_claims():
                    "--format", "json")
     rows = json.loads(proc.stdout)
     assert rows and all(row["id"].endswith(".g6") for row in rows)
-
-
-def test_cli_bound_order_flag():
-    # an order bound below the true order yields a fail, not a hang
-    proc = run_cli("run", "--filter", "thm1.order.s.g5", "--genus", "5..5",
-                   "--bound-order", "4", "--format", "json")
-    rows = json.loads(proc.stdout)
-    assert proc.returncode == 2
-    assert rows[0]["status"] == "fail"

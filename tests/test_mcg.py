@@ -316,6 +316,22 @@ def test_order_of_infinite_order_twist():
     assert result.bound == 16
 
 
+@pytest.mark.parametrize("genus", [5, 6, 7])
+def test_order_of_inconclusive_when_conjugator_powers_run_out(genus):
+    """The witness of r'^(g-1) needs the square of the centralizer root:
+    conjugator bound 1 exhausts the candidates, bound 2 finds the order."""
+    cat = get_catalog(genus)
+    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=1) == Inconclusive(1)
+    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=2) == genus - 1
+
+
+def test_is_inner_inconclusive_at_bound_0():
+    cat = get_catalog(6)
+    a = evaluate(cat, word_s(6) * 6)
+    assert is_inner(cat.presentation, a, bound=0) == Inconclusive(0)
+    assert isinstance(is_inner(cat.presentation, a), Inner)
+
+
 def test_order_consistency_with_homology():
     cat = get_catalog(5)
     for word, n in [
@@ -361,6 +377,46 @@ def test_mcg_equal_reflexive(catalog):
 def test_mcg_equal_distinguishes():
     cat = get_catalog(5)
     assert mcg_equal(cat, (talpha(1),), (talpha(2),)) is False
+
+
+def random_twist_word(rng, genus, length):
+    return tuple(talpha(rng.randrange(1, genus), rng.choice((1, -1))) for _ in range(length))
+
+
+def relation_sides(rng, genus):
+    """The two sides of a braid relation, a distant commutation and a
+    cancelling pair, all in the chain twists."""
+    i = rng.randrange(1, genus - 1)
+    s = rng.choice((1, -1))
+    braid = ((talpha(i, s), talpha(i + 1, s), talpha(i, s)),
+             (talpha(i + 1, s), talpha(i, s), talpha(i + 1, s)))
+    i, j = sorted(rng.sample(range(1, genus), 2))
+    if j - i < 2:
+        i, j = 1, genus - 1
+    a, b = talpha(i, rng.choice((1, -1))), talpha(j, rng.choice((1, -1)))
+    t = random_twist_word(rng, genus, 1)
+    return [braid, ((a, b), (b, a)), ((), t + inverse_word(t))]
+
+
+@pytest.mark.parametrize("genus", range(4, 9))
+def test_mcg_equal_metamorphic(genus):
+    """Rewriting a random t_a word by one relation keeps it equal; changing
+    the index or the sign of one symbol makes it differ."""
+    rng = random.Random(genus)
+    cat = get_catalog(genus)
+    for _ in range(10):
+        w = random_twist_word(rng, genus, rng.randrange(1, 9))
+        for lhs, rhs in relation_sides(rng, genus):
+            k = rng.randrange(len(w) + 1)
+            assert mcg_equal(cat, w[:k] + lhs + w[k:], w[:k] + rhs + w[k:]) is True
+        for _ in range(3):
+            k = rng.randrange(len(w))
+            _, i, s = w[k]
+            if rng.random() < 0.5:
+                changed = talpha(i, -s)
+            else:
+                changed = talpha(rng.choice([j for j in range(1, genus) if j != i]), s)
+            assert mcg_equal(cat, w, w[:k] + (changed,) + w[k + 1:]) is False
 
 
 # ---------------------------------------------------------------------------

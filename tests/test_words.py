@@ -12,6 +12,7 @@ import mcgverify.words
 from mcgverify.errors import ConjugacyMismatch, InvariantViolation
 from mcgverify.words import (
     SurfacePresentation,
+    _canonical_with_conj,
     cyclic_canonical,
     dehn_reduce,
     find_conjugators,
@@ -202,6 +203,38 @@ def test_conjugacy_symmetric_transitive(pres4, rng):
         b = mul(u2, w, inverse(u2))
         assert is_conjugate(pres4, a, w) and is_conjugate(pres4, w, a)
         assert is_conjugate(pres4, a, b)
+
+
+def spliced_word(rng, pres):
+    """A random word, half the time with a piece longer than half a relator
+    rotation spliced in, then rotated, so that the piece often wraps round
+    the ends where only a rotation of the word exposes it to strict
+    reduction.  Conjugated by a random word and left freely unreduced."""
+    g = pres.genus
+    core = random_word(rng, g, 10)
+    if rng.random() < 0.5:
+        k = rng.randrange(len(core) + 1)
+        piece = rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g + 1)]
+        core = core[:k] + piece + core[k:]
+        k = rng.randrange(len(core))
+        core = core[k:] + core[:k]
+    u = random_word(rng, g, 6)
+    return u + core + inverse(u)
+
+
+@pytest.mark.parametrize("genus", range(3, 8))
+def test_canonical_form_conjugator_verifies(genus):
+    """(K, c) = _canonical_with_conj(w) has c K c^-1 = w in the group, and a
+    fresh presentation, whose memo is empty, returns the pair of the shared
+    one."""
+    rng = random.Random(genus)
+    pres = get_presentation(genus)
+    for _ in range(150):
+        w = spliced_word(rng, pres)
+        canon, conj = _canonical_with_conj(pres, w)
+        assert is_trivial(pres, mul(conj, canon, inverse(conj), inverse(w))), w
+        assert _canonical_with_conj(SurfacePresentation(genus), w) == (canon, conj), w
+        assert cyclic_canonical(pres, w) == canon
 
 
 # ---------------------------------------------------------------------------
