@@ -157,6 +157,12 @@ def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = CONJ_BOUND
     image) rules it out, and Inconclusive(bound) when all candidate
     conjugators within the centralizer power bound fail.  An Inner verdict
     always carries a witness w with w x_i w^-1 = a(x_i) for every i.
+
+    Inconclusive is the usual answer for a conjugate of u_i^2 or y^2,
+    which is what ``mcg_equal`` tests when two words differ in the sign of
+    one u or y symbol.  Such a class is a twist about a curve that bounds a
+    one-holed Klein bottle; it fixes homology and the conjugacy class of
+    every generator image, so neither invariant can refute it.
     """
     g = pres.genus
     # Inner automorphisms act trivially on homology.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
+from operator import neg
 
 from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation
 
@@ -76,7 +77,7 @@ def inverse(word) -> Word:
     >>> inverse((1, -2, 3))
     (-3, 2, -1)
     """
-    return tuple(-letter for letter in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def mul(*words) -> Word:
@@ -138,7 +139,12 @@ class SurfacePresentation:
 
     ``relator_shifts`` holds all 4g cyclic rotations of the relator and of
     its inverse; a subword of a rotation is a prefix of another rotation,
-    so prefix tables suffice for matching.
+    so prefix tables suffice for matching.  ``_strict`` maps each
+    rotation's prefix of length g+1 to the rotation and ``_half`` maps its
+    prefix of length g to the inverse of the other half; these two tables
+    decide every match.  ``_strict_ends`` and ``_half_ends`` hold the
+    (first, last) letter pairs of those prefixes, at most 4g pairs each,
+    so a scan looks a window up only where its end letters fit.
     """
 
     def __init__(self, genus: int):
@@ -166,6 +172,8 @@ class SurfacePresentation:
         # Exactly-half table: half a rotation equals the inverse of the
         # complementary half.
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
+        self._strict_ends = frozenset((s[0], s[g]) for s in self.relator_shifts)
+        self._half_ends = frozenset((s[0], s[g - 1]) for s in self.relator_shifts)
 
         self._canonical_cache: dict = {}
 
@@ -188,26 +196,34 @@ def get_presentation(genus: int) -> SurfacePresentation:
 
 
 def _strict_pass(pres: SurfacePresentation, word: Word) -> Word:
-    """One sweep of strict Dehn reduction on a freely reduced word.
-    Returns the word unchanged if no subword longer than half a rotation
-    occurs."""
+    """Strict Dehn reduction of a freely reduced word: replace the leftmost
+    subword longer than half a rotation, freely reduce, and rescan from the
+    start until no such subword occurs.  Returns the word unchanged if there
+    is none.
+
+    A window ``w[i:i+g+1]`` is looked up in ``_strict`` only where its end
+    pair ``(w[i], w[i+g])`` is in ``_strict_ends``; elsewhere no rotation
+    can match.
+    """
     g = pres.genus
     window = g + 1
     full = 2 * g
+    strict = pres._strict
+    ends = pres._strict_ends
     w = word
-    i = 0
-    while i + window <= len(w):
-        shift = pres._strict.get(w[i : i + window])
-        if shift is None:
-            i += 1
-            continue
+    while len(w) > g:
+        for i, pair in enumerate(zip(w, w[g:])):
+            if pair in ends:
+                shift = strict.get(w[i : i + window])
+                if shift is not None:
+                    break
+        else:
+            return w
         m = window
         n = len(w)
         while m < full and i + m < n and w[i + m] == shift[m]:
             m += 1
-        replacement = inverse(shift[m:])
-        w = mul(w[:i], replacement, w[i + m :])
-        i = 0
+        w = mul(w[:i], inverse(shift[m:]), w[i + m :])
     return w
 
 
@@ -219,6 +235,16 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     Idempotent and never length-increasing.  For genus >= 4 the result is
     empty if and only if the word represents the identity; genus 3 needs
     the extra search done by :func:`is_trivial`.
+
+    >>> p = get_presentation(4)
+    >>> dehn_reduce(p, (1, 1, 2, 2, 3))
+    (-4, -4, -3)
+
+    The end letters of ``(1, 2, 2, 2, 3)`` fit a window of the relator
+    ``x1^2 x2^2 x3^2 x4^2``, but the word is no piece of it:
+
+    >>> dehn_reduce(p, (1, 2, 2, 2, 3))
+    (1, 2, 2, 2, 3)
     """
     return _strict_pass(pres, free_reduce(word))
 
@@ -244,15 +270,18 @@ def reduce_image(pres: SurfacePresentation, images, word) -> Word:
 
 
 def _half_swaps_linear(pres: SurfacePresentation, word: Word):
-    """Yield words obtained by one half-for-half exchange at any position.
-    Length is preserved before free reduction; afterwards it can only
-    drop."""
+    """Yield words obtained by one half-for-half exchange at any position,
+    left to right.  Length is preserved before free reduction; afterwards
+    it can only drop.  As in :func:`_strict_pass`, a window is looked up
+    only where its end pair is in ``_half_ends``."""
     g = pres.genus
-    n = len(word)
-    for i in range(n - g + 1):
-        replacement = pres._half.get(word[i : i + g])
-        if replacement is not None:
-            yield mul(word[:i], replacement, word[i + g :])
+    half = pres._half
+    ends = pres._half_ends
+    for i, pair in enumerate(zip(word, word[g - 1 :])):
+        if pair in ends:
+            replacement = half.get(word[i : i + g])
+            if replacement is not None:
+                yield mul(word[:i], replacement, word[i + g :])
 
 
 def is_trivial(pres: SurfacePresentation, word) -> bool:

@@ -419,6 +419,54 @@ def test_mcg_equal_metamorphic(genus):
             assert mcg_equal(cat, w, w[:k] + (changed,) + w[k + 1:]) is False
 
 
+def random_generator_word(rng, genus, length):
+    """A random word in all five generator kinds, with random signs."""
+    kinds = [("a", i) for i in range(1, genus)] + [("u", i) for i in range(1, genus)]
+    kinds += [("b", 0), ("e", 0), ("y", 0)]
+    return tuple(kind + (rng.choice((1, -1)),) for kind in
+                 (rng.choice(kinds) for _ in range(length)))
+
+
+def generator_relation_sides(genus):
+    """Relations that tie u, y, t_b and t_e to the chain twists."""
+    g = genus
+    y, y_inv = crosscap_slide(), crosscap_slide(-1)
+    return [
+        ((y,), (talpha(g - 1), transposition(g - 1))),
+        ((teps(),), (y_inv, talpha(g - 2), y)),
+        ((tbeta(), talpha(1)), (talpha(1), tbeta())),
+        ((tbeta(), talpha(3)), (talpha(3), tbeta())),
+        ((transposition(1), transposition(3)), (transposition(3), transposition(1))),
+        ((transposition(1), talpha(3)), (talpha(3), transposition(1))),
+        ((transposition(2), transposition(2, -1)), ()),
+    ]
+
+
+@pytest.mark.parametrize("genus", range(5, 9))
+def test_mcg_equal_metamorphic_all_generators(genus):
+    """Inserting either side of a relation in u, y, t_b or t_e into a random
+    word gives equal classes.  Flipping the sign of one t_a, t_b or t_e
+    symbol gives a class that ``mcg_equal`` refutes.  Flipping a u or y symbol
+    changes the class by a conjugate of u^2 or y^2, which neither invariant
+    of ``is_inner`` sees, so there only a True answer would be wrong."""
+    rng = random.Random(genus)
+    cat = get_catalog(genus)
+    for _ in range(10):
+        w = random_generator_word(rng, genus, rng.randrange(1, 9))
+        for lhs, rhs in generator_relation_sides(genus):
+            k = rng.randrange(len(w) + 1)
+            assert mcg_equal(cat, w[:k] + lhs + w[k:], w[:k] + rhs + w[k:]) is True
+        # flips on a prefix: the images of long words with u or y symbols
+        # make the conjugacy search of an Inconclusive answer slow
+        v = w[:4]
+        for k, (kind, i, s) in enumerate(v):
+            changed = v[:k] + ((kind, i, -s),) + v[k + 1:]
+            if kind in "abe":
+                assert mcg_equal(cat, v, changed) is False
+            else:
+                assert mcg_equal(cat, v, changed) is not True
+
+
 # ---------------------------------------------------------------------------
 # curves
 

@@ -13,6 +13,8 @@ from mcgverify.errors import ConjugacyMismatch, InvariantViolation
 from mcgverify.words import (
     SurfacePresentation,
     _canonical_with_conj,
+    _half_swaps_linear,
+    _strict_pass,
     cyclic_canonical,
     dehn_reduce,
     find_conjugators,
@@ -116,6 +118,99 @@ def test_dehn_reduce_idempotent_monotone(pres4, rng):
         r = dehn_reduce(pres4, w)
         assert dehn_reduce(pres4, r) == r
         assert len(r) <= len(free_reduce(w))
+
+
+# ---------------------------------------------------------------------------
+# prefiltered window scans against full scans
+
+
+def full_scan_strict_pass(pres, word):
+    """Oracle: strict reduction that looks up every window in ``_strict``."""
+    g = pres.genus
+    window = g + 1
+    full = 2 * g
+    w = word
+    i = 0
+    while i + window <= len(w):
+        shift = pres._strict.get(w[i : i + window])
+        if shift is None:
+            i += 1
+            continue
+        m = window
+        n = len(w)
+        while m < full and i + m < n and w[i + m] == shift[m]:
+            m += 1
+        w = mul(w[:i], inverse(shift[m:]), w[i + m :])
+        i = 0
+    return w
+
+
+def full_scan_half_swaps(pres, word):
+    """Oracle: half-exchanges that look up every window in ``_half``."""
+    g = pres.genus
+    for i in range(len(word) - g + 1):
+        replacement = pres._half.get(word[i : i + g])
+        if replacement is not None:
+            yield mul(word[:i], replacement, word[i + g :])
+
+
+def scan_words(rng, pres):
+    """Freely reduced words that exercise the window scans: relator pieces
+    of length g+1..2g-1 spliced at the start, at the end and in the middle,
+    two pieces back to back, words of length g and g+1, and windows whose
+    end letters fit a rotation while the letters between do not."""
+    g = pres.genus
+
+    def piece():
+        return rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g)]
+
+    def spurious():
+        s = rng.choice(pres.relator_shifts)
+        middle = random_word(rng, g, g - 1, min_len=g - 1)
+        return (s[0],) + middle + (s[g],)
+
+    for _ in range(60):
+        filler = random_word(rng, g, 2 * g)
+        yield piece() + filler
+        yield filler + piece()
+        k = rng.randrange(len(filler) + 1)
+        yield filler[:k] + piece() + filler[k:]
+        yield piece() + piece()
+        yield random_word(rng, g, g, min_len=g)
+        yield random_word(rng, g, g + 1, min_len=g + 1)
+        yield rng.choice(pres.relator_shifts)[: rng.choice((g, g + 1))]
+        yield spurious()
+        yield filler[:k] + spurious() + filler[k:]
+    yield (1, 2, 2, 2, 3)  # at genus 4: end pair (1, 3) fits, no piece
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_prefiltered_scans_match_full_scans(genus):
+    pres = get_presentation(genus)
+    rng = random.Random(genus)
+    spurious_seen = 0
+    for word in scan_words(rng, pres):
+        w = free_reduce(word)
+        assert _strict_pass(pres, w) == full_scan_strict_pass(pres, w), w
+        assert list(_half_swaps_linear(pres, w)) == list(full_scan_half_swaps(pres, w)), w
+        spurious_seen += any(
+            pair in pres._strict_ends and w[i : i + genus + 1] not in pres._strict
+            for i, pair in enumerate(zip(w, w[genus:]))
+        )
+    assert spurious_seen > 0
+
+
+def test_end_pairs_cover_every_rotation():
+    for g in range(3, 13):
+        pres = get_presentation(g)
+        for s in pres.relator_shifts:
+            assert (s[0], s[g]) in pres._strict_ends
+            assert (s[0], s[g - 1]) in pres._half_ends
+        assert len(pres._strict_ends) <= 4 * g and len(pres._half_ends) <= 4 * g
+    pres4 = get_presentation(4)
+    assert len(pres4._strict_ends) == 8
+    # end pair of x1 x2^3 x3, which is no relator piece
+    assert (1, 3) in pres4._strict_ends and (1, 2, 2, 2, 3) not in pres4._strict
 
 
 def test_is_trivial_examples(pres4):
