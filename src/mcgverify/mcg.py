@@ -25,10 +25,14 @@ formula fails loudly with :class:`ValidationFailure`.
 Composition convention: products act right-to-left, ``(f g)(x) = f(g(x))``,
 matching the usual composition of homeomorphisms.
 
-A word is evaluated by appending its generators on the right, left to
-right: ``(acc . gen)(x_j) = acc(gen(x_j))``.  Each generator moves only two
-to four of the g generator images, so only those images are recomputed and
-every other one is carried over unchanged.
+The catalog keeps one generator table, the images each symbol moves, and
+one primitive, :func:`_append`, which applies a word by appending its
+generators on the right, left to right: ``(acc . gen)(x_j) = acc(gen(x_j))``.
+Each generator moves only two to four of the g generator images, so only
+those images are recomputed and every other one is carried over unchanged.
+``evaluate``, ``order_of``, the composite generators y and t_eps and the
+relations ``build_catalog`` certifies all go through it.  :func:`compose`,
+which recomputes every image, is kept as the tests' reference route.
 """
 
 from __future__ import annotations
@@ -59,9 +63,8 @@ from .words import (
 class Automorphism:
     """An automorphism of pi_1(N_g), given by reduced images of x_1..x_g.
 
-    Immutable; composition is :func:`compose`.  Validity (that the images
-    define a homeomorphism-induced automorphism) is certified by the
-    catalog, not assumed.
+    Immutable.  Validity (that the images define a homeomorphism-induced
+    automorphism) is certified by the catalog, not assumed.
     """
 
     __slots__ = ("genus", "images")
@@ -101,20 +104,13 @@ def substitute(pres: SurfacePresentation, images, word) -> tuple:
     return reduce_image(pres, images, word)
 
 
-def identity_automorphism(genus: int) -> Automorphism:
-    return Automorphism(genus, [(i,) for i in range(1, genus + 1)])
-
-
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b: the composite sends x_i to a(b(x_i)), images reduced."""
+    """a after b: the composite sends x_i to a(b(x_i)), images reduced.
+    Every image is recomputed: the tests' reference route for :func:`_append`."""
     if a.genus != b.genus:
         raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
     pres = get_presentation(a.genus)
     return Automorphism(a.genus, [substitute(pres, a.images, img) for img in b.images])
-
-
-def is_identity(a: Automorphism) -> bool:
-    return all(im == (i,) for i, im in enumerate(a.images, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +281,19 @@ def format_mcg_word(word) -> str:
     return " ".join(parts)
 
 
-class GeneratorCatalog:
-    """Per-genus table of generator automorphisms, their stored inverses,
-    and the curve words for alpha_1..alpha_{g-1}, beta, eps.
+def _moved(images) -> tuple:
+    """(index, image) of every image that differs from its generator."""
+    return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
 
-    Built by :func:`build_catalog`, which also certifies the formulas.
-    Immutable after construction.
+
+class GeneratorCatalog:
+    """Per-genus table of the generator images each symbol moves, for both
+    directions of every generator, and the curve words for
+    alpha_1..alpha_{g-1}, beta, eps.
+
+    The composite generators y and t_eps are entered by :func:`_append`
+    from the symbols already in the table.  Built by :func:`build_catalog`,
+    which also certifies the formulas.  Immutable after construction.
     """
 
     def __init__(self, genus: int):
@@ -300,45 +303,40 @@ class GeneratorCatalog:
         self.presentation = get_presentation(genus)
         g = genus
 
-        self._autos = {}
+        self._moves = {}
         for i in range(1, g):
-            self._autos[("a", i, 1)] = Automorphism(g, chain_twist_images(g, i, 1))
-            self._autos[("a", i, -1)] = Automorphism(g, chain_twist_images(g, i, -1))
-            self._autos[("u", i, 1)] = Automorphism(g, transposition_images(g, i, 1))
-            self._autos[("u", i, -1)] = Automorphism(g, transposition_images(g, i, -1))
+            for sign in (1, -1):
+                self._moves[talpha(i, sign)] = _moved(chain_twist_images(g, i, sign))
+                self._moves[transposition(i, sign)] = _moved(transposition_images(g, i, sign))
         if g >= 4:
-            self._autos[("b", 0, 1)] = Automorphism(g, beta_twist_images(g, 1))
-            self._autos[("b", 0, -1)] = Automorphism(g, beta_twist_images(g, -1))
+            for sign in (1, -1):
+                self._moves[tbeta(sign)] = _moved(beta_twist_images(g, sign))
+        ident = _letter_images(g)
         # y = t_alpha_{g-1} . u_{g-1}  (u applied first)
-        y = compose(self._autos[("a", g - 1, 1)], self._autos[("u", g - 1, 1)])
-        y_inv = compose(self._autos[("u", g - 1, -1)], self._autos[("a", g - 1, -1)])
-        self._autos[("y", 0, 1)] = y
-        self._autos[("y", 0, -1)] = y_inv
+        slide = (talpha(g - 1), transposition(g - 1))
+        self._moves[crosscap_slide(1)] = _moved(_append(self, ident, slide))
+        y_inv = _append(self, ident, inverse_word(slide))
+        self._moves[crosscap_slide(-1)] = _moved(y_inv)
         # eps = y^-1(alpha_{g-2}); its twist is the conjugate of the
         # alpha_{g-2} twist by y^-1.
-        self._autos[("e", 0, 1)] = compose(y_inv, compose(self._autos[("a", g - 2, 1)], y))
-        self._autos[("e", 0, -1)] = compose(y_inv, compose(self._autos[("a", g - 2, -1)], y))
+        for sign in (1, -1):
+            conj = (crosscap_slide(-1), talpha(g - 2, sign), crosscap_slide(1))
+            self._moves[teps(sign)] = _moved(_append(self, ident, conj))
 
         self.curves = {f"a{i}": (i, i + 1) for i in range(1, g)}
         if g >= 4:
             self.curves["b"] = BETA_WORD
-        self.curves["e"] = y_inv((g - 2, g - 1))
-
-        # (index, image) of every generator image a symbol moves
-        self._moves = {
-            symbol: tuple((j, im) for j, im in enumerate(auto.images) if im != (j + 1,))
-            for symbol, auto in self._autos.items()
-        }
+        self.curves["e"] = substitute(self.presentation, y_inv, (g - 2, g - 1))
 
         # reduced automorphisms of composite words, memoized per catalog
         self._eval_cache: dict = {}
 
     def automorphism(self, symbol) -> Automorphism:
-        kind, idx, sign = symbol
-        try:
-            return self._autos[(kind, idx, sign)]
-        except KeyError:
-            raise KeyError(f"no generator {symbol} in genus {self.genus}") from None
+        """The generator's automorphism, built from the images it moves."""
+        images = _letter_images(self.genus)
+        for j, im in self.moves(symbol):
+            images[j] = im
+        return Automorphism(self.genus, images)
 
     def symbols(self):
         """All positive-direction generator symbols in this genus."""
@@ -350,7 +348,12 @@ class GeneratorCatalog:
         return out
 
     def moves(self, symbol) -> tuple:
-        """(index, image) pairs of the generator images ``symbol`` moves."""
+        """(index, image) pairs of the generator images ``symbol`` moves,
+        indices counted from 0.
+
+        >>> get_catalog(5).moves(talpha(2))
+        ((1, (2, 2, 3)), (2, (-3, -2, 3)))
+        """
         kind, idx, sign = symbol
         try:
             return self._moves[(kind, idx, sign)]
@@ -481,15 +484,13 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
 # Catalog construction with validation
 
 
-def _relator_certificate(pres: SurfacePresentation, auto: Automorphism) -> bool:
+def _relator_certificate(pres: SurfacePresentation, images) -> bool:
     """Free-group certificate: the image of the relator is freely
     conjugate to the relator or its inverse.  This is what certifies that
     the images define an endomorphism of the surface group induced by a
-    homeomorphism candidate."""
-    img = free_reduce(
-        sum((auto.images[abs(l) - 1] if l > 0 else inverse(auto.images[abs(l) - 1])
-             for l in pres.relator), ())
-    )
+    homeomorphism candidate.  Only free reduction is used: Dehn reduction
+    would use the relation being certified."""
+    img = mul(*(images[l - 1] if l > 0 else inverse(images[-l - 1]) for l in pres.relator))
     while len(img) >= 2 and img[0] == -img[-1]:
         img = img[1:-1]
     if len(img) != len(pres.relator):
@@ -502,60 +503,52 @@ def build_catalog(genus: int) -> GeneratorCatalog:
 
     The validation suite rejects any wrongly derived formula: freely
     reduced images (which :func:`substitute` relies on), relator
-    certificate for every generator, exact inverse composition, locality,
-    braid relations along the chain, commutation of distant twists, and
-    homology classes of the stored curve words.  Raises ValidationFailure
-    naming the first failed relation.
+    certificate for every generator, exact stored inverses, locality,
+    braid relations along the chain, commutation of distant twists and of
+    t_beta with t_alpha_1..3, and homology classes of the stored curve
+    words.  Every relation is checked on the catalog's one table, by
+    comparing :func:`_append` images of its two sides.  Raises
+    ValidationFailure naming the first failed relation.
     """
     catalog = GeneratorCatalog(genus)
     pres = catalog.presentation
     g = genus
+    ident = _letter_images(g)
 
-    ident = identity_automorphism(g)
+    def product(word) -> list:
+        return _append(catalog, ident, word)
+
     for symbol in catalog.symbols():
-        kind, idx, sign = symbol
-        auto = catalog.automorphism(symbol)
-        inv = catalog.automorphism((kind, idx, -1))
-        for stored in (auto, inv):
-            if any(free_reduce(im) != im for im in stored.images):
-                raise ValidationFailure(f"image of {symbol} or its inverse not freely reduced")
-        if not _relator_certificate(pres, auto):
+        kind, idx, _ = symbol
+        inv = (kind, idx, -1)
+        if any(free_reduce(im) != im for s in (symbol, inv) for _, im in catalog.moves(s)):
+            raise ValidationFailure(f"image of {symbol} or its inverse not freely reduced")
+        if not _relator_certificate(pres, catalog.automorphism(symbol).images):
             raise ValidationFailure(f"relator certificate failed for {symbol}")
-        if compose(auto, inv) != ident or compose(inv, auto) != ident:
+        if product((symbol, inv)) != ident or product((inv, symbol)) != ident:
             raise ValidationFailure(f"stored inverse wrong for {symbol}")
 
-    for i in range(1, g):
-        auto = catalog.automorphism(("a", i, 1))
-        for j in range(1, g + 1):
-            if j not in (i, i + 1) and auto.images[j - 1] != (j,):
-                raise ValidationFailure(f"t_a{i} moves x{j}")
-        auto = catalog.automorphism(("u", i, 1))
-        for j in range(1, g + 1):
-            if j not in (i, i + 1) and auto.images[j - 1] != (j,):
-                raise ValidationFailure(f"u{i} moves x{j}")
+    # the generators x_j each symbol may move
+    support = [(talpha(i), (i, i + 1)) for i in range(1, g)]
+    support += [(transposition(i), (i, i + 1)) for i in range(1, g)]
     if g >= 4:
-        auto = catalog.automorphism(("b", 0, 1))
-        for j in range(5, g + 1):
-            if auto.images[j - 1] != (j,):
-                raise ValidationFailure(f"t_b moves x{j}")
+        support.append((tbeta(), (1, 2, 3, 4)))
+    for symbol, allowed in support:
+        for j, _ in catalog.moves(symbol):
+            if j + 1 not in allowed:
+                raise ValidationFailure(f"{format_mcg_word((symbol,))} moves x{j + 1}")
 
     for i in range(1, g - 1):
-        a = catalog.automorphism(("a", i, 1))
-        b = catalog.automorphism(("a", i + 1, 1))
-        if compose(a, compose(b, a)) != compose(b, compose(a, b)):
+        a, b = talpha(i), talpha(i + 1)
+        if product((a, b, a)) != product((b, a, b)):
             raise ValidationFailure(f"braid relation failed for t_a{i}, t_a{i+1}")
-    for i in range(1, g):
-        for j in range(i + 2, g):
-            a = catalog.automorphism(("a", i, 1))
-            b = catalog.automorphism(("a", j, 1))
-            if compose(a, b) != compose(b, a):
-                raise ValidationFailure(f"t_a{i} and t_a{j} do not commute")
+    commuting = [(talpha(i), talpha(j)) for i in range(1, g) for j in range(i + 2, g)]
     if g >= 4:
-        tb = catalog.automorphism(("b", 0, 1))
-        for i in (1, 2, 3):
-            a = catalog.automorphism(("a", i, 1))
-            if compose(tb, a) != compose(a, tb):
-                raise ValidationFailure(f"t_b and t_a{i} do not commute")
+        commuting += [(tbeta(), talpha(i)) for i in (1, 2, 3)]
+    for a, b in commuting:
+        if product((a, b)) != product((b, a)):
+            names = format_mcg_word((a,)), format_mcg_word((b,))
+            raise ValidationFailure("{} and {} do not commute".format(*names))
 
     def reduced(counts):
         return tuple(counts[j] - counts[g - 1] for j in range(g - 1))

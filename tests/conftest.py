@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mcgverify.mcg import Automorphism
 from mcgverify.words import get_presentation
 
 
@@ -28,3 +29,7 @@ def rng():
 def random_word(rng, genus, max_len, min_len=0):
     letters = [i for i in range(1, genus + 1)] + [-i for i in range(1, genus + 1)]
     return tuple(rng.choice(letters) for _ in range(rng.randrange(min_len, max_len + 1)))
+
+
+def identity_automorphism(genus):
+    return Automorphism(genus, [(i,) for i in range(1, genus + 1)])

@@ -25,12 +25,13 @@ from mcgverify.mcg import (
     crosscap_slide,
     evaluate,
     get_catalog,
-    identity_automorphism,
     talpha,
     tbeta,
     teps,
     transposition,
 )
+
+from conftest import identity_automorphism
 
 
 def cofactor_det(m):
@@ -166,8 +167,6 @@ def test_functoriality_of_abelianize(rng):
     syms = [talpha(i, s) for i in range(1, 5) for s in (1, -1)]
     syms += [transposition(i, s) for i in range(1, 5) for s in (1, -1)]
     syms += [tbeta(1), tbeta(-1), crosscap_slide(1), crosscap_slide(-1)]
-    from mcgverify.mcg import compose
-
     for _ in range(200):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))

@@ -1,6 +1,10 @@
 """Generator catalog, inner-automorphism decisions, orders, curve orbits."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from mcgverify.claims import word_r, word_r_prime, word_s, word_s_prime
 from mcgverify.errors import GenusMismatch, ValidationFailure
 from mcgverify.homology import abelianize, matrix_identity, matrix_power
 from mcgverify.mcg import (
+    Automorphism,
     Inconclusive,
     Inner,
     NotInner,
@@ -19,9 +24,7 @@ from mcgverify.mcg import (
     curve_image,
     evaluate,
     get_catalog,
-    identity_automorphism,
     inverse_word,
-    is_identity,
     is_inner,
     mcg_equal,
     order_of,
@@ -41,7 +44,9 @@ from mcgverify.words import (
     mul,
 )
 
-from conftest import random_word
+from conftest import identity_automorphism, random_word
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module", params=[3, 4, 5, 6])
@@ -112,7 +117,7 @@ def test_compose_genus_mismatch():
 
 
 def test_evaluate_empty_is_identity(catalog):
-    assert is_identity(evaluate(catalog, ()))
+    assert evaluate(catalog, ()) == identity_automorphism(catalog.genus)
 
 
 def test_evaluate_single_symbol(catalog):
@@ -223,6 +228,104 @@ def test_build_catalog_rejects_unreduced_image(monkeypatch):
         build_catalog(5)
 
 
+def certified_relation_words(catalog):
+    """The words whose images ``build_catalog`` compares: both orders of
+    each stored inverse pair, both sides of each braid relation, and both
+    orders of each distant or t_b commuting pair."""
+    g = catalog.genus
+    words = []
+    for kind, idx, _ in catalog.symbols():
+        sym, inv = (kind, idx, 1), (kind, idx, -1)
+        words += [(sym, inv), (inv, sym)]
+    for i in range(1, g - 1):
+        a, b = talpha(i), talpha(i + 1)
+        words += [(a, b, a), (b, a, b)]
+    pairs = [(talpha(i), talpha(j)) for i in range(1, g) for j in range(i + 2, g)]
+    if g >= 4:
+        pairs += [(tbeta(), talpha(i)) for i in (1, 2, 3)]
+    for a, b in pairs:
+        words += [(a, b), (b, a)]
+    return words
+
+
+@pytest.mark.parametrize("genus", [*range(3, 13), 24, 30])
+def test_catalog_matches_compose_route(genus, monkeypatch):
+    """The catalog is built and certified without ``compose``, and its
+    composite generators and certified relations agree image for image
+    with the full ``compose`` route (the test's ``compose`` is bound at
+    import, so the monkeypatch does not reach it)."""
+
+    def refuse(a, b):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(mcgverify.mcg, "compose", refuse)
+    cat = build_catalog(genus)
+    g = genus
+    auto = cat.automorphism
+    y = compose(auto(talpha(g - 1)), auto(transposition(g - 1)))
+    y_inv = compose(auto(transposition(g - 1, -1)), auto(talpha(g - 1, -1)))
+    assert auto(crosscap_slide()) == y
+    assert auto(crosscap_slide(-1)) == y_inv
+    for sign in (1, -1):
+        assert auto(teps(sign)) == compose(y_inv, compose(auto(talpha(g - 2, sign)), y))
+
+    ident = identity_automorphism(g).images
+    for word in certified_relation_words(cat):
+        want = list(evaluate_by_compose(cat, word).images)
+        assert mcgverify.mcg._append(cat, ident, word) == want, word
+
+
+def mutated(monkeypatch, name, change):
+    """Replace an image formula by ``change(original, genus, i, sign)``."""
+    original = getattr(mcgverify.mcg, name)
+    monkeypatch.setattr(mcgverify.mcg, name,
+                        lambda genus, i, sign=1: change(original, genus, i, sign))
+
+
+def u1_sends_x1_to_x2_inverse(original, genus, i, sign):
+    ims = original(genus, i, sign)
+    if i == 1 and sign > 0:
+        ims[0] = (-2,)
+    return ims
+
+
+CATALOG_MUTANTS = [
+    pytest.param("transposition_images", lambda orig, g, i, s: orig(g, i, 1 if i == 2 else s),
+                 "stored inverse wrong for ('u', 2, 1)", id="u2-inverse-given-u2"),
+    # each of the swapped pair is still the other's inverse
+    pytest.param("chain_twist_images", lambda orig, g, i, s: orig(g, i, -s if i == 2 else s),
+                 "braid relation failed for t_a1, t_a2", id="t_a2-given-its-inverse"),
+    pytest.param("transposition_images", u1_sends_x1_to_x2_inverse,
+                 "relator certificate failed for ('u', 1, 1)", id="u1-sends-x1-to-x2^-1"),
+]
+
+
+@pytest.mark.parametrize("name,change,message", CATALOG_MUTANTS)
+def test_build_catalog_rejects_mutant(monkeypatch, name, change, message):
+    mutated(monkeypatch, name, change)
+    with pytest.raises(ValidationFailure) as failure:
+        build_catalog(6)
+    assert str(failure.value) == message
+
+
+def test_build_catalog_rejects_mutant_under_python_O():
+    """Certification does not rest on ``assert``: under -O, which strips
+    the script's own ``assert False``, the stored-inverse mutant still fails."""
+    script = (
+        "assert False\n"
+        "import mcgverify.mcg as mcg\n"
+        "original = mcg.transposition_images\n"
+        "mcg.transposition_images = lambda g, i, s=1: original(g, i, 1 if i == 2 else s)\n"
+        "mcg.build_catalog(6)\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "ValidationFailure: stored inverse wrong for ('u', 2, 1)" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # inner automorphisms
 
@@ -231,7 +334,7 @@ def test_is_inner_conjugation_by_construction(rng):
     pres = get_presentation(4)
     for _ in range(40):
         w = random_word(rng, 4, 6)
-        auto = type(identity_automorphism(4))(
+        auto = Automorphism(
             4, [mul(w, (i,), inverse(w)) for i in range(1, 5)]
         )
         status = is_inner(pres, auto)

@@ -1,13 +1,16 @@
 """Word engine: reduction, triviality, conjugacy, and their oracles."""
 
 import doctest
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcgverify
 import mcgverify.words
 from mcgverify.errors import ConjugacyMismatch, InvariantViolation
 from mcgverify.words import (
@@ -31,8 +34,14 @@ from mcgverify.words import (
 from conftest import random_word
 
 
-def test_doctests():
-    failures, _ = doctest.testmod(mcgverify.words)
+PACKAGE_MODULES = ["mcgverify"] + [
+    info.name for info in pkgutil.iter_modules(mcgverify.__path__, "mcgverify.")
+]
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0
 
 
