@@ -35,6 +35,7 @@ from .claims import (
 from .errors import UnknownClaim
 from .homology import EgRotationSpec
 from .lantern import DEFAULT_BUDGET
+from .words import MAX_GENUS
 
 USAGE_EXIT = 4
 
@@ -60,6 +61,11 @@ def _cmd_run(args) -> int:
     genus_range = _parse_range(args.genus, "genus")
     if genus_range[0] < 3:
         raise SystemExit("mcgverify: genus must be at least 3")
+    if genus_range[1] > MAX_GENUS:
+        raise SystemExit(
+            f"mcgverify: genus must be at most {MAX_GENUS}, the cap of the packed "
+            f"word kernel (one signed byte per letter), got {genus_range[1]}"
+        )
     k_range = _parse_range(args.k, "k")
     p_range = _parse_range(args.p, "p")
     q_range = _parse_range(args.q, "q")

@@ -30,9 +30,13 @@ one primitive, :func:`_append`, which applies a word by appending its
 generators on the right, left to right: ``(acc . gen)(x_j) = acc(gen(x_j))``.
 Each generator moves only two to four of the g generator images, so only
 those images are recomputed and every other one is carried over unchanged.
-``evaluate``, ``order_of``, the composite generators y and t_eps and the
-relations ``build_catalog`` certifies all go through it.  :func:`compose`,
-which recomputes every image, is kept as the tests' reference route.
+``_append`` carries each image packed, together with its packed inverse
+(see :mod:`mcgverify.words`), so a negative letter costs no inversion and
+every junction cancels in C; images are unpacked to tuples only to build
+an :class:`Automorphism`.  ``evaluate``, ``order_of``, the composite
+generators y and t_eps and the relations ``build_catalog`` certifies all go
+through it.  :func:`compose`, which recomputes every image, is kept as the
+tests' reference route.
 """
 
 from __future__ import annotations
@@ -49,11 +53,14 @@ from .words import (
     format_word,
     free_reduce,
     get_presentation,
+    invert,
     inverse,
     is_conjugate,
     is_trivial,
     mul,
+    pack,
     reduce_image,
+    unpack,
 )
 
 # ---------------------------------------------------------------------------
@@ -99,9 +106,13 @@ def substitute(pres: SurfacePresentation, images, word) -> tuple:
     The images must be freely reduced, so that the concatenation cancels
     only where two images meet (:func:`~mcgverify.words.reduce_image`):
     ``build_catalog`` certifies the generator images, and every computed
-    image is Dehn-reduced.
+    image is Dehn-reduced.  Only the images the word uses are packed.
     """
-    return reduce_image(pres, images, word)
+    pairs = {}
+    for x in set(map(abs, word)):
+        b = pack(images[x - 1])
+        pairs[x - 1] = (b, invert(b))
+    return unpack(reduce_image(pres, pairs, word))
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
@@ -286,6 +297,11 @@ def _moved(images) -> tuple:
     return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
 
 
+def _unpacked(pairs) -> list:
+    """The images of a list of packed pairs, as tuples."""
+    return [unpack(b) for b, _ in pairs]
+
+
 class GeneratorCatalog:
     """Per-genus table of the generator images each symbol moves, for both
     directions of every generator, and the curve words for
@@ -311,22 +327,22 @@ class GeneratorCatalog:
         if g >= 4:
             for sign in (1, -1):
                 self._moves[tbeta(sign)] = _moved(beta_twist_images(g, sign))
-        ident = _letter_images(g)
+        ident = self.presentation.letters_packed
         # y = t_alpha_{g-1} . u_{g-1}  (u applied first)
         slide = (talpha(g - 1), transposition(g - 1))
-        self._moves[crosscap_slide(1)] = _moved(_append(self, ident, slide))
+        self._moves[crosscap_slide(1)] = _moved(_unpacked(_append(self, ident, slide)))
         y_inv = _append(self, ident, inverse_word(slide))
-        self._moves[crosscap_slide(-1)] = _moved(y_inv)
+        self._moves[crosscap_slide(-1)] = _moved(_unpacked(y_inv))
         # eps = y^-1(alpha_{g-2}); its twist is the conjugate of the
         # alpha_{g-2} twist by y^-1.
         for sign in (1, -1):
             conj = (crosscap_slide(-1), talpha(g - 2, sign), crosscap_slide(1))
-            self._moves[teps(sign)] = _moved(_append(self, ident, conj))
+            self._moves[teps(sign)] = _moved(_unpacked(_append(self, ident, conj)))
 
         self.curves = {f"a{i}": (i, i + 1) for i in range(1, g)}
         if g >= 4:
             self.curves["b"] = BETA_WORD
-        self.curves["e"] = substitute(self.presentation, y_inv, (g - 2, g - 1))
+        self.curves["e"] = unpack(reduce_image(self.presentation, y_inv, (g - 2, g - 1)))
 
         # reduced automorphisms of composite words, memoized per catalog
         self._eval_cache: dict = {}
@@ -361,20 +377,23 @@ class GeneratorCatalog:
             raise KeyError(f"no generator {symbol} in genus {self.genus}") from None
 
 
-def _append(catalog: GeneratorCatalog, images, word) -> list:
-    """Images of ``acc . word`` from the images of ``acc``.
+def _append(catalog: GeneratorCatalog, pairs, word) -> list:
+    """Packed image pairs of ``acc . word`` from those of ``acc``.
 
+    ``pairs[j]`` is the packed image of x_{j+1} under ``acc`` with its
+    packed inverse; the identity's is ``presentation.letters_packed``.
     Symbols are applied on the right, left to right.  For an image x_j a
     symbol does not move, ``(acc . gen)(x_j) = acc(x_j)`` is already
-    reduced, so only the moved images are recomputed.
+    reduced, so only the moved images are recomputed, each by
+    :func:`~mcgverify.words.reduce_image`, and its inverse with it.
     """
     pres = catalog.presentation
-    images = list(images)
+    pairs = list(pairs)
     for symbol in word:
-        moved = [(j, substitute(pres, images, im)) for j, im in catalog.moves(symbol)]
-        for j, im in moved:
-            images[j] = im
-    return images
+        moved = [(j, reduce_image(pres, pairs, im)) for j, im in catalog.moves(symbol)]
+        for j, b in moved:
+            pairs[j] = (b, invert(b))
+    return pairs
 
 
 def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
@@ -383,7 +402,8 @@ def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
     cached = catalog._eval_cache.get(word)
     if cached is not None:
         return cached
-    acc = Automorphism(catalog.genus, _append(catalog, _letter_images(catalog.genus), word))
+    pairs = _append(catalog, catalog.presentation.letters_packed, word)
+    acc = Automorphism(catalog.genus, _unpacked(pairs))
     catalog._eval_cache[word] = acc
     return acc
 
@@ -469,10 +489,10 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
 
     pres = catalog.presentation
     step = word * period
-    images = _letter_images(catalog.genus)
+    pairs = pres.letters_packed
     for n in range(period, max_order + 1, period):
-        images = _append(catalog, images, step)
-        status = is_inner(pres, Automorphism(catalog.genus, images), bound=bound)
+        pairs = _append(catalog, pairs, step)
+        status = is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs)), bound=bound)
         if isinstance(status, Inner):
             return n
         if isinstance(status, Inconclusive):
@@ -507,13 +527,13 @@ def build_catalog(genus: int) -> GeneratorCatalog:
     braid relations along the chain, commutation of distant twists and of
     t_beta with t_alpha_1..3, and homology classes of the stored curve
     words.  Every relation is checked on the catalog's one table, by
-    comparing :func:`_append` images of its two sides.  Raises
+    comparing the packed :func:`_append` images of its two sides.  Raises
     ValidationFailure naming the first failed relation.
     """
     catalog = GeneratorCatalog(genus)
     pres = catalog.presentation
     g = genus
-    ident = _letter_images(g)
+    ident = list(pres.letters_packed)
 
     def product(word) -> list:
         return _append(catalog, ident, word)

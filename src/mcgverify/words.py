@@ -25,6 +25,18 @@ exchanges matters at every genus: for example ``x1^2 x2^2`` equals
 ``(x3^2 x4^2)^-1`` in genus 4, and the two sides are not rotations of each
 other.
 
+Dehn reduction has one kernel, over packed words: a ``bytes`` object with
+one signed byte per letter (``pack``/``unpack``), whose inverse is the
+bytes negated through the 256-byte table ``NEG`` and reversed
+(``invert``).  Where a freely reduced word meets a freely reduced piece,
+the letters that cancel are the longest common suffix of the word and the
+piece's inverse; ``_cancel`` reads its length off the highest differing
+byte of the XOR of the two tails, as integers, so the comparison runs in C.
+The strict pass and :func:`reduce_image`, which applies a table of packed
+images and inlines ``_cancel``, both cancel that way.  Public functions
+take and return tuples and pack at their boundary.  A signed byte holds
+letters up to 127, so the genus is capped at ``MAX_GENUS = 127``.
+
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
 canonical cyclic form and the conjugator that reaches it.  It is unbounded.
@@ -34,10 +46,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from collections import deque
 from operator import neg
 
-from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation
+from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation, OutOfRange
 
 Word = tuple  # tuple of nonzero ints
 
@@ -50,6 +63,12 @@ SATURATION_CAP = 200_000
 # Conjugator search: powers z^k, |k| <= CONJ_BOUND, of the centralizer root.
 # The catalog's claims need |k| <= 2 at every genus checked (3..30, 40, 50).
 CONJ_BOUND = 16
+
+# A packed letter is one signed byte, so |letter| <= 127.
+MAX_GENUS = 127
+
+# NEG[b] is the byte of the negated letter of byte b.
+NEG = bytes(-b & 0xFF for b in range(256))
 
 
 def free_reduce(word) -> Word:
@@ -87,6 +106,33 @@ def mul(*words) -> Word:
     (1, 3)
     """
     return free_reduce(itertools.chain.from_iterable(words))
+
+
+def pack(word) -> bytes:
+    """Pack a word one signed byte per letter.
+
+    >>> pack((1, -2))
+    b'\\x01\\xfe'
+    """
+    return array("b", word).tobytes()
+
+
+def unpack(packed) -> Word:
+    """The word of a packed word.
+
+    >>> unpack(pack((127, -127)))
+    (127, -127)
+    """
+    return tuple(array("b", packed))
+
+
+def invert(packed) -> bytes:
+    """Packed inverse of a packed word.
+
+    >>> unpack(invert(pack((1, -2, 3))))
+    (-3, 2, -1)
+    """
+    return packed.translate(NEG)[::-1]
 
 
 def parse_word(text: str) -> Word:
@@ -139,17 +185,28 @@ class SurfacePresentation:
 
     ``relator_shifts`` holds all 4g cyclic rotations of the relator and of
     its inverse; a subword of a rotation is a prefix of another rotation,
-    so prefix tables suffice for matching.  ``_strict`` maps each
-    rotation's prefix of length g+1 to the rotation and ``_half`` maps its
-    prefix of length g to the inverse of the other half; these two tables
-    decide every match.  ``_strict_ends`` and ``_half_ends`` hold the
-    (first, last) letter pairs of those prefixes, at most 4g pairs each,
-    so a scan looks a window up only where its end letters fit.
+    so prefix tables suffice for matching.  ``_strict`` maps each packed
+    rotation's prefix of length g+1 to the packed rotation, and ``_half``
+    maps each rotation's prefix of length g to the inverse of the other
+    half; these two tables decide every match.  ``_strict_ends`` holds the
+    (first, last) byte pairs of the ``_strict`` keys and ``_half_ends``
+    the (first, last) letter pairs of the ``_half`` keys, at most 4g pairs
+    each, so a scan looks a window up only where its end letters fit.
+    ``letters_packed`` holds the packed pair (x_i, x_i^-1) of each
+    generator: the image table of the identity.
+
+    Raises OutOfRange above ``MAX_GENUS``, where letters no longer fit a
+    signed byte.
     """
 
     def __init__(self, genus: int):
         if genus < 3:
             raise ValueError("genus must be at least 3")
+        if genus > MAX_GENUS:
+            raise OutOfRange(
+                f"genus {genus} is above MAX_GENUS = {MAX_GENUS}, "
+                "the largest letter a signed byte holds"
+            )
         self.genus = genus
         relator = []
         for i in range(1, genus + 1):
@@ -166,14 +223,16 @@ class SurfacePresentation:
         g = genus
         # Prefix of length g+1 determines the rotation uniquely (length-2
         # runs cannot fill a window of length g+1 >= 4).
-        self._strict = {s[: g + 1]: s for s in self.relator_shifts}
+        packed = [pack(s) for s in self.relator_shifts]
+        self._strict = {p[: g + 1]: p for p in packed}
         if len(self._strict) != 4 * genus:
             raise InvariantViolation("strict-reduction prefixes are not unique")
         # Exactly-half table: half a rotation equals the inverse of the
         # complementary half.
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
-        self._strict_ends = frozenset((s[0], s[g]) for s in self.relator_shifts)
+        self._strict_ends = frozenset((p[0], p[g]) for p in packed)
         self._half_ends = frozenset((s[0], s[g - 1]) for s in self.relator_shifts)
+        self.letters_packed = tuple((pack((i,)), pack((-i,))) for i in range(1, g + 1))
 
         self._canonical_cache: dict = {}
 
@@ -195,22 +254,44 @@ def get_presentation(genus: int) -> SurfacePresentation:
     return pres
 
 
-def _strict_pass(pres: SurfacePresentation, word: Word) -> Word:
-    """Strict Dehn reduction of a freely reduced word: replace the leftmost
-    subword longer than half a rotation, freely reduce, and rescan from the
-    start until no such subword occurs.  Returns the word unchanged if there
-    is none.
+def _cancel(out: bytearray, piece, inv) -> None:
+    """Append the packed ``piece`` to ``out`` and cancel at the junction.
+
+    Both must be freely reduced and ``inv`` is the packed inverse of
+    ``piece``.  The last k letters of ``out`` cancel the first k of
+    ``piece`` exactly when they equal the last k of ``inv``, so k is the
+    length of the common suffix of ``out`` and ``inv``.  Read the last m
+    bytes of each as little-endian integers: k is m less the number of
+    bytes their XOR occupies.  A junction whose last bytes differ cancels
+    nothing and skips the arithmetic; past that check k >= 1, which
+    ``del out[-k:]`` needs.
+    """
+    if out and inv and out[-1] == inv[-1]:
+        m = min(len(out), len(inv))
+        x = int.from_bytes(out[-m:], "little") ^ int.from_bytes(inv[-m:], "little")
+        k = m - (x.bit_length() + 7 >> 3)
+        del out[-k:]
+        out += piece[k:]
+    else:
+        out += piece
+
+
+def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
+    """Strict Dehn reduction of a freely reduced packed word: replace the
+    leftmost subword longer than half a rotation, freely reduce, and rescan
+    from the start until no such subword occurs.  Returns the word
+    unchanged if there is none.
 
     A window ``w[i:i+g+1]`` is looked up in ``_strict`` only where its end
     pair ``(w[i], w[i+g])`` is in ``_strict_ends``; elsewhere no rotation
-    can match.
+    can match.  The replacement is freely reduced, so free reduction runs
+    only at its two junctions (:func:`_cancel`).
     """
     g = pres.genus
     window = g + 1
     full = 2 * g
     strict = pres._strict
     ends = pres._strict_ends
-    w = word
     while len(w) > g:
         for i, pair in enumerate(zip(w, w[g:])):
             if pair in ends:
@@ -223,7 +304,12 @@ def _strict_pass(pres: SurfacePresentation, word: Word) -> Word:
         n = len(w)
         while m < full and i + m < n and w[i + m] == shift[m]:
             m += 1
-        w = mul(w[:i], inverse(shift[m:]), w[i + m :])
+        out = bytearray(w[:i])
+        tail = shift[m:]
+        _cancel(out, invert(tail), tail)
+        rest = w[i + m :]
+        _cancel(out, rest, invert(rest))
+        w = bytes(out)
     return w
 
 
@@ -246,11 +332,14 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     >>> dehn_reduce(p, (1, 2, 2, 2, 3))
     (1, 2, 2, 2, 3)
     """
-    return _strict_pass(pres, free_reduce(word))
+    return unpack(_strict_pass(pres, pack(free_reduce(word))))
 
 
-def reduce_image(pres: SurfacePresentation, images, word) -> Word:
-    """Dehn-reduced image of ``word`` under the substitution x_i -> images[i-1].
+def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
+    """Packed Dehn-reduced image of ``word`` under the substitution
+    x_i -> pairs[i-1][0], where ``pairs[i-1]`` is the packed image of x_i
+    with its packed inverse (a list, or a dict holding only the generators
+    ``word`` uses).
 
     The images must be freely reduced; that precondition is the caller's.
     The result equals ``dehn_reduce`` of the concatenated images: a freely
@@ -258,15 +347,23 @@ def reduce_image(pres: SurfacePresentation, images, word) -> Word:
     far, so free cancellation runs only where two images meet, and the
     strict pass then sees the same freely reduced word.
     """
-    out = []
+    out = bytearray()
     for letter in word:
-        piece = images[letter - 1] if letter > 0 else inverse(images[-letter - 1])
-        k = 0
-        while out and k < len(piece) and out[-1] == -piece[k]:
-            out.pop()
-            k += 1
-        out.extend(piece[k:])
-    return _strict_pass(pres, tuple(out))
+        if letter > 0:
+            piece, inv = pairs[letter - 1]
+        else:
+            inv, piece = pairs[-letter - 1]
+        # the body of _cancel, inlined: this loop is the hot path of
+        # mcg._append, and the call per junction costs about 3% of set-up
+        if out and inv and out[-1] == inv[-1]:
+            m = min(len(out), len(inv))
+            x = int.from_bytes(out[-m:], "little") ^ int.from_bytes(inv[-m:], "little")
+            k = m - (x.bit_length() + 7 >> 3)
+            del out[-k:]
+            out += piece[k:]
+        else:
+            out += piece
+    return _strict_pass(pres, bytes(out))
 
 
 def _half_swaps_linear(pres: SurfacePresentation, word: Word):
@@ -325,7 +422,7 @@ def _shorter_equivalent(pres: SurfacePresentation, w: Word):
         for neighbor in _half_swaps_linear(pres, current):
             if len(neighbor) < len(current):
                 return neighbor
-            reduced = _strict_pass(pres, neighbor)
+            reduced = unpack(_strict_pass(pres, pack(neighbor)))
             if len(reduced) < len(current):
                 return reduced
             if reduced not in seen:
@@ -368,7 +465,7 @@ def _component(pres: SurfacePresentation, start: Word):
             neighbors.append((swapped, EMPTY))
         for neighbor, step in neighbors:
             reduced, conj = _cyclic_free_reduce(neighbor, EMPTY)
-            reduced2 = _strict_pass(pres, reduced)
+            reduced2 = unpack(_strict_pass(pres, pack(reduced)))
             if len(reduced2) < len(reduced):
                 reduced, conj = _cyclic_free_reduce(reduced2, conj)
             total = mul(base_conj, step, conj)

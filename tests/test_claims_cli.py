@@ -197,13 +197,15 @@ def test_cli_reports_reproducible():
 
 
 def test_cli_report_same_under_python_O():
-    """No check rests on assert: -O (which strips asserts) gives the same report."""
-    for claims in ("thm1.*", "lemma1.*"):
-        args = ("run", "--filter", claims, "--genus", "3..6", "--format", "json")
+    """No check rests on assert: -O (which strips asserts) gives the same
+    report, also at genus 24, where the packed word kernel sees long images."""
+    for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24")):
+        args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
         optimized = run_cli(*args, interpreter_flags=("-O",))
         assert plain.returncode == 0, plain.stderr
         assert optimized.returncode == 0, optimized.stderr
+        assert rows_without_millis(plain)
         assert rows_without_millis(optimized) == rows_without_millis(plain)
 
 
@@ -304,6 +306,15 @@ def test_cli_list_filters():
 def test_cli_bad_genus_range_exits_4():
     proc = run_cli("run", "--genus", "abc")
     assert proc.returncode == 4
+
+
+def test_cli_genus_above_cap_exits_4():
+    """Letters are packed one signed byte each, so genus 128 is refused
+    before any claim runs."""
+    proc = run_cli("run", "--genus", "3..128", "--format", "json")
+    assert proc.returncode == 4
+    assert "127" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_genus_range_restricts_claims():

@@ -10,7 +10,7 @@ import pytest
 
 import mcgverify.mcg
 from mcgverify.claims import word_r, word_r_prime, word_s, word_s_prime
-from mcgverify.errors import GenusMismatch, ValidationFailure
+from mcgverify.errors import GenusMismatch, OutOfRange, ValidationFailure
 from mcgverify.homology import abelianize, matrix_identity, matrix_power
 from mcgverify.mcg import (
     Automorphism,
@@ -42,6 +42,7 @@ from mcgverify.words import (
     inverse,
     is_trivial,
     mul,
+    unpack,
 )
 
 from conftest import identity_automorphism, random_word
@@ -214,6 +215,11 @@ def test_substitute_matches_dehn_reduce_of_concatenation(genus):
         assert substitute(pres, images, word) == dehn_reduce(pres, plain)
 
 
+def test_get_catalog_above_genus_cap_raises():
+    with pytest.raises(OutOfRange, match="MAX_GENUS"):
+        get_catalog(128)
+
+
 def test_build_catalog_rejects_unreduced_image(monkeypatch):
     original = mcgverify.mcg.chain_twist_images
 
@@ -269,10 +275,12 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
     for sign in (1, -1):
         assert auto(teps(sign)) == compose(y_inv, compose(auto(talpha(g - 2, sign)), y))
 
-    ident = identity_automorphism(g).images
+    ident = get_presentation(g).letters_packed
     for word in certified_relation_words(cat):
-        want = list(evaluate_by_compose(cat, word).images)
-        assert mcgverify.mcg._append(cat, ident, word) == want, word
+        want = evaluate_by_compose(cat, word).images
+        pairs = mcgverify.mcg._append(cat, ident, word)
+        assert tuple(unpack(b) for b, _ in pairs) == want, word
+        assert all(unpack(inv) == inverse(unpack(b)) for b, inv in pairs), word
 
 
 def mutated(monkeypatch, name, change):

@@ -1,6 +1,7 @@
 """Word engine: reduction, triviality, conjugacy, and their oracles."""
 
 import doctest
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import mcgverify
 import mcgverify.words
-from mcgverify.errors import ConjugacyMismatch, InvariantViolation
+from mcgverify.errors import ConjugacyMismatch, InvariantViolation, OutOfRange
 from mcgverify.words import (
+    MAX_GENUS,
     SurfacePresentation,
     _canonical_with_conj,
     _half_swaps_linear,
@@ -24,11 +26,15 @@ from mcgverify.words import (
     format_word,
     free_reduce,
     get_presentation,
+    invert,
     inverse,
     is_conjugate,
     is_trivial,
     mul,
+    pack,
     parse_word,
+    reduce_image,
+    unpack,
 )
 
 from conftest import random_word
@@ -133,15 +139,24 @@ def test_dehn_reduce_idempotent_monotone(pres4, rng):
 # prefiltered window scans against full scans
 
 
-def full_scan_strict_pass(pres, word):
-    """Oracle: strict reduction that looks up every window in ``_strict``."""
+@functools.lru_cache(maxsize=None)
+def tuple_strict_table(genus):
+    """Each rotation's prefix of length g+1, as a tuple, to the rotation."""
+    return {s[: genus + 1]: s for s in get_presentation(genus).relator_shifts}
+
+
+def full_scan_strict_pass(pres, word, log=None):
+    """Oracle: strict reduction of tuple words that looks up every window
+    and freely reduces the whole word after each replacement.  Appends
+    (start, end, length) of each replaced window to ``log``."""
     g = pres.genus
     window = g + 1
     full = 2 * g
+    strict = tuple_strict_table(g)
     w = word
     i = 0
     while i + window <= len(w):
-        shift = pres._strict.get(w[i : i + window])
+        shift = strict.get(w[i : i + window])
         if shift is None:
             i += 1
             continue
@@ -149,6 +164,8 @@ def full_scan_strict_pass(pres, word):
         n = len(w)
         while m < full and i + m < n and w[i + m] == shift[m]:
             m += 1
+        if log is not None:
+            log.append((i, i + m, n))
         w = mul(w[:i], inverse(shift[m:]), w[i + m :])
         i = 0
     return w
@@ -200,11 +217,12 @@ def test_prefiltered_scans_match_full_scans(genus):
     spurious_seen = 0
     for word in scan_words(rng, pres):
         w = free_reduce(word)
-        assert _strict_pass(pres, w) == full_scan_strict_pass(pres, w), w
+        assert unpack(_strict_pass(pres, pack(w))) == full_scan_strict_pass(pres, w), w
         assert list(_half_swaps_linear(pres, w)) == list(full_scan_half_swaps(pres, w)), w
+        p = pack(w)
         spurious_seen += any(
-            pair in pres._strict_ends and w[i : i + genus + 1] not in pres._strict
-            for i, pair in enumerate(zip(w, w[genus:]))
+            pair in pres._strict_ends and p[i : i + genus + 1] not in pres._strict
+            for i, pair in enumerate(zip(p, p[genus:]))
         )
     assert spurious_seen > 0
 
@@ -213,13 +231,122 @@ def test_end_pairs_cover_every_rotation():
     for g in range(3, 13):
         pres = get_presentation(g)
         for s in pres.relator_shifts:
-            assert (s[0], s[g]) in pres._strict_ends
+            p = pack(s)
+            assert (p[0], p[g]) in pres._strict_ends
             assert (s[0], s[g - 1]) in pres._half_ends
         assert len(pres._strict_ends) <= 4 * g and len(pres._half_ends) <= 4 * g
     pres4 = get_presentation(4)
     assert len(pres4._strict_ends) == 8
     # end pair of x1 x2^3 x3, which is no relator piece
-    assert (1, 3) in pres4._strict_ends and (1, 2, 2, 2, 3) not in pres4._strict
+    assert (1, 3) in pres4._strict_ends and pack((1, 2, 2, 2, 3)) not in pres4._strict
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against tuple oracles
+
+
+def tuple_reduce_image(pres, images, word, log=None):
+    """Oracle: substitution that cancels one letter at a time.  Appends
+    (cancelled, piece length, length before, letters the previous piece
+    left) for each junction to ``log``."""
+    out = []
+    left = 0
+    for letter in word:
+        piece = images[letter - 1] if letter > 0 else inverse(images[-letter - 1])
+        before = len(out)
+        k = 0
+        while out and k < len(piece) and out[-1] == -piece[k]:
+            out.pop()
+            k += 1
+        out.extend(piece[k:])
+        if log is not None:
+            log.append((k, len(piece), before, left))
+        left = len(piece) - k
+    return full_scan_strict_pass(pres, tuple(out), log)
+
+
+def kernel_cases(rng, pres, count):
+    """(images, word) pairs: seeded freely reduced images, many of length 1,
+    and words built so that a piece cancels whole, a cancellation empties
+    the product, one runs back through the previous piece, and relator
+    pieces longer than half a rotation sit at the start, at the end and
+    back to back."""
+    g = pres.genus
+    letters = [x for i in range(1, g + 1) for x in (i, -i)]
+
+    def strict_piece():
+        return rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g + 1)]
+
+    def noise(n):
+        return free_reduce(random_word(rng, g, n, min_len=1)) or (rng.choice(letters),)
+
+    for _ in range(count):
+        images = [(rng.choice(letters),) if rng.random() < 0.5 else noise(6) for _ in range(g)]
+        a, b, c = rng.sample(range(g), 3)
+        # b cancels a tail of a, or all of it
+        r = rng.randrange(1, len(images[a]) + 1)
+        images[b] = inverse(images[a][-r:])
+        # after a a, c cancels the second a and runs back into the first
+        r = rng.randrange(1, len(images[a]) + 1)
+        images[c] = free_reduce(inverse(images[a][-r:] + images[a]) + noise(3))
+        filler = tuple(rng.choice((x + 1, -x - 1)) for x in rng.sample(range(g), 2))
+        yield images, (a + 1, b + 1) + filler
+        yield images, filler + (a + 1, a + 1, c + 1)
+        yield images, (a + 1, -(a + 1)) + filler
+        yield images, random_word(rng, g, 12)
+        # strict pieces as images: at the start, at the end, back to back
+        images = list(images)
+        images[a], images[b] = strict_piece(), strict_piece()
+        yield images, (a + 1,)
+        yield images, (a + 1,) + filler
+        yield images, filler + (b + 1,)
+        yield images, filler + (a + 1, b + 1) + filler
+        yield images, random_word(rng, g, 12)
+
+
+@pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
+def test_packed_kernel_matches_tuple_oracles(genus):
+    pres = get_presentation(genus)
+    rng = random.Random(9100 + genus)
+    seen = set()
+    for images, word in kernel_cases(rng, pres, 60):
+        pairs = [(pack(im), pack(inverse(im))) for im in images]
+        log = []
+        want = tuple_reduce_image(pres, images, word, log)
+        assert unpack(reduce_image(pres, pairs, word)) == want, (images, word)
+        pieces = [images[l - 1] if l > 0 else inverse(images[-l - 1]) for l in word]
+        plain = free_reduce(itertools.chain(*pieces))
+        assert unpack(_strict_pass(pres, pack(plain))) == full_scan_strict_pass(pres, plain)
+        junctions = [e for e in log if len(e) == 4]
+        replaced = [e for e in log if len(e) == 3]
+        seen.update(
+            label
+            for label, hit in [
+                ("length-1 piece", any(n == 1 for _, n, _, _ in junctions)),
+                ("whole piece", any(0 < n == k for k, n, _, _ in junctions)),
+                ("emptied", any(0 < before == k for k, _, before, _ in junctions)),
+                ("runs back", any(k > left > 0 for k, _, _, left in junctions)),
+                ("strict at start", any(i == 0 for i, _, _ in replaced)),
+                ("strict at end", any(end == n for _, end, n in replaced)),
+                ("back to back", len(replaced) > 1),
+            ]
+            if hit
+        )
+    assert seen == {"length-1 piece", "whole piece", "emptied", "runs back",
+                    "strict at start", "strict at end", "back to back"}
+
+
+def test_genus_cap():
+    """Letters up to MAX_GENUS pack and unpack exactly; one more is refused."""
+    with pytest.raises(OutOfRange, match="127"):
+        SurfacePresentation(MAX_GENUS + 1)
+    pres = get_presentation(MAX_GENUS)
+    assert pres.letters_packed[-1] == (b"\x7f", b"\x81")
+    word = (MAX_GENUS, -MAX_GENUS, 1, -1, -MAX_GENUS)
+    assert unpack(pack(word)) == word
+    assert unpack(invert(pack(word))) == inverse(word)
+    assert dehn_reduce(pres, pres.relator) == ()
+    assert dehn_reduce(pres, pres.relator[:-1]) == (-MAX_GENUS,)
 
 
 def test_is_trivial_examples(pres4):
