@@ -68,7 +68,7 @@ from .mcg import (
     transposition,
     word_power,
 )
-from .words import CONJ_BOUND, format_word
+from .words import CONJ_BOUND, MAX_GENUS, format_word
 
 
 @dataclass(frozen=True)
@@ -427,8 +427,9 @@ def resolve_claims(pattern: str):
     """The claims matching the id or id glob ``pattern``, from the catalog
     built for the parameters its ``.g<n>``, ``.k<k>``, ``.p<p>`` and
     ``.q<q>`` parts name; parameters it does not name keep their defaults.
-    A pattern naming a rotation-model parameter below its least value
-    selects nothing."""
+    A pattern naming a rotation-model parameter below its least value, or
+    a genus above ``MAX_GENUS`` that ``run`` refuses, selects nothing; a
+    ``cor4`` id's genus is only decomposed, so it has no cap."""
     params = {}
     for part in pattern.split("."):
         match = re.fullmatch(r"([gkpq])(\d+)", part)
@@ -437,6 +438,8 @@ def resolve_claims(pattern: str):
     if any(params.get(name, least) < least for name, least in MODEL_LEAST.items()):
         return []
     cor4 = pattern.startswith("cor4.")
+    if not cor4 and params.get("g", 0) > MAX_GENUS:
+        return []
     ranges = {}
     if "g" in params and not cor4:
         ranges["genus_range"] = (params["g"], params["g"])

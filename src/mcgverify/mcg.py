@@ -35,8 +35,10 @@ those images are recomputed and every other one is carried over unchanged.
 every junction cancels in C; images are unpacked to tuples only to build
 an :class:`Automorphism`.  ``evaluate``, ``order_of``, the composite
 generators y and t_eps and the relations ``build_catalog`` certifies all go
-through it.  :func:`compose`, which recomputes every image, is kept as the
-tests' reference route.
+through it.  ``order_of`` also squares packed tables
+(:func:`_compose_pairs`) to reach a power in about log2 steps.
+:func:`compose`, which recomputes every image, is kept as the tests'
+reference route.
 """
 
 from __future__ import annotations
@@ -468,30 +470,62 @@ def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = CONJ_BOUND):
     return status
 
 
+def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
+    """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
+    image of x_j is ``a`` applied to the image of x_j under ``b``."""
+    images = (reduce_image(pres, a, unpack(im)) for im, _ in b)
+    return [(im, invert(im)) for im in images]
+
+
+def _power(catalog: GeneratorCatalog, pairs, word, n: int) -> list:
+    """Packed image pairs of ``T^n``, n >= 1, where ``pairs`` are those of
+    ``T = evaluate(word)``.
+
+    Left-to-right binary powering: each further bit of n squares the table
+    (:func:`_compose_pairs`), and a 1-bit then appends ``word`` once more
+    through :func:`_append`, so ``T^n`` costs about log2(n) table squarings
+    instead of n - 1 appends of the whole word.
+    """
+    pres = catalog.presentation
+    power = pairs
+    for bit in bin(n)[3:]:
+        power = _compose_pairs(pres, power, power)
+        if bit == "1":
+            power = _append(catalog, power, word)
+    return power
+
+
 def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):
     """Least n <= max_order with evaluate(word)^n inner.
 
     The homology matrix gives a cheap necessary condition: an inner power
-    must act trivially on H_1, so only multiples of the matrix order are
+    must act trivially on H_1, so only multiples of the matrix order p are
     tested at the pi_1 level.  The matrix order comes from iterating the
     basis vectors through the matrix's sparse columns
     (:func:`~mcgverify.homology.matrix_order`), with no dense product.
-    Proper divisors of the answer are thereby certified to fail.  Returns
-    the order, InfiniteWithinBound(max_order), or Inconclusive if a witness
-    search was indecisive.
+    Proper divisors of the answer are thereby certified to fail.
+
+    The packed image pairs of the word give both the matrix and ``T^p``,
+    by square-and-append (:func:`_power`); each later multiple
+    ``2p, 3p, ...`` composes the last one with ``T^p``.  Returns the order,
+    InfiniteWithinBound(max_order), or Inconclusive if a witness search was
+    indecisive.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     word = tuple(word)
-    period = matrix_order(abelianize(evaluate(catalog, word)).entries, max_order)
+    pres = catalog.presentation
+    base = _append(catalog, pres.letters_packed, word)
+    matrix = abelianize(Automorphism(catalog.genus, _unpacked(base)))
+    period = matrix_order(matrix.entries, max_order)
     if period is None:
         return InfiniteWithinBound(max_order)
 
-    pres = catalog.presentation
-    step = word * period
-    pairs = pres.letters_packed
+    step = _power(catalog, base, word, period)
+    pairs = step
     for n in range(period, max_order + 1, period):
-        pairs = _append(catalog, pairs, step)
+        if n > period:
+            pairs = _compose_pairs(pres, pairs, step)
         status = is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs)), bound=bound)
         if isinstance(status, Inner):
             return n

@@ -33,9 +33,11 @@ the letters that cancel are the longest common suffix of the word and the
 piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
 The strict pass and :func:`reduce_image`, which applies a table of packed
-images and inlines ``_cancel``, both cancel that way.  Public functions
-take and return tuples and pack at their boundary.  A signed byte holds
-letters up to 127, so the genus is capped at ``MAX_GENUS = 127``.
+images and inlines ``_cancel``, both cancel that way.  The strict pass
+first searches the word for floor(g/2) doubled letters in a row, which
+every strict window holds, and returns at once if there are none.  Public
+functions take and return tuples and pack at their boundary.  A signed
+byte holds letters up to 127, so the genus is capped at ``MAX_GENUS = 127``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
@@ -192,6 +194,9 @@ class SurfacePresentation:
     (first, last) byte pairs of the ``_strict`` keys and ``_half_ends``
     the (first, last) letter pairs of the ``_half`` keys, at most 4g pairs
     each, so a scan looks a window up only where its end letters fit.
+    ``_doubled`` searches a packed word for floor(g/2) doubled letters in a
+    row, ``aabb...``, which every window of length g+1..2g of every
+    rotation contains: a word it does not match holds no strict window.
     ``letters_packed`` holds the packed pair (x_i, x_i^-1) of each
     generator: the image table of the identity.
 
@@ -232,6 +237,7 @@ class SurfacePresentation:
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
         self._strict_ends = frozenset((p[0], p[g]) for p in packed)
         self._half_ends = frozenset((s[0], s[g - 1]) for s in self.relator_shifts)
+        self._doubled = re.compile(rb"(?:(.)\1){%d}" % (g // 2), re.S).search
         self.letters_packed = tuple((pack((i,)), pack((-i,))) for i in range(1, g + 1))
 
         self._canonical_cache: dict = {}
@@ -282,17 +288,24 @@ def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
     from the start until no such subword occurs.  Returns the word
     unchanged if there is none.
 
-    A window ``w[i:i+g+1]`` is looked up in ``_strict`` only where its end
-    pair ``(w[i], w[i+g])`` is in ``_strict_ends``; elsewhere no rotation
-    can match.  The replacement is freely reduced, so free reduction runs
-    only at its two junctions (:func:`_cancel`).
+    Most words hold no such subword, and ``_doubled`` proves that with one
+    regex search: every rotation of the relator and of its inverse is a
+    run of doubled letters, so a window of length g+1 or more holds
+    floor(g/2) doubled letters in a row, and a word without such a run
+    has no window to replace.  The search only rejects; on a word it
+    matches, the scan decides.  A window ``w[i:i+g+1]`` is looked up in
+    ``_strict`` only where its end pair ``(w[i], w[i+g])`` is in
+    ``_strict_ends``; elsewhere no rotation can match.  The replacement is
+    freely reduced, so free reduction runs only at its two junctions
+    (:func:`_cancel`).
     """
     g = pres.genus
     window = g + 1
     full = 2 * g
     strict = pres._strict
     ends = pres._strict_ends
-    while len(w) > g:
+    doubled = pres._doubled
+    while len(w) > g and doubled(w):
         for i, pair in enumerate(zip(w, w[g:])):
             if pair in ends:
                 shift = strict.get(w[i : i + window])

@@ -198,8 +198,11 @@ def test_cli_reports_reproducible():
 
 def test_cli_report_same_under_python_O():
     """No check rests on assert: -O (which strips asserts) gives the same
-    report, also at genus 24, where the packed word kernel sees long images."""
-    for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24")):
+    report, also at genus 24, where the packed word kernel sees long images,
+    and for the orders at genus 25, whose period 2g = 50 takes both bit
+    branches of the square-and-append powering."""
+    for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24"),
+                          ("thm1.order.*", "25..25")):
         args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
         optimized = run_cli(*args, interpreter_flags=("-O",))
@@ -258,7 +261,7 @@ EXPLAINED = {
     "lemma-embed.det.k20.p1.q0": "-1",  # k outside the default 2..13
     "lemma-embed.power.k13.p4.q3.x": "True",  # p, q outside 1..3, 0..2
     "cor4.decomp.g232.k12": "True",
-    "thm1.orbit.xrkx.g2000": "'e'",  # words of about g^2 symbols, not built
+    "thm1.orbit.xrkx.g127": "'e'",  # words of about g^2 symbols, not built
 }
 
 
@@ -289,6 +292,7 @@ def test_cli_explain_unknown_exits_4():
     "thm1.order.s.g2",  # genus below 3
     "thm1.order.t12.g4",  # a genus-3 family at another genus
     "lemma-embed.det.k1.p1.q0",  # k below 2
+    "thm1.order.s.g128",  # genus above MAX_GENUS, which run refuses
 ])
 def test_cli_explain_id_run_cannot_produce_exits_4(claim_id):
     proc = run_cli("explain", claim_id)

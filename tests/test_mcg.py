@@ -40,6 +40,7 @@ from mcgverify.words import (
     free_reduce,
     get_presentation,
     inverse,
+    invert,
     is_trivial,
     mul,
     unpack,
@@ -412,6 +413,51 @@ def test_orders_above_benchmark_window(genus):
     }
     for word, order in expected.items():
         assert order_of(cat, word(genus), 4 * genus) == order, word.__name__
+
+
+def power_words(rng, genus):
+    """The theorem's periodic words s, s', r, r', and seeded conjugates
+    c t c^-1 of one symbol t of each of the five kinds by one symbol c of
+    any kind, whose powers grow only linearly."""
+    g = genus
+    words = [word(g) for word in (word_s, word_s_prime, word_r, word_r_prime)]
+    for kind in "aubey":
+        t = (kind, rng.randrange(1, g) if kind in "au" else 0, rng.choice((1, -1)))
+        c = random_generator_word(rng, g, 1)
+        words.append(c + (t,) + inverse_word(c))
+    return words
+
+
+@pytest.mark.parametrize("genus", [*range(5, 13), 24, 25])
+def test_power_matches_appended_word(genus):
+    """Square-and-append gives the images of ``word * n`` for every n in
+    1..4g.  A pair equals the one ``_append(letters_packed, word * n)``
+    computes, or, where the two routes leave different sides of an
+    exactly-half relator piece, the same element of pi_1; either way it is
+    Dehn-reduced and carries its exact inverse."""
+    cat = get_catalog(genus)
+    pres = cat.presentation
+    ident = pres.letters_packed
+    rng = random.Random(9200 + genus)
+    exact = other_side = 0
+    for word in power_words(rng, genus):
+        base = mcgverify.mcg._append(cat, ident, word)
+        want = ident
+        for n in range(1, 4 * genus + 1):
+            # one more copy of word on the right: _append(ident, word * n)
+            want = mcgverify.mcg._append(cat, want, word)
+            got = mcgverify.mcg._power(cat, base, word, n)
+            assert len(got) == genus
+            for (b, inv), (w, _) in zip(got, want):
+                assert invert(b) == inv
+                if b == w:
+                    exact += 1
+                    continue
+                other_side += 1
+                image = unpack(b)
+                assert dehn_reduce(pres, image) == image, (word, n)
+                assert is_trivial(pres, image + inverse(unpack(w))), (word, n)
+    assert exact > 0
 
 
 def test_order_of_identity_word(catalog):

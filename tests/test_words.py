@@ -6,6 +6,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -180,11 +181,25 @@ def full_scan_half_swaps(pres, word):
             yield mul(word[:i], replacement, word[i + g :])
 
 
+def doubled_run(rng, genus):
+    """floor(g/2) doubled letters in a row, each pair's letter drawn at
+    random (never the inverse of the one before), so the run passes the
+    ``_doubled`` prefilter but is rarely a relator piece."""
+    run = []
+    for _ in range(genus // 2):
+        letter = rng.choice([x for i in range(1, genus + 1) for x in (i, -i)
+                             if not run or x != -run[-1]])
+        run += [letter, letter]
+    return tuple(run)
+
+
 def scan_words(rng, pres):
     """Freely reduced words that exercise the window scans: relator pieces
     of length g+1..2g-1 spliced at the start, at the end and in the middle,
-    two pieces back to back, words of length g and g+1, and windows whose
-    end letters fit a rotation while the letters between do not."""
+    two pieces back to back, words of length g and g+1, windows whose end
+    letters fit a rotation while the letters between do not, runs of
+    floor(g/2) doubled letters that are no relator piece, and exactly-half
+    pieces, which pass the prefilter but hold no strict window."""
     g = pres.genus
 
     def piece():
@@ -207,24 +222,53 @@ def scan_words(rng, pres):
         yield rng.choice(pres.relator_shifts)[: rng.choice((g, g + 1))]
         yield spurious()
         yield filler[:k] + spurious() + filler[k:]
+        yield filler[:k] + doubled_run(rng, g) + filler[k:]
+        yield filler[:k] + rng.choice(pres.relator_shifts)[:g] + filler[k:]
     yield (1, 2, 2, 2, 3)  # at genus 4: end pair (1, 3) fits, no piece
 
 
 @pytest.mark.parametrize("genus", range(3, 13))
 def test_prefiltered_scans_match_full_scans(genus):
+    """The prefiltered strict pass equals the full scan, on words that the
+    ``_doubled`` prefilter rejects and on words it passes, with or without
+    a strict window."""
     pres = get_presentation(genus)
     rng = random.Random(genus)
     spurious_seen = 0
+    branches = set()
     for word in scan_words(rng, pres):
         w = free_reduce(word)
-        assert unpack(_strict_pass(pres, pack(w))) == full_scan_strict_pass(pres, w), w
+        want = full_scan_strict_pass(pres, w)
+        assert unpack(_strict_pass(pres, pack(w))) == want, w
         assert list(_half_swaps_linear(pres, w)) == list(full_scan_half_swaps(pres, w)), w
         p = pack(w)
         spurious_seen += any(
             pair in pres._strict_ends and p[i : i + genus + 1] not in pres._strict
             for i, pair in enumerate(zip(p, p[genus:]))
         )
+        if len(w) > genus:
+            if not pres._doubled(p):
+                branches.add("rejected")
+            else:
+                branches.add("passed, replaced" if want != w else "passed, no window")
     assert spurious_seen > 0
+    assert branches == {"rejected", "passed, replaced", "passed, no window"}
+
+
+def test_doubled_prefilter_matches_every_strict_window():
+    """Every window of length g+1..2g of every rotation of the relator and
+    of its inverse matches ``_doubled``, at every genus up to the cap, so
+    the prefilter never rejects a word the scan would change.  One doubled
+    letter more would miss a window of length g+1 that starts in the
+    middle of a pair."""
+    for g in range(3, MAX_GENUS + 1):
+        pres = get_presentation(g)
+        doubled = pres._doubled
+        packed = [pack(s) for s in pres.relator_shifts]
+        for p in packed:
+            assert all(map(doubled, (p[:n] for n in range(g + 1, 2 * g + 1)))), (g, p)
+        longer = re.compile(rb"(?:(.)\1){%d}" % (g // 2 + 1), re.S).search
+        assert not all(longer(p[: g + 1]) for p in packed), g
 
 
 def test_end_pairs_cover_every_rotation():
@@ -268,9 +312,10 @@ def tuple_reduce_image(pres, images, word, log=None):
 def kernel_cases(rng, pres, count):
     """(images, word) pairs: seeded freely reduced images, many of length 1,
     and words built so that a piece cancels whole, a cancellation empties
-    the product, one runs back through the previous piece, and relator
-    pieces longer than half a rotation sit at the start, at the end and
-    back to back."""
+    the product, one runs back through the previous piece, relator pieces
+    longer than half a rotation sit at the start, at the end and back to
+    back, and images are runs of doubled letters or exactly-half pieces,
+    which pass the ``_doubled`` prefilter."""
     g = pres.genus
     letters = [x for i in range(1, g + 1) for x in (i, -i)]
 
@@ -302,6 +347,11 @@ def kernel_cases(rng, pres, count):
         yield images, filler + (b + 1,)
         yield images, filler + (a + 1, b + 1) + filler
         yield images, random_word(rng, g, 12)
+        # doubled runs and exactly-half pieces as images
+        images[a], images[b] = doubled_run(rng, g), rng.choice(pres.relator_shifts)[:g]
+        yield images, filler + (a + 1,) + filler
+        yield images, filler + (b + 1,) + filler
+        yield images, random_word(rng, g, 12)
 
 
 @pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
@@ -316,7 +366,9 @@ def test_packed_kernel_matches_tuple_oracles(genus):
         assert unpack(reduce_image(pres, pairs, word)) == want, (images, word)
         pieces = [images[l - 1] if l > 0 else inverse(images[-l - 1]) for l in word]
         plain = free_reduce(itertools.chain(*pieces))
-        assert unpack(_strict_pass(pres, pack(plain))) == full_scan_strict_pass(pres, plain)
+        reduced = full_scan_strict_pass(pres, plain)
+        assert unpack(_strict_pass(pres, pack(plain))) == reduced
+        passed = len(plain) > genus and pres._doubled(pack(plain))
         junctions = [e for e in log if len(e) == 4]
         replaced = [e for e in log if len(e) == 3]
         seen.update(
@@ -329,11 +381,14 @@ def test_packed_kernel_matches_tuple_oracles(genus):
                 ("strict at start", any(i == 0 for i, _, _ in replaced)),
                 ("strict at end", any(end == n for _, end, n in replaced)),
                 ("back to back", len(replaced) > 1),
+                ("prefilter rejects", len(plain) > genus and not passed),
+                ("prefilter passes, no window", passed and reduced == plain),
             ]
             if hit
         )
     assert seen == {"length-1 piece", "whole piece", "emptied", "runs back",
-                    "strict at start", "strict at end", "back to back"}
+                    "strict at start", "strict at end", "back to back",
+                    "prefilter rejects", "prefilter passes, no window"}
 
 
 def test_genus_cap():
