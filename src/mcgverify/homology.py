@@ -11,13 +11,17 @@ pieces, plus an optional fixed crosscap), whose determinant is (-1)^p for
 even k, and the genus-decomposition arithmetic g = pk + 2q(k-1) (+1).
 
 All arithmetic is exact over Python integers; determinants use
-fraction-free (Bareiss) elimination, and matrix orders iterate the basis
-vectors through the sparse columns of the matrix.
+fraction-free (Bareiss) elimination.  Periods push a dense vector through
+the sparse columns of a matrix: :func:`vector_period` gives the least n
+with M^n v = v, and :func:`matrix_order` is the lcm of the basis vectors'
+periods.  ``mcg.order_of`` needs only the period of one probe vector,
+which divides the order of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DeterminantOutOfRange, InvariantViolation, OutOfRange
 from .words import get_presentation
@@ -50,27 +54,52 @@ def matrix_power(a, k: int):
     return result
 
 
+def _sparse_columns(entries) -> list:
+    n = len(entries)
+    return [[(i, row[j]) for i, row in enumerate(entries) if row[j]] for j in range(n)]
+
+
+def _period(columns, vector, limit: int):
+    target = list(vector)
+    current = target
+    for power in range(1, limit + 1):
+        image = [0] * len(columns)
+        for c, column in zip(current, columns):
+            if c:
+                for i, m in column:
+                    image[i] += c * m
+        if image == target:
+            return power
+        current = image
+    return None
+
+
+def vector_period(entries, vector, limit: int):
+    """Least n <= limit with entries^n vector equal to vector, or None.
+
+    Pushes the dense vector through the sparse columns of the matrix, so
+    each power costs the nonzeros of the columns the vector touches rather
+    than a dense product.
+    """
+    return _period(_sparse_columns(entries), vector, limit)
+
+
 def matrix_order(entries, limit: int):
     """Least n <= limit with entries^n equal to the identity, or None.
 
-    Iterates the basis vectors through the sparse columns of the matrix:
-    after step n, vector j is column j of entries^n, so the powers 1..limit
-    are tested in order at the cost of the nonzeros touched rather than a
-    dense product per power.
+    entries^n is the identity exactly when it fixes every basis vector, so
+    the order is the lcm of the basis vectors' periods.
     """
-    n = len(entries)
-    columns = [[(i, row[j]) for i, row in enumerate(entries) if row[j]] for j in range(n)]
-    vectors = [{j: 1} for j in range(n)]
-    for power in range(1, limit + 1):
-        for j, vec in enumerate(vectors):
-            image = {}
-            for k, c in vec.items():
-                for i, m in columns[k]:
-                    image[i] = image.get(i, 0) + c * m
-            vectors[j] = {i: x for i, x in image.items() if x}
-        if all(vec == {j: 1} for j, vec in enumerate(vectors)):
-            return power
-    return None
+    columns = _sparse_columns(entries)
+    order = 1
+    for j in range(len(columns)):
+        basis = [0] * len(columns)
+        basis[j] = 1
+        period = _period(columns, basis, limit)
+        if period is None:
+            return None
+        order = lcm(order, period)
+    return order if order <= limit else None
 
 
 def determinant(matrix) -> int:
@@ -134,8 +163,7 @@ def abelianize(auto) -> HomologyMatrix:
     g = auto.genus
     pres = get_presentation(g)
     cols = [pres.abelianized(auto.images[j]) for j in range(g - 1)]
-    entries = tuple(tuple(cols[j][i] for j in range(g - 1)) for i in range(g - 1))
-    return HomologyMatrix(g, entries)
+    return HomologyMatrix(g, tuple(zip(*cols)))
 
 
 def in_twist_subgroup(matrix: HomologyMatrix) -> bool:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenusMismatch, ValidationFailure
-from .homology import abelianize, matrix_order
+from .homology import abelianize, vector_period
 from .words import (
     CONJ_BOUND,
     SurfacePresentation,
@@ -498,12 +498,17 @@ def _power(catalog: GeneratorCatalog, pairs, word, n: int) -> list:
 def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):
     """Least n <= max_order with evaluate(word)^n inner.
 
-    The homology matrix gives a cheap necessary condition: an inner power
-    must act trivially on H_1, so only multiples of the matrix order p are
-    tested at the pi_1 level.  The matrix order comes from iterating the
-    basis vectors through the matrix's sparse columns
-    (:func:`~mcgverify.homology.matrix_order`), with no dense product.
-    Proper divisors of the answer are thereby certified to fail.
+    The homology matrix M gives a cheap necessary condition: an inner power
+    T^n acts trivially on H_1, so M^n = I and in particular M^n v = v for
+    the fixed probe v = (1, 2, ..., g-1).  The period p of v
+    (:func:`~mcgverify.homology.vector_period`, which pushes v through the
+    sparse columns of M) therefore divides n, and only the multiples of p
+    are tested at the pi_1 level; no other power can be inner.  The
+    probe decides only the cost, never the verdict: the multiples n of p
+    with M^n = I are the ones a full matrix order would test, and for any
+    other multiple some generator's homology class moves, so the homology
+    check :func:`is_inner` runs first refutes T^n as NotInner, never
+    Inconclusive.
 
     The packed image pairs of the word give both the matrix and ``T^p``,
     by square-and-append (:func:`_power`); each later multiple
@@ -517,7 +522,7 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
     pres = catalog.presentation
     base = _append(catalog, pres.letters_packed, word)
     matrix = abelianize(Automorphism(catalog.genus, _unpacked(base)))
-    period = matrix_order(matrix.entries, max_order)
+    period = vector_period(matrix.entries, range(1, catalog.genus), max_order)
     if period is None:
         return InfiniteWithinBound(max_order)
 

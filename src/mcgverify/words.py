@@ -178,6 +178,8 @@ def abelianized(genus: int, word) -> tuple:
     for letter in word:
         counts[abs(letter)] += 1 if letter > 0 else -1
     last = counts[genus]
+    if not last:
+        return tuple(counts[1:genus])
     return tuple(counts[i] - last for i in range(1, genus))
 
 

@@ -200,9 +200,11 @@ def test_cli_report_same_under_python_O():
     """No check rests on assert: -O (which strips asserts) gives the same
     report, also at genus 24, where the packed word kernel sees long images,
     and for the orders at genus 25, whose period 2g = 50 takes both bit
-    branches of the square-and-append powering."""
+    branches of the square-and-append powering.  The determinant families
+    at genus 24 cover abelianization, with and without an x_g letter."""
     for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24"),
-                          ("thm1.order.*", "25..25")):
+                          ("thm1.order.*", "25..25"), ("twist.*", "24..24"),
+                          ("mcg.det.*", "24..24"), ("tsub.*", "24..24")):
         args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
         optimized = run_cli(*args, interpreter_flags=("-O",))

@@ -20,6 +20,7 @@ from mcgverify.homology import (
     matrix_mul,
     matrix_order,
     matrix_power,
+    vector_period,
 )
 from mcgverify.mcg import (
     crosscap_slide,
@@ -92,6 +93,17 @@ def test_matrix_order_small_cases():
     assert matrix_order(cycle, 4) is None
     assert matrix_order(matrix_identity(3), 1) == 1
     assert matrix_order(((1, 1), (0, 1)), 50) is None
+
+
+def test_vector_period_small_cases():
+    cycle = tuple(tuple(1 if i == (j + 1) % 5 else 0 for j in range(5)) for i in range(5))
+    assert vector_period(cycle, (1, 0, 0, 0, 0), 5) == 5
+    assert vector_period(cycle, (1, 0, 0, 0, 0), 4) is None
+    assert vector_period(matrix_identity(3), (1, 2, 3), 1) == 1
+    shear = ((1, 1), (0, 1))
+    assert vector_period(shear, (1, 0), 50) == 1
+    assert vector_period(shear, (0, 1), 50) is None
+    assert vector_period(shear, (0, 0), 1) == 1
 
 
 @pytest.mark.parametrize("genus", range(3, 13))

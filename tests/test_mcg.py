@@ -11,7 +11,13 @@ import pytest
 import mcgverify.mcg
 from mcgverify.claims import word_r, word_r_prime, word_s, word_s_prime
 from mcgverify.errors import GenusMismatch, OutOfRange, ValidationFailure
-from mcgverify.homology import abelianize, matrix_identity, matrix_power
+from mcgverify.homology import (
+    abelianize,
+    matrix_identity,
+    matrix_order,
+    matrix_power,
+    vector_period,
+)
 from mcgverify.mcg import (
     Automorphism,
     Inconclusive,
@@ -480,6 +486,57 @@ def test_order_of_inconclusive_when_conjugator_powers_run_out(genus):
     cat = get_catalog(genus)
     assert order_of(cat, word_r_prime(genus), 4 * genus, bound=1) == Inconclusive(1)
     assert order_of(cat, word_r_prime(genus), 4 * genus, bound=2) == genus - 1
+
+
+def order_claim_words(genus):
+    """The words of every order claim in the catalog at ``genus``."""
+    words = []
+    if genus >= 5:
+        words += [word(genus) for word in (word_s, word_s_prime, word_r, word_r_prime)]
+    if genus == 5:
+        words.append(word_s(5) + (tbeta(),))
+    if genus == 3:
+        words += [(talpha(1), talpha(2)), (talpha(1), talpha(1), talpha(2)), (transposition(2),)]
+    return words
+
+
+@pytest.mark.parametrize("genus", [*range(3, 31), 60])
+def test_probe_period_equals_matrix_order(genus):
+    """order_of's probe (1, 2, ..., g-1) has exactly the homology order of
+    every order-claim word, so no claim runs an extra pi_1 power; a single
+    twist has infinite order on homology, and the probe sees that too."""
+    cat = get_catalog(genus)
+    probe = range(1, genus)
+    limit = 4 * genus
+    for word in order_claim_words(genus):
+        m = abelianize(evaluate(cat, word)).entries
+        period = vector_period(m, probe, limit)
+        assert period is not None
+        assert period == matrix_order(m, limit), word
+    for i in range(1, genus):
+        m = abelianize(evaluate(cat, (talpha(i),))).entries
+        assert vector_period(m, probe, limit) is None
+        assert matrix_order(m, limit) is None
+
+
+@pytest.mark.parametrize("genus", [5, 6, 7])
+def test_order_of_does_not_rest_on_the_probe(genus, monkeypatch):
+    """With a probe period of 1, order_of tests every power, and the
+    homology check in is_inner refutes the ones below the order: every
+    result is unchanged, including the Inconclusive of a too-small
+    conjugator bound."""
+    from mcgverify.mcg import InfiniteWithinBound
+
+    monkeypatch.setattr(mcgverify.mcg, "vector_period", lambda entries, vector, limit: 1)
+    cat = get_catalog(genus)
+    even = genus % 2 == 0
+    if genus > 5:
+        assert order_of(cat, word_s(genus), 4 * genus) == (genus if even else 2 * genus)
+        assert order_of(cat, word_s_prime(genus), 4 * genus) == (
+            genus - 1 if even else 2 * (genus - 1))
+    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=1) == Inconclusive(1)
+    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=2) == genus - 1
+    assert order_of(get_catalog(4), (talpha(1),), 16) == InfiniteWithinBound(16)
 
 
 def test_is_inner_inconclusive_at_bound_0():
