@@ -59,8 +59,8 @@ from .mcg import (
     evaluate,
     format_mcg_word,
     get_catalog,
+    identity_status,
     inverse_word,
-    is_inner,
     order_of,
     talpha,
     tbeta,
@@ -155,11 +155,6 @@ def _conjugate(x, w):
     return x + w + inverse_word(x)
 
 
-def _equation(lhs, rhs):
-    """lhs rhs^-1: inner exactly when lhs = rhs in the mapping class group."""
-    return tuple(lhs) + inverse_word(rhs)
-
-
 def _stb():
     return word_s(5) + (tbeta(),)
 
@@ -178,8 +173,8 @@ class Family:
     ``provenance`` are values or functions of (g, i).  ``word(g, i)`` builds
     the mapping-class word the claim checks: the element of an ``order``
     claim, the class of a ``determinant`` claim, the map sending ``curve``
-    to the expected curve of a ``curve_image`` claim, and ``lhs rhs^-1`` of
-    an ``identity`` claim ``lhs = rhs``.
+    to the expected curve of a ``curve_image`` claim, and the two sides of
+    an ``identity`` claim, each a ``(word, exponent)`` pair.
     """
 
     id: str
@@ -230,13 +225,13 @@ FAMILIES = {family.id: family for family in (
     # identities up to inner automorphism
     Family("thm1.id.chain-power.g{g}", "identity", lambda g: g >= 4,
            "(s')^{g1} = s^{g}", "theorem-1 proof: braid-relation consequence", True,
-           lambda g, i: _equation(word_power(word_s_prime(g), g - 1), word_power(word_s(g), g))),
+           lambda g, i: ((word_s_prime(g), g - 1), (word_s(g), g))),
     Family("thm1.id.talpha1.g{g}", "identity", lambda g: g >= 5,
            "t_a1 = s' s^-1", "theorem-1 proof: recovering the first twist", True,
-           lambda g, i: _equation((talpha(1),), word_s_prime(g) + inverse_word(word_s(g)))),
+           lambda g, i: (((talpha(1),), 1), (word_s_prime(g) + inverse_word(word_s(g)), 1))),
     Family("thm1.id.talpha4.g5", "identity", lambda g: g == 5,
            "t_a4 = (s t_b)^-1 t_b (s t_b)", GENUS_5, True,
-           lambda g, i: _equation((talpha(4),), _conjugate(inverse_word(_stb()), (tbeta(),)))),
+           lambda g, i: (((talpha(4),), 1), (_conjugate(inverse_word(_stb()), (tbeta(),)), 1))),
     # curve images
     Family("thm1.orbit.s.a{i}.g{g}", "curve_image", lambda g: g >= 5,
            "s(a{i}) = {expected}", "theorem-1 proof: chain curves lie in one s-orbit",
@@ -481,9 +476,8 @@ def _run_order(claim, bounds):
 
 
 def _run_identity(claim, bounds):
-    genus, word = _family_word(claim)
-    catalog = get_catalog(genus)
-    status = is_inner(catalog.presentation, evaluate(catalog, word), bound=CONJ_BOUND)
+    genus, (lhs, rhs) = _family_word(claim)
+    status = identity_status(get_catalog(genus), lhs, rhs, bound=CONJ_BOUND)
     if isinstance(status, Inconclusive):
         return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
     inner = isinstance(status, Inner)

@@ -29,16 +29,17 @@ The catalog keeps one generator table, the images each symbol moves, and
 one primitive, :func:`_append`, which applies a word by appending its
 generators on the right, left to right: ``(acc . gen)(x_j) = acc(gen(x_j))``.
 Each generator moves only two to four of the g generator images, so only
-those images are recomputed and every other one is carried over unchanged.
-``_append`` carries each image packed, together with its packed inverse
-(see :mod:`mcgverify.words`), so a negative letter costs no inversion and
-every junction cancels in C; images are unpacked to tuples only to build
-an :class:`Automorphism`.  ``evaluate``, ``order_of``, the composite
-generators y and t_eps and the relations ``build_catalog`` certifies all go
-through it.  ``order_of`` also squares packed tables
-(:func:`_compose_pairs`) to reach a power in about log2 steps.
-:func:`compose`, which recomputes every image, is kept as the tests'
-reference route.
+those are recomputed.  Images are carried packed, each with its packed
+inverse (see :mod:`mcgverify.words`), so a negative letter costs no
+inversion and every junction cancels in C; they are unpacked to tuples only
+to build an :class:`Automorphism`.  :func:`compose`, which recomputes every
+image, is kept as the tests' reference route.
+
+The catalog's one memo table (:func:`power_pairs`) maps ``(word, n)`` to the
+packed images of ``word^n``, built by appending and squaring.  ``evaluate``
+is its n = 1 entry, ``order_of`` reads ``T^p`` from it, and
+:func:`identity_status` compares the two sides of an identity entry against
+entry, so the orders of s and s' reuse the chain-power identity's powers.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ class GeneratorCatalog:
 
     The composite generators y and t_eps are entered by :func:`_append`
     from the symbols already in the table.  Built by :func:`build_catalog`,
-    which also certifies the formulas.  Immutable after construction.
+    which also certifies the formulas.  Immutable but for its power table.
     """
 
     def __init__(self, genus: int):
@@ -346,8 +347,8 @@ class GeneratorCatalog:
             self.curves["b"] = BETA_WORD
         self.curves["e"] = unpack(reduce_image(self.presentation, y_inv, (g - 2, g - 1)))
 
-        # reduced automorphisms of composite words, memoized per catalog
-        self._eval_cache: dict = {}
+        # (word, n) -> packed image pairs of word^n, filled by power_pairs
+        self._powers: dict = {}
 
     def automorphism(self, symbol) -> Automorphism:
         """The generator's automorphism, built from the images it moves."""
@@ -398,16 +399,36 @@ def _append(catalog: GeneratorCatalog, pairs, word) -> list:
     return pairs
 
 
+def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
+    """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
+    image of x_j is ``a`` applied to the image of x_j under ``b``."""
+    images = (reduce_image(pres, a, unpack(im)) for im, _ in b)
+    return [(im, invert(im)) for im in images]
+
+
+def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
+    """Packed image pairs of ``T^n``, n >= 1, ``T = evaluate(word)``, from
+    the catalog's table.  A missing entry is built and stored by a ladder:
+    n = 1 appends ``word`` to the identity, an even n squares the n/2 entry
+    (:func:`_compose_pairs`), an odd n appends ``word`` to the n-1 entry.
+    Each entry is what the ladder computes, whatever the table held."""
+    key = (word, n)
+    pairs = catalog._powers.get(key)
+    if pairs is None:
+        if n == 1:
+            pairs = _append(catalog, catalog.presentation.letters_packed, word)
+        elif n % 2:
+            pairs = _append(catalog, power_pairs(catalog, word, n - 1), word)
+        else:
+            half = power_pairs(catalog, word, n // 2)
+            pairs = _compose_pairs(catalog.presentation, half, half)
+        pairs = catalog._powers[key] = tuple(pairs)
+    return pairs
+
+
 def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
     """Evaluate a mapping-class word, rightmost symbol applied first."""
-    word = tuple(word)
-    cached = catalog._eval_cache.get(word)
-    if cached is not None:
-        return cached
-    pairs = _append(catalog, catalog.presentation.letters_packed, word)
-    acc = Automorphism(catalog.genus, _unpacked(pairs))
-    catalog._eval_cache[word] = acc
-    return acc
+    return Automorphism(catalog.genus, _unpacked(power_pairs(catalog, tuple(word), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,44 +476,26 @@ def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
 # Equality and orders up to inner automorphism
 
 
+def identity_status(catalog: GeneratorCatalog, lhs, rhs, bound: int = CONJ_BOUND):
+    """Inner-automorphism status of ``L R^-1`` for ``L = R``, each side a
+    ``(word, exponent)`` pair.  Equal side tables (:func:`power_pairs`) give
+    Inner(()); otherwise ``is_inner`` decides ``evaluate(L R^-1)``, because
+    two routes may leave different sides of an exactly-half relator piece."""
+    (lword, ln), (rword, rn) = lhs, rhs
+    if power_pairs(catalog, lword, ln) == power_pairs(catalog, rword, rn):
+        return Inner(())
+    word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
+    return is_inner(catalog.presentation, evaluate(catalog, word), bound=bound)
+
+
 def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = CONJ_BOUND):
     """True iff the two mapping-class words define the same mapping class.
 
-    Decided by checking that evaluate(w1) . evaluate(w2)^-1 is inner.
+    Decided by :func:`identity_status` of ``w1 = w2``.
     Returns True, False, or Inconclusive(bound).
     """
-    diff = evaluate(catalog, tuple(w1) + inverse_word(w2))
-    status = is_inner(catalog.presentation, diff, bound=bound)
-    if isinstance(status, Inner):
-        return True
-    if isinstance(status, NotInner):
-        return False
-    return status
-
-
-def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
-    """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
-    image of x_j is ``a`` applied to the image of x_j under ``b``."""
-    images = (reduce_image(pres, a, unpack(im)) for im, _ in b)
-    return [(im, invert(im)) for im in images]
-
-
-def _power(catalog: GeneratorCatalog, pairs, word, n: int) -> list:
-    """Packed image pairs of ``T^n``, n >= 1, where ``pairs`` are those of
-    ``T = evaluate(word)``.
-
-    Left-to-right binary powering: each further bit of n squares the table
-    (:func:`_compose_pairs`), and a 1-bit then appends ``word`` once more
-    through :func:`_append`, so ``T^n`` costs about log2(n) table squarings
-    instead of n - 1 appends of the whole word.
-    """
-    pres = catalog.presentation
-    power = pairs
-    for bit in bin(n)[3:]:
-        power = _compose_pairs(pres, power, power)
-        if bit == "1":
-            power = _append(catalog, power, word)
-    return power
+    status = identity_status(catalog, (tuple(w1), 1), (tuple(w2), 1), bound=bound)
+    return {Inner: True, NotInner: False}.get(type(status), status)
 
 
 def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):
@@ -510,9 +513,9 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
     check :func:`is_inner` runs first refutes T^n as NotInner, never
     Inconclusive.
 
-    The packed image pairs of the word give both the matrix and ``T^p``,
-    by square-and-append (:func:`_power`); each later multiple
-    ``2p, 3p, ...`` composes the last one with ``T^p``.  Returns the order,
+    The catalog's table gives both the matrix, from ``T``, and ``T^p``
+    (:func:`power_pairs`); each later multiple ``2p, 3p, ...`` composes the
+    last one with ``T^p``.  Returns the order,
     InfiniteWithinBound(max_order), or Inconclusive if a witness search was
     indecisive.
     """
@@ -520,14 +523,12 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
         raise ValueError("max_order must be >= 1")
     word = tuple(word)
     pres = catalog.presentation
-    base = _append(catalog, pres.letters_packed, word)
-    matrix = abelianize(Automorphism(catalog.genus, _unpacked(base)))
+    matrix = abelianize(evaluate(catalog, word))
     period = vector_period(matrix.entries, range(1, catalog.genus), max_order)
     if period is None:
         return InfiniteWithinBound(max_order)
 
-    step = _power(catalog, base, word, period)
-    pairs = step
+    pairs = step = power_pairs(catalog, word, period)
     for n in range(period, max_order + 1, period):
         if n > period:
             pairs = _compose_pairs(pres, pairs, step)

@@ -199,11 +199,14 @@ def test_cli_reports_reproducible():
 def test_cli_report_same_under_python_O():
     """No check rests on assert: -O (which strips asserts) gives the same
     report, also at genus 24, where the packed word kernel sees long images,
-    and for the orders at genus 25, whose period 2g = 50 takes both bit
-    branches of the square-and-append powering.  The determinant families
-    at genus 24 cover abelianization, with and without an x_g letter."""
+    and for the orders at genus 25, whose period 2g = 50 takes both the odd
+    and the even rungs of the power table's ladder.  The identities and the
+    orders of s and s' at genera 24 and 25 cover both ladder parities, and
+    their shared entries.  The determinant families at genus 24 cover
+    abelianization, with and without an x_g letter."""
     for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24"),
-                          ("thm1.order.*", "25..25"), ("twist.*", "24..24"),
+                          ("thm1.order.*", "25..25"), ("thm1.id.*", "24..25"),
+                          ("thm1.order.s*", "24..25"), ("twist.*", "24..24"),
                           ("mcg.det.*", "24..24"), ("tsub.*", "24..24")):
         args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
@@ -212,6 +215,19 @@ def test_cli_report_same_under_python_O():
         assert optimized.returncode == 0, optimized.stderr
         assert rows_without_millis(plain)
         assert rows_without_millis(optimized) == rows_without_millis(plain)
+
+
+def test_order_claims_alone_match_the_full_run():
+    """An order claim of s or s' run alone builds its powers from scratch;
+    in the full run it reads or squares those the chain-power identity
+    left in the table.  Both give the same row."""
+    full = run_cli("run", "--filter", "[mt]*", "--genus", "24..30", "--format", "json")
+    assert full.returncode == 0, full.stderr
+    rows = {row["id"]: row for row in rows_without_millis(full)}
+    for claim_id, genus in (("thm1.order.s.g29", "29..29"), ("thm1.order.sprime.g28", "28..28")):
+        alone = run_cli("run", "--format", "json", "--filter", claim_id, "--genus", genus)
+        assert alone.returncode == 0, alone.stderr
+        assert rows_without_millis(alone) == [rows[claim_id]]
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import mcgverify.mcg
-from mcgverify.claims import word_r, word_r_prime, word_s, word_s_prime
+from mcgverify.claims import (
+    FAMILIES,
+    resolve_claims,
+    run_claims,
+    word_r,
+    word_r_prime,
+    word_s,
+    word_s_prime,
+)
 from mcgverify.errors import GenusMismatch, OutOfRange, ValidationFailure
 from mcgverify.homology import (
     abelianize,
@@ -30,10 +38,12 @@ from mcgverify.mcg import (
     curve_image,
     evaluate,
     get_catalog,
+    identity_status,
     inverse_word,
     is_inner,
     mcg_equal,
     order_of,
+    power_pairs,
     substitute,
     talpha,
     tbeta,
@@ -436,23 +446,21 @@ def power_words(rng, genus):
 
 @pytest.mark.parametrize("genus", [*range(5, 13), 24, 25])
 def test_power_matches_appended_word(genus):
-    """Square-and-append gives the images of ``word * n`` for every n in
-    1..4g.  A pair equals the one ``_append(letters_packed, word * n)``
+    """The power table's ladder gives the images of ``word * n`` for every
+    n in 1..4g.  An entry equals the one ``_append(letters_packed, word * n)``
     computes, or, where the two routes leave different sides of an
     exactly-half relator piece, the same element of pi_1; either way it is
     Dehn-reduced and carries its exact inverse."""
-    cat = get_catalog(genus)
+    cat = build_catalog(genus)
     pres = cat.presentation
-    ident = pres.letters_packed
     rng = random.Random(9200 + genus)
     exact = other_side = 0
     for word in power_words(rng, genus):
-        base = mcgverify.mcg._append(cat, ident, word)
-        want = ident
+        want = pres.letters_packed
         for n in range(1, 4 * genus + 1):
             # one more copy of word on the right: _append(ident, word * n)
             want = mcgverify.mcg._append(cat, want, word)
-            got = mcgverify.mcg._power(cat, base, word, n)
+            got = power_pairs(cat, word, n)
             assert len(got) == genus
             for (b, inv), (w, _) in zip(got, want):
                 assert invert(b) == inv
@@ -567,6 +575,65 @@ def test_chain_power_identity():
         s = tuple(talpha(i) for i in range(1, g))
         sp = (talpha(1),) + s
         assert mcg_equal(cat, word_power(sp, g - 1), word_power(s, g)) is True
+
+
+def quotient_status(cat, lhs, rhs):
+    """is_inner of ``evaluate(L R^-1)`` for the sides ``L = R``, with no
+    comparison of the side tables."""
+    (lword, ln), (rword, rn) = lhs, rhs
+    word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
+    return is_inner(cat.presentation, evaluate(cat, word))
+
+
+@pytest.mark.parametrize("genus", [*range(4, 13), 24, 30])
+def test_identity_status_matches_quotient_route(genus):
+    """Every identity claim's two sides: where their tables are equal,
+    ``identity_status`` returns Inner(()) and the quotient route returns
+    Inner with the same witness; where they differ, it is the quotient
+    route."""
+    cat = get_catalog(genus)
+    equal = 0
+    for claim in resolve_claims(f"thm1.id.*.g{genus}"):
+        lhs, rhs = FAMILIES[claim.params["family"]].word(genus, claim.params["index"])
+        status = identity_status(cat, lhs, rhs)
+        assert status == quotient_status(cat, lhs, rhs), claim.id
+        if power_pairs(cat, *lhs) == power_pairs(cat, *rhs):
+            equal += 1
+            assert status == Inner(()), claim.id
+    assert equal == 1 + (genus >= 5) + (genus == 5)
+
+
+def test_identity_status_falls_back_on_unequal_tables():
+    """Sides whose tables differ are decided by the quotient route.  The
+    chain-power identity with the wrong exponent g+1 is refuted by both
+    routes; u2^2 = id at genus 3 holds only up to a nontrivial conjugation,
+    which both routes find."""
+    cases = [(g, (word_s_prime(g), g - 1), (word_s(g), g + 1)) for g in (5, 6)]
+    cases.append((3, ((transposition(2),), 2), ((), 1)))
+    for genus, lhs, rhs in cases:
+        cat = get_catalog(genus)
+        assert power_pairs(cat, *lhs) != power_pairs(cat, *rhs)
+        status = identity_status(cat, lhs, rhs)
+        assert status == quotient_status(cat, lhs, rhs)
+        if genus == 3:
+            assert isinstance(status, Inner) and status.witness != ()
+        else:
+            assert isinstance(status, NotInner)
+
+
+@pytest.mark.parametrize("genus", [8, 9, 24, 25])
+def test_shared_power_table_equals_fresh_tables(genus):
+    """The entries a catalog holds after every thm1 claim of its genus ran
+    on it equal those of a fresh ``build_catalog``, each entry computed
+    alone, so sharing the table changes only the cost."""
+    reports = run_claims(resolve_claims(f"thm1.*.g{genus}"))
+    assert {r.status for r in reports} == {"pass"}
+    shared = get_catalog(genus)._powers
+    assert (word_s(genus), genus) in shared and (word_s_prime(genus), genus - 1) in shared
+    fresh = build_catalog(genus)
+    for (word, n), pairs in shared.items():
+        fresh._powers.clear()
+        assert power_pairs(fresh, word, n) == pairs, (word, n)
 
 
 def test_talpha1_identity_genus5():

@@ -271,6 +271,39 @@ def test_doubled_prefilter_matches_every_strict_window():
         assert not all(longer(p[: g + 1]) for p in packed), g
 
 
+def doubling_word(rng, genus, length):
+    """A word that repeats its last letter with probability 1/2, so runs of
+    doubled letters of every length occur."""
+    letters = [x for i in range(1, genus + 1) for x in (i, -i)]
+    word = [rng.choice(letters)]
+    while len(word) < length:
+        word.append(word[-1] if rng.random() < 0.5 else rng.choice(letters))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
+def test_doubled_prefilter_matches_repeated_group_pattern(genus):
+    """``_doubled``, one group per doubled letter, finds the same match as
+    the pattern with one repeated group, ``(?:(.)\\1){floor(g/2)}``: on
+    every relator window of length g, g+1 and 2g, and on random words
+    biased toward doubled letters, with a doubled run spliced in or not."""
+    pres = get_presentation(genus)
+    repeated = re.compile(rb"(?:(.)\1){%d}" % (genus // 2), re.S).search
+    rng = random.Random(4400 + genus)
+    words = [pack(s)[:n] for s in pres.relator_shifts for n in (genus, genus + 1, 2 * genus)]
+    for _ in range(300):
+        filler = doubling_word(rng, genus, rng.randrange(1, 3 * genus))
+        k = rng.randrange(len(filler) + 1)
+        words.append(pack(filler))
+        words.append(pack(filler[:k] + doubled_run(rng, genus) + filler[k:]))
+    matched = 0
+    for p in words:
+        want, got = repeated(p), pres._doubled(p)
+        assert (got and got.span()) == (want and want.span()), (genus, p)
+        matched += want is not None
+    assert 0 < matched < len(words)
+
+
 def test_end_pairs_cover_every_rotation():
     for g in range(3, 13):
         pres = get_presentation(g)
