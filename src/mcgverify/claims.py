@@ -55,18 +55,17 @@ from .mcg import (
     Inner,
     crosscap_slide,
     curve_class,
-    curve_image,
     evaluate,
     format_mcg_word,
     get_catalog,
     identity_status,
     inverse_word,
     order_of,
+    product_curve_image,
     talpha,
     tbeta,
     teps,
     transposition,
-    word_power,
 )
 from .words import CONJ_BOUND, MAX_GENUS, format_word
 
@@ -155,6 +154,16 @@ def _conjugate(x, w):
     return x + w + inverse_word(x)
 
 
+def _one(word):
+    """A word as the one factor of a curve-image map."""
+    return ((word, 1),)
+
+
+def _conjugate_power(x, w, k):
+    """The factors of x w^k x^-1, which keep the power."""
+    return ((x, 1), (w, k), (inverse_word(x), 1))
+
+
 def _stb():
     return word_s(5) + (tbeta(),)
 
@@ -172,9 +181,12 @@ class Family:
     ``g1`` = g-1, ``g3`` = g-3 and ``expected``; ``expected`` and
     ``provenance`` are values or functions of (g, i).  ``word(g, i)`` builds
     the mapping-class word the claim checks: the element of an ``order``
-    claim, the class of a ``determinant`` claim, the map sending ``curve``
-    to the expected curve of a ``curve_image`` claim, and the two sides of
-    an ``identity`` claim, each a ``(word, exponent)`` pair.
+    claim, the class of a ``determinant`` claim, and the two sides of an
+    ``identity`` claim, each a ``(word, exponent)`` pair.  The map sending
+    ``curve`` to the expected curve of a ``curve_image`` claim is a tuple of
+    such factors, applied rightmost first: one factor for most maps, and
+    ``(x, 1), (r, k), (x^-1, 1)`` for ``x r^k x^-1``, whose power costs a
+    ladder of squarings instead of (g-1)k appended symbols.
     """
 
     id: str
@@ -235,32 +247,32 @@ FAMILIES = {family.id: family for family in (
     # curve images
     Family("thm1.orbit.s.a{i}.g{g}", "curve_image", lambda g: g >= 5,
            "s(a{i}) = {expected}", "theorem-1 proof: chain curves lie in one s-orbit",
-           lambda g, i: f"a{i + 1}", lambda g, i: word_s(g),
+           lambda g, i: f"a{i + 1}", lambda g, i: _one(word_s(g)),
            indices=lambda g: range(1, g - 1), curve="a{i}"),
     Family("thm1.orbit.r.a{i}.g{g}", "curve_image", lambda g: g >= 5,
            "r(a{i}) = {expected}", "theorem-1 proof: chain curves lie in one r-orbit",
-           lambda g, i: f"a{i + 1}", lambda g, i: word_r(g),
+           lambda g, i: f"a{i + 1}", lambda g, i: _one(word_r(g)),
            indices=lambda g: range(1, g - 1), curve="a{i}"),
     Family("thm1.orbit.yrprimey.g5", "curve_image", lambda g: g == 5,
            "y^-1 r' y(a2) = e", "theorem-1 proof, genus-5 case: reaching the eps twist", "e",
-           lambda g, i: _conjugate((crosscap_slide(-1),), word_r_prime(5)), curve="a2"),
+           lambda g, i: _one(_conjugate((crosscap_slide(-1),), word_r_prime(5))), curve="a2"),
     Family("thm1.orbit.x-a4.g{g}", "curve_image", lambda g: g >= 6,
-           "x(a4) = b", X_IMAGES, "b", lambda g, i: word_x(g), curve="a4"),
+           "x(a4) = b", X_IMAGES, "b", lambda g, i: _one(word_x(g)), curve="a4"),
     Family("thm1.orbit.x-a2.g{g}", "curve_image", lambda g: g >= 6,
-           "x(a2) = a3", X_IMAGES, "a3", lambda g, i: word_x(g), curve="a2"),
+           "x(a2) = a3", X_IMAGES, "a3", lambda g, i: _one(word_x(g)), curve="a2"),
     Family("thm1.orbit.x-a3.g6", "curve_image", lambda g: g == 6,
-           "x(a3) = e", X_IMAGES, "e", lambda g, i: word_x(g), curve="a3"),
+           "x(a3) = e", X_IMAGES, "e", lambda g, i: _one(word_x(g)), curve="a3"),
     Family("thm1.orbit.x-alast.g{g}", "curve_image", lambda g: g >= 7,
-           "x(a{g1}) = e", X_IMAGES, "e", lambda g, i: word_x(g), curve="a{g1}"),
+           "x(a{g1}) = e", X_IMAGES, "e", lambda g, i: _one(word_x(g)), curve="a{g1}"),
     Family("thm1.orbit.xr2x.g{g}", "curve_image", lambda g: g >= 6,
            "x r^2 x^-1(a3) = b", "theorem-1 proof: beta joins the twist-curve orbit", "b",
-           lambda g, i: _conjugate(word_x(g), word_power(word_r(g), 2)), curve="a3"),
+           lambda g, i: _conjugate_power(word_x(g), word_r(g), 2), curve="a3"),
     Family("thm1.orbit.xrx.g6", "curve_image", lambda g: g == 6,
            "x r x^-1(a3) = e", EPS_ORBIT, "e",
-           lambda g, i: _conjugate(word_x(g), word_r(g)), curve="a3"),
+           lambda g, i: _one(_conjugate(word_x(g), word_r(g))), curve="a3"),
     Family("thm1.orbit.xrkx.g{g}", "curve_image", lambda g: g >= 7,
            "x r^{g3} x^-1(a3) = e", EPS_ORBIT, "e",
-           lambda g, i: _conjugate(word_x(g), word_power(word_r(g), g - 3)), curve="a3"),
+           lambda g, i: _conjugate_power(word_x(g), word_r(g), g - 3), curve="a3"),
     # determinants on homology
     Family("twist.det.a{i}.g{g}", "determinant", lambda g: True,
            "det of the twist t_a{i} on homology is +1", CRITERION, 1,
@@ -485,9 +497,10 @@ def _run_identity(claim, bounds):
 
 
 def _run_curve_image(claim, bounds):
-    genus, word = _family_word(claim)
+    genus, factors = _family_word(claim)
     catalog = get_catalog(genus)
-    image = curve_image(catalog, word, curve_class(catalog, catalog.curves[claim.params["curve"]]))
+    start = curve_class(catalog, catalog.curves[claim.params["curve"]])
+    image = product_curve_image(catalog, factors, start)
     target = curve_class(catalog, catalog.curves[claim.expected])
     return _status(image == target), format_word(image.key), format_word(target.key)
 

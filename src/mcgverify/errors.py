@@ -6,7 +6,8 @@ class McgVerifyError(Exception):
 
 
 class ConjugacyMismatch(McgVerifyError):
-    """find_conjugators was called on a pair that is not conjugate."""
+    """A conjugator search (``conjugators``, ``find_conjugators``) was asked
+    for a pair that is not conjugate."""
 
 
 class GenusMismatch(McgVerifyError):

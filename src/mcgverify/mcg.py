@@ -40,19 +40,27 @@ packed images of ``word^n``, built by appending and squaring.  ``evaluate``
 is its n = 1 entry, ``order_of`` reads ``T^p`` from it, and
 :func:`identity_status` compares the two sides of an identity entry against
 entry, so the orders of s and s' reuse the chain-power identity's powers.
+A curve-orbit map is a product of such entries (:func:`product_pairs`), so
+``x r^k x^-1`` costs the ladder of ``r^k`` and two compositions.  Squaring
+and composing run through :func:`_compose_pairs`, a table-indexed loop
+beside the per-letter kernel of ``_append``.
+
+:func:`is_inner` tries a witness before it compares the classes of the
+generator images, which it needs only when no witness exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenusMismatch, ValidationFailure
+from .errors import GenusMismatch, InvariantViolation, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
     CONJ_BOUND,
     SurfacePresentation,
+    _strict_pass,
+    conjugators,
     cyclic_canonical,
-    find_conjugators,
     format_word,
     free_reduce,
     get_presentation,
@@ -173,23 +181,39 @@ def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = CONJ_BOUND
     one u or y symbol.  Such a class is a twist about a curve that bounds a
     one-holed Klein bottle; it fixes homology and the conjugacy class of
     every generator image, so neither invariant can refute it.
+
+    The checks run witness first: after the homology check and the class of
+    x1's image, the verified conjugators of x1 onto its image are taken one
+    at a time (:func:`~mcgverify.words.conjugators`, the order
+    ``find_conjugators`` lists them in), and the first that also sends every
+    other x_i onto its image is the witness.  Only when none does are the
+    classes of the other images compared.  No verdict depends on that
+    order: a witness proves every image conjugate to its generator, so the
+    class loop could not have refuted it, and without one the class loop
+    runs as it would have first.  If no candidate verifies on x1, whose
+    class matched, the canonical forms are at fault: InvariantViolation.
     """
     g = pres.genus
     # Inner automorphisms act trivially on homology.
     for i in range(1, g + 1):
         if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
             return NotInner(f"homology class of image of x{i} moved")
-    for i in range(1, g + 1):
-        if not is_conjugate(pres, (i,), a.images[i - 1]):
-            return NotInner(f"image of x{i} not conjugate to x{i}")
-    candidates = find_conjugators(pres, (1,), a.images[0], bound=bound)
-    for c in candidates:
+    if not is_conjugate(pres, (1,), a.images[0]):
+        return NotInner("image of x1 not conjugate to x1")
+    verified = False
+    for c in conjugators(pres, (1,), a.images[0], bound=bound):
+        verified = True
         c_inv = inverse(c)
         if all(
             is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1])))
             for i in range(2, g + 1)
         ):
             return Inner(c)
+    if not verified:
+        raise InvariantViolation("canonical matching produced no valid conjugator")
+    for i in range(2, g + 1):
+        if not is_conjugate(pres, (i,), a.images[i - 1]):
+            return NotInner(f"image of x{i} not conjugate to x{i}")
     return Inconclusive(bound)
 
 
@@ -401,9 +425,45 @@ def _append(catalog: GeneratorCatalog, pairs, word) -> list:
 
 def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
     """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
-    image of x_j is ``a`` applied to the image of x_j under ``b``."""
-    images = (reduce_image(pres, a, unpack(im)) for im, _ in b)
-    return [(im, invert(im)) for im in images]
+    image of x_j is ``a`` applied to the image of x_j under ``b``.
+
+    The same junction cancellation as :func:`~mcgverify.words.reduce_image`,
+    through one 256-slot table built once per call and indexed by a
+    letter's signed byte: the piece ``a`` substitutes for the letter, the
+    last byte of the piece's inverse, that inverse read as one
+    little-endian integer, and its length n.  The bytes of each image of
+    ``b`` are read directly.  At a junction whose last bytes agree, the
+    tail of the product is XORed with the stored integer, shifted right by
+    the bytes the product lacks when it is shorter than n.  Squaring a
+    power cancels most of what it appends, at thousands of junctions, so
+    the work per junction is what counts.  The strict pass follows, as in
+    ``reduce_image``, and each result carries its inverse.
+    """
+    table = [None] * 256
+    for i, (piece, inv) in enumerate(a, 1):
+        n = len(piece)
+        table[i] = (piece, inv[-1], int.from_bytes(inv, "little"), n)
+        table[-i & 0xFF] = (inv, piece[-1], int.from_bytes(piece, "little"), n)
+    pairs = []
+    for image, _ in b:
+        out = bytearray()
+        for byte in image:
+            piece, last, key, n = table[byte]
+            if out and out[-1] == last:
+                m = len(out)
+                if m >= n:
+                    x = int.from_bytes(out[-n:], "little") ^ key
+                    k = n - (x.bit_length() + 7 >> 3)
+                else:
+                    x = int.from_bytes(out, "little") ^ (key >> 8 * (n - m))
+                    k = m - (x.bit_length() + 7 >> 3)
+                del out[-k:]
+                out += piece[k:]
+            else:
+                out += piece
+        w = _strict_pass(pres, bytes(out))
+        pairs.append((w, invert(w)))
+    return pairs
 
 
 def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
@@ -423,6 +483,19 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
             half = power_pairs(catalog, word, n // 2)
             pairs = _compose_pairs(catalog.presentation, half, half)
         pairs = catalog._powers[key] = tuple(pairs)
+    return pairs
+
+
+def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
+    """Packed image pairs of the product ``W_1^n_1 W_2^n_2 ...`` of one or
+    more ``(word, exponent)`` factors, exponents >= 1, rightmost factor
+    applied first, as for a word.  Each factor is its :func:`power_pairs`
+    entry, so a power costs a ladder of squarings, not n copies of its
+    word; the entries are composed left to right by :func:`_compose_pairs`."""
+    (word, n), *rest = factors
+    pairs = power_pairs(catalog, tuple(word), n)
+    for word, n in rest:
+        pairs = _compose_pairs(catalog.presentation, pairs, power_pairs(catalog, tuple(word), n))
     return pairs
 
 
@@ -467,9 +540,17 @@ def curve_class(catalog: GeneratorCatalog, word) -> CurveClass:
 
 def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     """Image of a curve class under a mapping-class word."""
-    auto = evaluate(catalog, word)
+    return product_curve_image(catalog, ((word, 1),), curve)
+
+
+def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass:
+    """Image of a curve class (or of a curve word) under the product of
+    ``(word, exponent)`` factors (:func:`product_pairs`).  The class is
+    canonical, so a product and its flat word give the same class however
+    the two routes spell the image."""
+    pres = catalog.presentation
     raw = curve.key if isinstance(curve, CurveClass) else tuple(curve)
-    return CurveClass(catalog.presentation, auto(raw))
+    return CurveClass(pres, unpack(reduce_image(pres, product_pairs(catalog, factors), raw)))
 
 
 # ---------------------------------------------------------------------------

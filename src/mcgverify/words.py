@@ -20,7 +20,9 @@ oracles in the test suite.
 
 Conjugacy works on cyclic words: the canonical form of a conjugacy class is
 the lexicographically smallest member of the closure of the cyclically
-reduced word under rotation and half-for-half exchange.  Closing under
+reduced word under rotation and half-for-half exchange.  Conjugators are
+yielded lazily and verified one at a time (:func:`conjugators`), so a
+caller that needs the first usable one checks no more.  Closing under
 exchanges matters at every genus: for example ``x1^2 x2^2`` equals
 ``(x3^2 x4^2)^-1`` in genus 4, and the two sides are not rotations of each
 other.
@@ -33,11 +35,14 @@ the letters that cancel are the longest common suffix of the word and the
 piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
 The strict pass and :func:`reduce_image`, which applies a table of packed
-images and inlines ``_cancel``, both cancel that way.  The strict pass
-first searches the word for floor(g/2) doubled letters in a row, which
-every strict window holds, and returns at once if there are none.  Public
-functions take and return tuples and pack at their boundary.  A signed
-byte holds letters up to 127, so the genus is capped at ``MAX_GENUS = 127``.
+images and inlines ``_cancel``, both cancel that way; so does
+``mcg._compose_pairs``, which squares power tables through a per-call
+table indexed by a letter's byte and ends in the same strict pass.  The
+strict pass first searches the word for floor(g/2) doubled letters in a
+row, which every strict window holds, and returns at once if there are
+none.  Public functions take and return tuples and pack at their
+boundary.  A signed byte holds letters up to 127, so the genus is capped
+at ``MAX_GENUS = 127``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
@@ -552,14 +557,18 @@ def _primitive_root(pres: SurfacePresentation, canon: Word, conj: Word) -> Word:
     return mul(conj, canon, inverse(conj))
 
 
-def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
-    """Candidate conjugators c with c a c^-1 = b.
+def conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND):
+    """Yield the verified conjugators c with c a c^-1 = b, lazily.
 
     One base conjugator is recovered from the canonical-form matching; it
     is composed with powers z^k, |k| <= bound, of the primitive root z of
-    ``a`` (the centralizer candidates).  Every returned word is verified.
+    ``a`` (the centralizer candidates), in the order base, base z,
+    base z^-1, base z^2, ...  A candidate is yielded only once
+    ``is_trivial`` verifies it, so a caller that stops at the first one it
+    can use builds and checks no later candidate.
 
-    Raises ConjugacyMismatch if the two words are not conjugate.
+    Raises ConjugacyMismatch, at the first step, if the two words are not
+    conjugate.
     """
     a, b = tuple(a), tuple(b)
     canon_a, conj_a = _canonical_with_conj(pres, a)
@@ -569,18 +578,35 @@ def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -
             f"{format_word(a)} and {format_word(b)} are not conjugate"
         )
     if not canon_a:
-        return [EMPTY]
+        yield EMPTY
+        return
     base = mul(conj_b, inverse(conj_a))
     root = _primitive_root(pres, canon_a, conj_a)
-    candidates = [base]
+    b_inv = inverse(b)
+
+    def verified(c):
+        return is_trivial(pres, mul(c, a, inverse(c), b_inv))
+
+    if verified(base):
+        yield base
     power = EMPTY
     inv_power = EMPTY
     for _ in range(bound):
         power = mul(power, root)
         inv_power = mul(inv_power, inverse(root))
-        candidates.append(mul(base, power))
-        candidates.append(mul(base, inv_power))
-    verified = [c for c in candidates if is_trivial(pres, mul(c, a, inverse(c), inverse(b)))]
+        for c in (mul(base, power), mul(base, inv_power)):
+            if verified(c):
+                yield c
+
+
+def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
+    """Every verified conjugator c with c a c^-1 = b that :func:`conjugators`
+    yields, in its order.
+
+    Raises ConjugacyMismatch if the two words are not conjugate, and
+    InvariantViolation if no candidate verifies.
+    """
+    verified = list(conjugators(pres, a, b, bound))
     if not verified:
         raise InvariantViolation("canonical matching produced no valid conjugator")
     return verified

@@ -207,7 +207,8 @@ def test_cli_report_same_under_python_O():
     for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24"),
                           ("thm1.order.*", "25..25"), ("thm1.id.*", "24..25"),
                           ("thm1.order.s*", "24..25"), ("twist.*", "24..24"),
-                          ("mcg.det.*", "24..24"), ("tsub.*", "24..24")):
+                          ("mcg.det.*", "24..24"), ("tsub.*", "24..24"),
+                          ("thm1.order.*", "5..5"), ("thm1.id.*", "5..5")):
         args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
         optimized = run_cli(*args, interpreter_flags=("-O",))
@@ -299,6 +300,23 @@ def test_cli_list_resolves_id_parameters(claim_id):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{claim_id}  ["), proc.stdout
+
+
+def test_cli_explain_and_list_of_a_factored_orbit_claim():
+    """The x r^k x^-1 claims keep r^k as a factor; what explain and list
+    print of them is the claim's text, unchanged."""
+    explained = run_cli("explain", "thm1.orbit.xrkx.g127")
+    listed = run_cli("list", "--filter", "thm1.orbit.xrkx.g127")
+    assert explained.returncode == listed.returncode == 0
+    assert explained.stdout == (
+        "id:          thm1.orbit.xrkx.g127\n"
+        "kind:        curve_image\n"
+        "statement:   x r^124 x^-1(a3) = e\n"
+        "source:      theorem-1 proof: eps joins the twist-curve orbit\n"
+        "expected:    'e'\n"
+        "provenance:  stated\n"
+    )
+    assert listed.stdout == "thm1.orbit.xrkx.g127  [stated]  x r^124 x^-1(a3) = e\n"
 
 
 def test_cli_explain_unknown_exits_4():

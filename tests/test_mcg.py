@@ -17,8 +17,9 @@ from mcgverify.claims import (
     word_r_prime,
     word_s,
     word_s_prime,
+    word_x,
 )
-from mcgverify.errors import GenusMismatch, OutOfRange, ValidationFailure
+from mcgverify.errors import GenusMismatch, InvariantViolation, OutOfRange, ValidationFailure
 from mcgverify.homology import (
     abelianize,
     matrix_identity,
@@ -44,6 +45,8 @@ from mcgverify.mcg import (
     mcg_equal,
     order_of,
     power_pairs,
+    product_curve_image,
+    product_pairs,
     substitute,
     talpha,
     tbeta,
@@ -52,17 +55,24 @@ from mcgverify.mcg import (
     word_power,
 )
 from mcgverify.words import (
+    CONJ_BOUND,
+    MAX_GENUS,
+    _canonical_with_conj,
+    _primitive_root,
     dehn_reduce,
     free_reduce,
     get_presentation,
     inverse,
     invert,
+    is_conjugate,
     is_trivial,
     mul,
+    pack,
     unpack,
 )
 
 from conftest import identity_automorphism, random_word
+from test_words import kernel_cases, tuple_reduce_image
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -474,6 +484,86 @@ def test_power_matches_appended_word(genus):
     assert exact > 0
 
 
+def power_rungs(n):
+    """The exponents power_pairs visits on its ladder to ``n``."""
+    rungs = [n]
+    while rungs[-1] > 1:
+        m = rungs[-1]
+        rungs.append(m - 1 if m % 2 else m // 2)
+    return rungs
+
+
+def squaring_cases(rng, genus):
+    """(a, b) image tables for _compose_pairs: seeded tables from
+    ``kernel_cases``, with the case's word as the first image of b, and
+    every square the power table's ladder takes towards the orders of s,
+    s', r and r', with one product P^h P^1 per word, on a fresh catalog."""
+    pres = get_presentation(genus)
+    rest = [(i,) for i in range(2, genus + 1)]
+    for images, word in kernel_cases(rng, pres, 20):
+        yield images, [word] + rest
+    cat = build_catalog(genus)
+    even = genus % 2 == 0
+    orders = {word_s: genus if even else 2 * genus,
+              word_s_prime: genus - 1 if even else 2 * genus - 2,
+              word_r: genus, word_r_prime: genus - 1}
+    for word, order in orders.items():
+        w = word(genus)
+
+        def power(n):
+            return [unpack(b) for b, _ in power_pairs(cat, w, n)]
+
+        for n in power_rungs(order):
+            if n % 2 == 0:
+                yield power(n // 2), power(n // 2)
+        yield power(order // 2), power(1)
+
+
+@pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
+def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
+    """The table-indexed loop of ``_compose_pairs`` gives, image for image,
+    what ``compose`` (the reference route) and the tuple oracle that cancels
+    one letter at a time give, with exact inverses, on seeded tables and on
+    the squares of the power tables of s, s', r and r'.  Every case the
+    table's junction handles occurs: a product shorter than the piece's
+    inverse (the shifted key), a whole piece cancelled, an emptied product,
+    a run back into an earlier piece, negative letters (table slots from
+    0x80 up) and, from genus 10 on, letter 10, byte 0x0a, which the strict
+    pass's regex reads only because ``re.S`` is set.  At genus 127 the
+    oracle, which pops one letter per cancelled letter, reads the first
+    image and six seeded others of each table; ``compose`` reads them all."""
+    pres = get_presentation(genus)
+    rng = random.Random(9300 + genus)
+    seen = set()
+    for a_images, b_images in squaring_cases(rng, genus):
+        a = [(pack(im), pack(inverse(im))) for im in a_images]
+        b = [(pack(im), pack(inverse(im))) for im in b_images]
+        got = mcgverify.mcg._compose_pairs(pres, a, b)
+        want = compose(Automorphism(genus, a_images), Automorphism(genus, b_images))
+        assert tuple(unpack(w) for w, _ in got) == want.images
+        assert all(invert(w) == inv for w, inv in got)
+        read = range(genus) if genus <= 30 else [0, *rng.sample(range(1, genus), 6)]
+        for j in read:
+            image, w = b_images[j], got[j][0]
+            log = []
+            assert unpack(w) == tuple_reduce_image(pres, a_images, image, log), image
+            junctions = [e for e in log if len(e) == 4]
+            seen.update(
+                label
+                for label, hit in [
+                    ("product shorter", any(k > 0 and before < n for k, n, before, _ in junctions)),
+                    ("whole piece", any(0 < n == k for k, n, _, _ in junctions)),
+                    ("emptied", any(0 < before == k for k, _, before, _ in junctions)),
+                    ("runs back", any(k > left > 0 for k, _, _, left in junctions)),
+                    ("byte >= 0x80", max(pack(image), default=0) >= 0x80),
+                    ("byte 0x0a", 0x0A in pack(image) and 0x0A in w),
+                ]
+                if hit
+            )
+    want_seen = {"product shorter", "whole piece", "emptied", "runs back", "byte >= 0x80"}
+    assert seen == want_seen | ({"byte 0x0a"} if genus >= 10 else set())
+
+
 def test_order_of_identity_word(catalog):
     assert order_of(catalog, (), 4) == 1
 
@@ -552,6 +642,144 @@ def test_is_inner_inconclusive_at_bound_0():
     a = evaluate(cat, word_s(6) * 6)
     assert is_inner(cat.presentation, a, bound=0) == Inconclusive(0)
     assert isinstance(is_inner(cat.presentation, a), Inner)
+
+
+def eager_is_inner(pres, a, bound=CONJ_BOUND):
+    """Reference: is_inner with every generator's class compared first and
+    the whole candidate list built and verified before any is tried, as
+    ``find_conjugators`` built it before it read a lazy generator."""
+    g = pres.genus
+    for i in range(1, g + 1):
+        if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
+            return NotInner(f"homology class of image of x{i} moved")
+    for i in range(1, g + 1):
+        if not is_conjugate(pres, (i,), a.images[i - 1]):
+            return NotInner(f"image of x{i} not conjugate to x{i}")
+    b = a.images[0]
+    canon, conj_a = _canonical_with_conj(pres, (1,))
+    conj_b = _canonical_with_conj(pres, b)[1]
+    base = mul(conj_b, inverse(conj_a))
+    root = _primitive_root(pres, canon, conj_a)
+    candidates = [base]
+    power = inv_power = ()
+    for _ in range(bound):
+        power = mul(power, root)
+        inv_power = mul(inv_power, inverse(root))
+        candidates += [mul(base, power), mul(base, inv_power)]
+    verified = [c for c in candidates if is_trivial(pres, mul(c, (1,), inverse(c), inverse(b)))]
+    if not verified:
+        raise InvariantViolation("canonical matching produced no valid conjugator")
+    for c in verified:
+        if all(is_trivial(pres, mul(c, (i,), inverse(c), inverse(a.images[i - 1])))
+               for i in range(2, g + 1)):
+            return Inner(c)
+    return Inconclusive(bound)
+
+
+def tabled(genus, pairs):
+    return Automorphism(genus, [unpack(b) for b, _ in pairs])
+
+
+def named_inner_cases():
+    """(presentation, automorphism, bound) for each way is_inner can end:
+    t_a1 (homology), (u2 t_b^-1)^2 at genus 4 (x1's class), (u3 t_e)^2 at
+    genus 5 (x3's class, after every x1 candidate failed), u2^2 at genus 3
+    (a nontrivial witness), u1^2 and y^2 (Inconclusive), and s^6 at genus 6
+    with bound 0 (Inconclusive(0)) and the default bound (Inner)."""
+    cases = []
+    for genus, word, bound in [
+        (4, (talpha(1),), CONJ_BOUND),
+        (4, (transposition(2), tbeta(-1)) * 2, CONJ_BOUND),
+        (5, (transposition(3), teps()) * 2, CONJ_BOUND),
+        (3, (transposition(2),) * 2, CONJ_BOUND),
+        *((g, (transposition(1),) * 2, CONJ_BOUND) for g in (5, 6)),
+        *((g, (crosscap_slide(),) * 2, CONJ_BOUND) for g in (5, 6)),
+        (6, word_s(6) * 6, 0),
+        (6, word_s(6) * 6, CONJ_BOUND),
+    ]:
+        cat = get_catalog(genus)
+        cases.append((cat.presentation, evaluate(cat, word), bound))
+    return cases
+
+
+def test_is_inner_matches_eager_on_named_cases():
+    seen = set()
+    for pres, auto, bound in named_inner_cases():
+        status = is_inner(pres, auto, bound=bound)
+        assert status == eager_is_inner(pres, auto, bound=bound)
+        seen.add(getattr(status, "reason", type(status).__name__).split(" to ")[0])
+    assert seen == {"homology class of image of x1 moved", "image of x1 not conjugate",
+                    "image of x3 not conjugate", "Inner", "Inconclusive"}
+
+
+@pytest.mark.parametrize("genus", [*range(3, 13), 24, 25])
+def test_is_inner_matches_eager_on_order_powers(genus):
+    """Every power T^n, n = 1..order, of every order-claim word: the
+    witness-first order gives the status, witness and reason the eager
+    reference gives."""
+    cat = get_catalog(genus)
+    pres = cat.presentation
+    for word in order_claim_words(genus):
+        order = order_of(cat, word, 4 * genus)
+        for n in range(1, order + 1):
+            auto = tabled(genus, power_pairs(cat, word, n))
+            status = is_inner(pres, auto)
+            assert status == eager_is_inner(pres, auto), (word, n)
+            assert isinstance(status, Inner) == (n == order), (word, n)
+
+
+@pytest.mark.parametrize("genus", [*range(4, 13), 24])
+def test_is_inner_matches_eager_on_identity_quotients(genus):
+    """The quotient L R^-1 of every identity claim, and of the chain-power
+    identity with the wrong exponent g+1."""
+    cat = get_catalog(genus)
+    pres = cat.presentation
+    sides = [FAMILIES[c.params["family"]].word(genus, c.params["index"])
+             for c in resolve_claims(f"thm1.id.*.g{genus}")]
+    sides.append(((word_s_prime(genus), genus - 1), (word_s(genus), genus + 1)))
+    for lhs, rhs in sides:
+        auto = evaluate(cat, word_power(*lhs) + inverse_word(word_power(*rhs)))
+        assert is_inner(pres, auto) == eager_is_inner(pres, auto), (lhs, rhs)
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 7])
+def test_is_inner_matches_eager_on_seeded_conjugations(genus):
+    rng = random.Random(9400 + genus)
+    pres = get_presentation(genus)
+    for _ in range(30):
+        w = random_word(rng, genus, 6)
+        auto = Automorphism(genus, [mul(w, (i,), inverse(w)) for i in range(1, genus + 1)])
+        status = is_inner(pres, auto)
+        assert isinstance(status, Inner)
+        assert status == eager_is_inner(pres, auto)
+
+
+def test_is_inner_raises_when_no_candidate_verifies(monkeypatch):
+    """With ``is_trivial`` forced to False no conjugator verifies, as when
+    canonical forms are wrong.  Wherever homology and x1's class pass,
+    is_inner raises InvariantViolation: it never falls through to the class
+    loop, so never to Inconclusive.  Refutations before the search stand."""
+    rng = random.Random(9500)
+    pres = get_presentation(5)
+    cases = named_inner_cases()
+    for _ in range(5):
+        w = random_word(rng, 5, 6)
+        cases.append((pres, Automorphism(5, [mul(w, (i,), inverse(w)) for i in range(1, 6)]),
+                      CONJ_BOUND))
+    want = [is_inner(p, auto, bound=bound) for p, auto, bound in cases]
+    never = lambda pres, word: False
+    monkeypatch.setattr(mcgverify.words, "is_trivial", never)
+    monkeypatch.setattr(mcgverify.mcg, "is_trivial", never)
+    raised = 0
+    for (p, auto, bound), status in zip(cases, want):
+        reason = getattr(status, "reason", "")
+        if reason.startswith(("homology", "image of x1 ")):
+            assert is_inner(p, auto, bound=bound) == status
+            continue
+        with pytest.raises(InvariantViolation):
+            is_inner(p, auto, bound=bound)
+        raised += 1
+    assert raised == len(cases) - 2
 
 
 def test_order_consistency_with_homology():
@@ -809,3 +1037,28 @@ def test_identity_word_fixes_curves(catalog):
     for name in catalog.curves:
         c = curve_class(catalog, catalog.curves[name])
         assert curve_image(catalog, (), c) == c
+
+
+@pytest.mark.parametrize("genus", [*range(6, 13), 24, 30])
+def test_factored_orbit_maps_match_flat_words(genus):
+    """The x r^k x^-1 maps of the orbit claims, kept as the factors
+    (x, 1), (r, k), (x^-1, 1), send a3 to the class the flat word sends it
+    to, the word test_acceptance.py spells out symbol by symbol, and that
+    class is the expected curve.  The product's images are those of the
+    flat word as group elements."""
+    cat = get_catalog(genus)
+    pres = cat.presentation
+    x, r = word_x(genus), word_r(genus)
+    a3 = curve_class(cat, cat.curves["a3"])
+    maps = [("thm1.orbit.xr2x.g{g}", 2, "b")]
+    if genus >= 7:
+        maps.append(("thm1.orbit.xrkx.g{g}", genus - 3, "e"))
+    for family, k, target in maps:
+        factors = FAMILIES[family].word(genus, None)
+        assert factors == ((x, 1), (r, k), (inverse_word(x), 1))
+        flat = x + word_power(r, k) + inverse_word(x)
+        image = product_curve_image(cat, factors, a3)
+        assert image == curve_image(cat, flat, a3) == curve_class(cat, cat.curves[target])
+        product = tabled(genus, product_pairs(cat, factors))
+        for got, want in zip(product.images, evaluate(cat, flat).images):
+            assert is_trivial(pres, mul(got, inverse(want)))
