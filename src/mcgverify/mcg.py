@@ -93,9 +93,6 @@ class Automorphism:
         if len(self.images) != genus:
             raise ValueError("need one image per generator")
 
-    def __call__(self, word) -> tuple:
-        return substitute(get_presentation(self.genus), self.images, word)
-
     def __eq__(self, other):
         return (
             isinstance(other, Automorphism)
@@ -117,22 +114,20 @@ def substitute(pres: SurfacePresentation, images, word) -> tuple:
     The images must be freely reduced, so that the concatenation cancels
     only where two images meet (:func:`~mcgverify.words.reduce_image`):
     ``build_catalog`` certifies the generator images, and every computed
-    image is Dehn-reduced.  Only the images the word uses are packed.
+    image is Dehn-reduced.  It packs the whole image table (:func:`_packed`).
     """
-    pairs = {}
-    for x in set(map(abs, word)):
-        b = pack(images[x - 1])
-        pairs[x - 1] = (b, invert(b))
-    return unpack(reduce_image(pres, pairs, word))
+    return unpack(reduce_image(pres, _packed(images), word))
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     """a after b: the composite sends x_i to a(b(x_i)), images reduced.
-    Every image is recomputed: the tests' reference route for :func:`_append`."""
+    Every image is recomputed: the tests' reference route for :func:`_append`.
+    The table of ``a`` is packed once for all the images of ``b``."""
     if a.genus != b.genus:
         raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
     pres = get_presentation(a.genus)
-    return Automorphism(a.genus, [substitute(pres, a.images, img) for img in b.images])
+    pairs = _packed(a.images)
+    return Automorphism(a.genus, [unpack(reduce_image(pres, pairs, im)) for im in b.images])
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +319,11 @@ def _moved(images) -> tuple:
     return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
 
 
+def _packed(images) -> list:
+    """The packed pair (image, inverse) of every image of a table."""
+    return [(b, invert(b)) for b in map(pack, images)]
+
+
 def _unpacked(pairs) -> list:
     """The images of a list of packed pairs, as tuples."""
     return [unpack(b) for b, _ in pairs]
@@ -427,7 +427,7 @@ def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
     """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
     image of x_j is ``a`` applied to the image of x_j under ``b``.
 
-    The same junction cancellation as :func:`~mcgverify.words.reduce_image`,
+    The junction cancellation of :func:`~mcgverify.words._cancel`, run
     through one 256-slot table built once per call and indexed by a
     letter's signed byte: the piece ``a`` substitutes for the letter, the
     last byte of the piece's inverse, that inverse read as one
@@ -544,13 +544,13 @@ def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
 
 
 def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass:
-    """Image of a curve class (or of a curve word) under the product of
-    ``(word, exponent)`` factors (:func:`product_pairs`).  The class is
-    canonical, so a product and its flat word give the same class however
-    the two routes spell the image."""
+    """Image of a curve class under the product of ``(word, exponent)``
+    factors (:func:`product_pairs`).  The class is canonical, so a product
+    and its flat word give the same class however the two routes spell the
+    image."""
     pres = catalog.presentation
-    raw = curve.key if isinstance(curve, CurveClass) else tuple(curve)
-    return CurveClass(pres, unpack(reduce_image(pres, product_pairs(catalog, factors), raw)))
+    image = reduce_image(pres, product_pairs(catalog, factors), curve.key)
+    return CurveClass(pres, unpack(image))
 
 
 # ---------------------------------------------------------------------------

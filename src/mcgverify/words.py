@@ -34,15 +34,15 @@ bytes negated through the 256-byte table ``NEG`` and reversed
 the letters that cancel are the longest common suffix of the word and the
 piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
-The strict pass and :func:`reduce_image`, which applies a table of packed
-images and inlines ``_cancel``, both cancel that way; so does
-``mcg._compose_pairs``, which squares power tables through a per-call
-table indexed by a letter's byte and ends in the same strict pass.  The
-strict pass first searches the word for floor(g/2) doubled letters in a
-row, which every strict window holds, and returns at once if there are
-none.  Public functions take and return tuples and pack at their
-boundary.  A signed byte holds letters up to 127, so the genus is capped
-at ``MAX_GENUS = 127``.
+Cancellation runs in two places: ``_cancel``, which the strict pass and
+:func:`reduce_image` call at every junction, and ``mcg._compose_pairs``,
+which squares power tables through a per-call table indexed by a
+letter's byte and ends in the same strict pass.  The strict pass has one
+prefilter: it searches the word for floor(g/2) doubled letters in a row,
+which every strict window holds, and returns at once if there are none;
+otherwise it looks every window up.  Public functions take and return
+tuples and pack at their boundary.  A signed byte holds letters up to
+127, so the genus is capped at ``MAX_GENUS = 127``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
@@ -197,17 +197,13 @@ class SurfacePresentation:
     so prefix tables suffice for matching.  ``_strict`` maps each packed
     rotation's prefix of length g+1 to the packed rotation, and ``_half``
     maps each rotation's prefix of length g to the inverse of the other
-    half; these two tables decide every match.  ``_strict_ends`` holds the
-    (first, last) byte pairs of the ``_strict`` keys and ``_half_ends``
-    the (first, last) letter pairs of the ``_half`` keys, at most 4g pairs
-    each, so a scan looks a window up only where its end letters fit.
-    ``_doubled`` searches a packed word for floor(g/2) doubled letters in a
-    row, ``aabb...``, which every window of length g+1..2g of every
-    rotation contains: a word it does not match holds no strict window.
-    Its pattern ``(.)\\1(.)\\2...`` has a group per pair, which searches
-    twice as fast as one repeated group.
-    ``letters_packed`` holds the packed pair (x_i, x_i^-1) of each
-    generator: the image table of the identity.
+    half; a scan looks every window up in them.  ``_doubled`` searches a
+    packed word for floor(g/2) doubled letters in a row, ``aabb...``,
+    which every window of length g+1..2g of every rotation contains: a
+    word it does not match holds no strict window.  Its pattern
+    ``(.)\\1(.)\\2...`` has a group per pair, which searches twice as
+    fast as one repeated group.  ``letters_packed`` holds the packed pair
+    (x_i, x_i^-1) of each generator: the image table of the identity.
 
     Raises OutOfRange above ``MAX_GENUS``, where letters no longer fit a
     signed byte.
@@ -244,8 +240,6 @@ class SurfacePresentation:
         # Exactly-half table: half a rotation equals the inverse of the
         # complementary half.
         self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
-        self._strict_ends = frozenset((p[0], p[g]) for p in packed)
-        self._half_ends = frozenset((s[0], s[g - 1]) for s in self.relator_shifts)
         doubled = b"".join(rb"(.)\%d" % k for k in range(1, g // 2 + 1))
         self._doubled = re.compile(doubled, re.S).search
         self.letters_packed = tuple((pack((i,)), pack((-i,))) for i in range(1, g + 1))
@@ -303,24 +297,20 @@ def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
     run of doubled letters, so a window of length g+1 or more holds
     floor(g/2) doubled letters in a row, and a word without such a run
     has no window to replace.  The search only rejects; on a word it
-    matches, the scan decides.  A window ``w[i:i+g+1]`` is looked up in
-    ``_strict`` only where its end pair ``(w[i], w[i+g])`` is in
-    ``_strict_ends``; elsewhere no rotation can match.  The replacement is
-    freely reduced, so free reduction runs only at its two junctions
-    (:func:`_cancel`).
+    matches, the scan looks every window ``w[i:i+g+1]`` up in ``_strict``
+    and decides.  The replacement is freely reduced, so free reduction
+    runs only at its two junctions (:func:`_cancel`).
     """
     g = pres.genus
     window = g + 1
     full = 2 * g
     strict = pres._strict
-    ends = pres._strict_ends
     doubled = pres._doubled
     while len(w) > g and doubled(w):
-        for i, pair in enumerate(zip(w, w[g:])):
-            if pair in ends:
-                shift = strict.get(w[i : i + window])
-                if shift is not None:
-                    break
+        for i in range(len(w) - g):
+            shift = strict.get(w[i : i + window])
+            if shift is not None:
+                break
         else:
             return w
         m = window
@@ -348,10 +338,6 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     >>> p = get_presentation(4)
     >>> dehn_reduce(p, (1, 1, 2, 2, 3))
     (-4, -4, -3)
-
-    The end letters of ``(1, 2, 2, 2, 3)`` fit a window of the relator
-    ``x1^2 x2^2 x3^2 x4^2``, but the word is no piece of it:
-
     >>> dehn_reduce(p, (1, 2, 2, 2, 3))
     (1, 2, 2, 2, 3)
     """
@@ -360,15 +346,15 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
 
 def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
     """Packed Dehn-reduced image of ``word`` under the substitution
-    x_i -> pairs[i-1][0], where ``pairs[i-1]`` is the packed image of x_i
-    with its packed inverse (a list, or a dict holding only the generators
-    ``word`` uses).
+    x_i -> pairs[i-1][0], where ``pairs`` is the list of every generator's
+    packed image with its packed inverse.
 
     The images must be freely reduced; that precondition is the caller's.
     The result equals ``dehn_reduce`` of the concatenated images: a freely
     reduced image can only cancel against the end of the product built so
-    far, so free cancellation runs only where two images meet, and the
-    strict pass then sees the same freely reduced word.
+    far, so free cancellation runs only where two images meet
+    (:func:`_cancel`), and the strict pass then sees the same freely
+    reduced word.
     """
     out = bytearray()
     for letter in word:
@@ -376,32 +362,21 @@ def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
             piece, inv = pairs[letter - 1]
         else:
             inv, piece = pairs[-letter - 1]
-        # the body of _cancel, inlined: this loop is the hot path of
-        # mcg._append, and the call per junction costs about 3% of set-up
-        if out and inv and out[-1] == inv[-1]:
-            m = min(len(out), len(inv))
-            x = int.from_bytes(out[-m:], "little") ^ int.from_bytes(inv[-m:], "little")
-            k = m - (x.bit_length() + 7 >> 3)
-            del out[-k:]
-            out += piece[k:]
-        else:
-            out += piece
+        _cancel(out, piece, inv)
     return _strict_pass(pres, bytes(out))
 
 
 def _half_swaps_linear(pres: SurfacePresentation, word: Word):
     """Yield words obtained by one half-for-half exchange at any position,
-    left to right.  Length is preserved before free reduction; afterwards
-    it can only drop.  As in :func:`_strict_pass`, a window is looked up
-    only where its end pair is in ``_half_ends``."""
+    left to right: every window of length g is looked up in ``_half``.
+    Length is preserved before free reduction; afterwards it can only
+    drop."""
     g = pres.genus
     half = pres._half
-    ends = pres._half_ends
-    for i, pair in enumerate(zip(word, word[g - 1 :])):
-        if pair in ends:
-            replacement = half.get(word[i : i + g])
-            if replacement is not None:
-                yield mul(word[:i], replacement, word[i + g :])
+    for i in range(len(word) - g + 1):
+        replacement = half.get(word[i : i + g])
+        if replacement is not None:
+            yield mul(word[:i], replacement, word[i + g :])
 
 
 def is_trivial(pres: SurfacePresentation, word) -> bool:

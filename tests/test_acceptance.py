@@ -5,9 +5,11 @@ fails the criterion with context.  Verdicts are exact integer/boolean
 comparisons throughout.
 """
 
+import hashlib
+import json
 import random
 
-from mcgverify.claims import Bounds, build_claims, filter_claims, run_claims
+from mcgverify.claims import Bounds, build_claims, filter_claims, report_json, run_claims
 from mcgverify.homology import (
     EgRotationSpec,
     abelianize,
@@ -253,11 +255,43 @@ def test_criterion_8_kernel_property_suites():
     print("ACCEPTANCE 8 (kernel property suites): PASS")
 
 
+# sha256 of the JSON report with every ``millis`` removed (report_digest):
+# equal digests mean the same verdicts, observed values and witnesses.  A
+# change that means to move one of them updates the digest here.
+REPORT_DIGESTS = {
+    "default": "68fe9b98387236e0e32c06914f99aef5729be4f0d7524f35eca70860ef9b41bf",
+    "[mt]* genus 24..30": "e43ab98d0b0da114a15550a771c89e416f848b1c7b7e4f62bdcf7ff95a54a083",
+}
+
+
+def report_digest(reports):
+    """sha256 of ``report_json(reports)`` without ``millis``, keys sorted,
+    compact: the digest ``bench/verdicts.py`` takes of a ``run`` report."""
+    rows = json.loads(report_json(reports))
+    for row in rows:
+        del row["millis"]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_full_builtin_catalog_passes():
     """Every claim in the built-in catalog passes at default bounds; the
-    catalog is the machine-checkable content of the verified statements."""
+    catalog is the machine-checkable content of the verified statements.
+    The report, timings aside, is the committed one."""
     claims = build_claims()
     reports = run_claims(claims, Bounds())
     bad = [r for r in reports if r.status != "pass"]
     assert not bad, [(r.id, r.status, r.observed) for r in bad[:10]]
+    assert len(reports) == 1270
+    assert report_digest(reports) == REPORT_DIGESTS["default"]
     print(f"ACCEPTANCE catalog ({len(reports)} claims): PASS")
+
+
+def test_high_genus_reports_match_committed_digest():
+    """``run --filter '[mt]*' --genus 24..30``: orders, identities, curve
+    orbits and determinants at genera 24..30, report equal to the
+    committed one apart from timings."""
+    claims = filter_claims(build_claims(genus_range=(24, 30)), "[mt]*")
+    reports = run_claims(claims, Bounds())
+    assert len(reports) == 847
+    assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 24..30"]

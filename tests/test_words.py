@@ -7,6 +7,7 @@ import itertools
 import pkgutil
 import random
 import re
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,10 @@ def test_prefiltered_scans_match_full_scans(genus):
     a strict window."""
     pres = get_presentation(genus)
     rng = random.Random(genus)
+    # windows whose end letters are those of a strict window, and which
+    # are no relator piece, must occur
+    ends = {(s[0], s[genus]) for s in pres.relator_shifts}
+    strict = tuple_strict_table(genus)
     spurious_seen = 0
     branches = set()
     for word in scan_words(rng, pres):
@@ -241,11 +246,11 @@ def test_prefiltered_scans_match_full_scans(genus):
         want = full_scan_strict_pass(pres, w)
         assert unpack(_strict_pass(pres, pack(w))) == want, w
         assert list(_half_swaps_linear(pres, w)) == list(full_scan_half_swaps(pres, w)), w
-        p = pack(w)
         spurious_seen += any(
-            pair in pres._strict_ends and p[i : i + genus + 1] not in pres._strict
-            for i, pair in enumerate(zip(p, p[genus:]))
+            (w[i], w[i + genus]) in ends and w[i : i + genus + 1] not in strict
+            for i in range(len(w) - genus)
         )
+        p = pack(w)
         if len(w) > genus:
             if not pres._doubled(p):
                 branches.add("rejected")
@@ -302,20 +307,6 @@ def test_doubled_prefilter_matches_repeated_group_pattern(genus):
         assert (got and got.span()) == (want and want.span()), (genus, p)
         matched += want is not None
     assert 0 < matched < len(words)
-
-
-def test_end_pairs_cover_every_rotation():
-    for g in range(3, 13):
-        pres = get_presentation(g)
-        for s in pres.relator_shifts:
-            p = pack(s)
-            assert (p[0], p[g]) in pres._strict_ends
-            assert (s[0], s[g - 1]) in pres._half_ends
-        assert len(pres._strict_ends) <= 4 * g and len(pres._half_ends) <= 4 * g
-    pres4 = get_presentation(4)
-    assert len(pres4._strict_ends) == 8
-    # end pair of x1 x2^3 x3, which is no relator piece
-    assert (1, 3) in pres4._strict_ends and pack((1, 2, 2, 2, 3)) not in pres4._strict
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +461,127 @@ def test_no_false_trivials_abelianization(rng):
             w = random_word(rng, genus, 24)
             if is_trivial(pres, w):
                 assert not any(pres.abelianized(w))
+
+
+@functools.lru_cache(maxsize=None)
+def s4_quotient(genus):
+    """Every homomorphism pi_1(N_g) -> S_4, one per class under
+    simultaneous conjugation, packed into one permutation per letter: block
+    k of 4 points carries the k-th homomorphism.  A homomorphism is a
+    choice of x_1..x_g in S_4 with x_1^2 ... x_g^2 = 1.  Returns the map
+    letter -> permutation and the identity permutation.  The subgroups of
+    S_4 include S_3 and S_2, so their homomorphisms are among these."""
+    perms = list(itertools.permutations(range(4)))
+    ident = tuple(range(4))
+
+    def then(p, q):
+        return tuple(q[i] for i in p)
+
+    inv = {p: tuple(sorted(range(4), key=p.__getitem__)) for p in perms}
+    square_roots = {}
+    for p in perms:
+        square_roots.setdefault(then(p, p), []).append(p)
+    conjugations = [{p: then(then(inv[s], p), s) for p in perms} for s in perms]
+    classes = set()
+    for head in itertools.product(perms, repeat=genus - 1):
+        acc = ident
+        for p in head:
+            acc = then(acc, then(p, p))
+        for last in square_roots.get(inv[acc], ()):
+            images = head + (last,)
+            classes.add(min(tuple(map(conj.__getitem__, images)) for conj in conjugations))
+    classes = sorted(classes)
+    gens = {}
+    for i in range(genus):
+        perm = tuple(4 * k + images[i][j] for k, images in enumerate(classes) for j in range(4))
+        gens[i + 1] = perm
+        gens[-(i + 1)] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    return gens, tuple(range(4 * len(classes)))
+
+
+def s4_image(genus, word):
+    """The permutation ``word`` maps to under :func:`s4_quotient`."""
+    gens, perm = s4_quotient(genus)
+    for letter in word:
+        perm = itemgetter(*perm)(gens[letter])
+    return perm
+
+
+def s4_classes(perm):
+    """The conjugacy class in S_4 of each block of a packed permutation, as
+    sorted (block, cycle length) pairs."""
+    seen = set()
+    cycles = []
+    for i in range(len(perm)):
+        n, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            n += 1
+        if n:
+            cycles.append((i // 4, n))
+    return sorted(cycles)
+
+
+def test_genus3_trivial_words_die_in_s4_quotients(pres3):
+    """One-sided finite-quotient oracle for the genus-3 word problem: every
+    word ``is_trivial`` accepts maps to the identity under every
+    homomorphism to S_4.  The sample holds random words, products of
+    relator conjugates, and such products with a commutator spliced in,
+    which die in homology but mostly not in S_4."""
+    ident = s4_quotient(3)[1]
+    assert s4_image(3, pres3.relator) == ident
+    assert s4_image(3, (1,)) != ident
+    rng = random.Random(3300)
+    letters = [1, 2, 3, -1, -2, -3]
+    accepted = past_homology = 0
+    for _ in range(1500):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            u = random_word(rng, 3, 8)
+            parts.append(mul(u, rng.choice(pres3.relator_shifts), inverse(u)))
+        product = mul(*parts)
+        k = rng.randrange(len(product) + 1)
+        a, b = rng.sample(letters, 2)
+        spliced = mul(product[:k], (a, b, -a, -b), product[k:])
+        for w in (random_word(rng, 3, 24), product, spliced):
+            trivial_image = s4_image(3, w) == ident
+            if is_trivial(pres3, w):
+                assert trivial_image, w
+                accepted += 1
+            elif not trivial_image and not any(pres3.abelianized(w)):
+                past_homology += 1
+    assert accepted >= 1500
+    assert past_homology >= 1000
+
+
+def test_genus3_conjugates_stay_conjugate_in_s4_quotients(pres3):
+    """One-sided finite-quotient oracle for genus-3 conjugacy, whose
+    canonical forms close under half-exchanges: two words
+    ``is_conjugate`` accepts map to conjugate permutations under every
+    homomorphism to S_4.  Each pair is a conjugate of ``a`` after two
+    random half-exchanges, with a commutator spliced in or not."""
+    rng = random.Random(3301)
+    letters = [1, 2, 3, -1, -2, -3]
+    accepted = rejected = 0
+    for _ in range(200):
+        a = random_word(rng, 3, 8)
+        u = random_word(rng, 3, 6)
+        b = mul(u, a, inverse(u))
+        for _ in range(2):
+            swaps = list(_half_swaps_linear(pres3, b))
+            if swaps:
+                b = rng.choice(swaps)
+        k = rng.randrange(len(b) + 1)
+        x, y = rng.sample(letters, 2)
+        spliced = mul(b[:k], (x, y, -x, -y), b[k:])
+        for c in (b, spliced):
+            if is_conjugate(pres3, a, c):
+                assert s4_classes(s4_image(3, a)) == s4_classes(s4_image(3, c)), (a, c)
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted >= 200 and rejected >= 100
 
 
 # ---------------------------------------------------------------------------
