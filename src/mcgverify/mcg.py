@@ -172,10 +172,11 @@ def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = CONJ_BOUND
     always carries a witness w with w x_i w^-1 = a(x_i) for every i.
 
     Inconclusive is the usual answer for a conjugate of u_i^2 or y^2,
-    which is what ``mcg_equal`` tests when two words differ in the sign of
-    one u or y symbol.  Such a class is a twist about a curve that bounds a
-    one-holed Klein bottle; it fixes homology and the conjugacy class of
-    every generator image, so neither invariant can refute it.
+    which is what :func:`identity_status` meets when the two sides differ
+    in the sign of one u or y symbol.  Such a class is a twist about a
+    curve that bounds a one-holed Klein bottle; it fixes homology and the
+    conjugacy class of every generator image, so neither invariant can
+    refute it.
 
     The checks run witness first: after the homology check and the class of
     x1's image, the verified conjugators of x1 onto its image are taken one
@@ -567,16 +568,6 @@ def identity_status(catalog: GeneratorCatalog, lhs, rhs, bound: int = CONJ_BOUND
         return Inner(())
     word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
     return is_inner(catalog.presentation, evaluate(catalog, word), bound=bound)
-
-
-def mcg_equal(catalog: GeneratorCatalog, w1, w2, bound: int = CONJ_BOUND):
-    """True iff the two mapping-class words define the same mapping class.
-
-    Decided by :func:`identity_status` of ``w1 = w2``.
-    Returns True, False, or Inconclusive(bound).
-    """
-    status = identity_status(catalog, (tuple(w1), 1), (tuple(w2), 1), bound=bound)
-    return {Inner: True, NotInner: False}.get(type(status), status)
 
 
 def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):

@@ -9,14 +9,21 @@ throughout.)
 
 Triviality is decided with Dehn's algorithm: any subword covering strictly
 more than half of a cyclic rotation of the relator or of its inverse is
-replaced by the inverse of the complementary part.  For genus >= 4 the
-presentation satisfies C'(1/6), where greedy strict reduction is a complete
-decision procedure.  For genus 3 the relator has length 6 and single-letter
-pieces, so strict reduction alone can get stuck; there the reducer also
-explores length-preserving half-for-half exchanges exhaustively and accepts
-a word as nontrivial only once the whole equal-length component is
-exhausted.  The genus-3 route is cross-validated against brute-force
-oracles in the test suite.
+replaced by the inverse of the complementary part, and a word is trivial
+exactly when this strict reduction empties it.  That holds at every genus
+by Greendlinger's lemma (Lyndon-Schupp, Combinatorial Group Theory, ch. V
+sec. 4): a nonempty freely reduced word that represents the identity holds
+a subword longer than half a relator rotation.  The lemma needs a small
+cancellation hypothesis on the rotations of the relator x_1^2 ... x_g^2
+and of its inverse, whose pieces (common prefixes of two of them) are
+single letters:
+
+- g >= 4: C'(1/6), since a piece has length 1 < 2g/6.
+- g = 3: C'(1/4)-T(4).  C'(1/4) holds since 1 < 6/4.  T(4) holds since
+  two rotations cancel at a junction only when one is a rotation of the
+  relator (all letters positive) and the other of its inverse (all
+  negative); three rotations cancelling pairwise around a triangle would
+  alternate sign around an odd cycle, which is impossible.
 
 Conjugacy works on cyclic words: the canonical form of a conjugacy class is
 the lexicographically smallest member of the closure of the cyclically
@@ -140,30 +147,6 @@ def invert(packed) -> bytes:
     (-3, 2, -1)
     """
     return packed.translate(NEG)[::-1]
-
-
-def parse_word(text: str) -> Word:
-    """Parse ``"x1 x2^-1 x3"`` (also accepts ``*`` separators) into a word.
-
-    >>> parse_word("x1 x2^-1")
-    (1, -2)
-    >>> parse_word("")
-    ()
-    """
-    text = text.replace("*", " ").strip()
-    if not text:
-        return EMPTY
-    letters = []
-    for token in text.split():
-        m = re.fullmatch(r"x(\d+)(\^(-?\d+))?", token)
-        if not m:
-            raise ValueError(f"bad letter {token!r}")
-        idx = int(m.group(1))
-        exp = int(m.group(3)) if m.group(3) else 1
-        if idx == 0:
-            raise ValueError("generator indices start at 1")
-        letters.extend([idx if exp > 0 else -idx] * abs(exp))
-    return free_reduce(tuple(letters))
 
 
 def format_word(word) -> str:
@@ -331,9 +314,9 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     longer than half of a relator rotation by the shorter complement, then
     freely reduce, until no such subword remains.
 
-    Idempotent and never length-increasing.  For genus >= 4 the result is
-    empty if and only if the word represents the identity; genus 3 needs
-    the extra search done by :func:`is_trivial`.
+    Idempotent and never length-increasing.  At every genus the result is
+    empty if and only if the word represents the identity (Greendlinger's
+    lemma; see the module docstring).
 
     >>> p = get_presentation(4)
     >>> dehn_reduce(p, (1, 1, 2, 2, 3))
@@ -370,7 +353,8 @@ def _half_swaps_linear(pres: SurfacePresentation, word: Word):
     """Yield words obtained by one half-for-half exchange at any position,
     left to right: every window of length g is looked up in ``_half``.
     Length is preserved before free reduction; afterwards it can only
-    drop."""
+    drop.  Only the canonical cyclic forms (:func:`_component`) use it;
+    triviality needs no exchanges."""
     g = pres.genus
     half = pres._half
     for i in range(len(word) - g + 1):
@@ -380,53 +364,16 @@ def _half_swaps_linear(pres: SurfacePresentation, word: Word):
 
 
 def is_trivial(pres: SurfacePresentation, word) -> bool:
-    """True iff the word represents the identity of pi_1(N_g).
-
-    Genus >= 4 is settled by strict Dehn reduction alone.  For genus 3 a
-    stuck nonempty word is only declared nontrivial after exhausting its
-    component under length-preserving half-exchanges without finding a
-    shorter equivalent.
+    """True iff the word represents the identity of pi_1(N_g): strict Dehn
+    reduction empties it, which decides at every genus (Greendlinger's
+    lemma under C'(1/6) for g >= 4 and C'(1/4)-T(4) at g = 3; see the
+    module docstring).
     """
-    w = dehn_reduce(pres, word)
-    result = _is_trivial_reduced(pres, w)
+    result = not dehn_reduce(pres, word)
     # Abelianization is a one-sided oracle: a trivial word must die in H_1.
     if result and any(pres.abelianized(word)):
         raise InvariantViolation(f"trivial word {format_word(word)} has nonzero homology")
     return result
-
-
-def _is_trivial_reduced(pres: SurfacePresentation, w: Word) -> bool:
-    while True:
-        if not w:
-            return True
-        if pres.genus >= 4:
-            return False
-        shorter = _shorter_equivalent(pres, w)
-        if shorter is None:
-            return False
-        w = shorter
-
-
-def _shorter_equivalent(pres: SurfacePresentation, w: Word):
-    """Search the equal-length component of ``w`` under half-exchanges for
-    any member that strict reduction can shorten.  Returns the shorter
-    word, or None if the component is exhausted."""
-    seen = {w}
-    queue = deque([w])
-    while queue:
-        if len(seen) > SATURATION_CAP:
-            raise BudgetExceeded(f"half-exchange component exceeded {SATURATION_CAP} words")
-        current = queue.popleft()
-        for neighbor in _half_swaps_linear(pres, current):
-            if len(neighbor) < len(current):
-                return neighbor
-            reduced = unpack(_strict_pass(pres, pack(neighbor)))
-            if len(reduced) < len(current):
-                return reduced
-            if reduced not in seen:
-                seen.add(reduced)
-                queue.append(reduced)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from mcgverify.mcg import (
     evaluate,
     get_catalog,
     inverse_word,
-    mcg_equal,
     order_of,
     talpha,
     tbeta,
@@ -37,7 +36,7 @@ from mcgverify.mcg import (
 )
 from mcgverify.words import dehn_reduce, free_reduce, get_presentation, inverse, is_trivial, mul
 
-from conftest import random_word
+from conftest import mcg_equal, random_word
 from test_words import all_words, oracle_conjugate
 
 

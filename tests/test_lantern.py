@@ -27,6 +27,8 @@ from mcgverify.lantern import (
     verify_step,
 )
 
+from conftest import mcg_equal
+
 
 def test_parse_and_format_roundtrip():
     e = parse_expr("ta3 ta5^-1 g h^-1")
@@ -253,7 +255,7 @@ def _concrete_word(expr):
 
 
 def test_commutation_rules_hold_in_genus6_model():
-    from mcgverify.mcg import get_catalog, mcg_equal
+    from mcgverify.mcg import get_catalog
 
     cat = get_catalog(6)
     checked = 0

@@ -42,7 +42,6 @@ from mcgverify.mcg import (
     identity_status,
     inverse_word,
     is_inner,
-    mcg_equal,
     order_of,
     power_pairs,
     product_curve_image,
@@ -71,7 +70,7 @@ from mcgverify.words import (
     unpack,
 )
 
-from conftest import identity_automorphism, random_word
+from conftest import identity_automorphism, mcg_equal, random_word
 from test_words import kernel_cases, tuple_reduce_image
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
