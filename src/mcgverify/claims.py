@@ -46,8 +46,8 @@ from .homology import (
     build_eg_rotation,
     decompose_genus,
     determinant,
-    eg_matrix_power_identity,
-    in_twist_subgroup,
+    matrix_identity,
+    matrix_power,
 )
 from .lantern import DEFAULT_BUDGET, canonical_rules, check_countermodel, verify_lemma1
 from .mcg import (
@@ -507,10 +507,8 @@ def _run_curve_image(claim, bounds):
 
 def _run_determinant(claim, bounds):
     genus, word = _family_word(claim)
-    matrix = abelianize(evaluate(get_catalog(genus), word))
-    in_twist = in_twist_subgroup(matrix)  # raises unless det(matrix) is +-1
-    det = 1 if in_twist else -1
-    return _status(det == claim.expected), det, f"in_twist_subgroup={in_twist}"
+    det = determinant(abelianize(evaluate(get_catalog(genus), word)))
+    return _status(det == claim.expected), det, f"in_twist_subgroup={det == 1}"
 
 
 def _run_eg_det(claim, bounds):
@@ -521,13 +519,16 @@ def _run_eg_det(claim, bounds):
 
 def _run_eg_power(claim, bounds):
     spec = EgRotationSpec(**claim.params)
-    ok = eg_matrix_power_identity(spec)
-    return _status(ok == claim.expected), ok, f"matrix size {spec.genus - 1}"
+    m = build_eg_rotation(spec)
+    ok = matrix_power(m, spec.k) == matrix_identity(len(m))
+    return _status(ok == claim.expected), ok, f"matrix size {len(m)}"
 
 
 def _run_decomposition(claim, bounds):
-    d = decompose_genus(claim.params["genus"], claim.params["k"])
-    ok = d.reconstructs() and d.p % 2 == 1 and d.q >= 0
+    g, k = claim.params["genus"], claim.params["k"]
+    d = decompose_genus(g, k)
+    total = d.p * k + 2 * d.q * (k - 1) + (1 if d.plus_one else 0)
+    ok = total == g and d.p % 2 == 1 and d.q >= 0
     observed = {"p": d.p, "q": d.q, "plus_one": d.plus_one}
     return _status(ok == claim.expected), observed, f"n={d.n} m={d.m} r={d.r}"
 

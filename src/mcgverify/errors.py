@@ -22,12 +22,9 @@ class ValidationFailure(McgVerifyError):
     """
 
 
-class DeterminantOutOfRange(McgVerifyError):
-    """A homology matrix has determinant outside {+1, -1}."""
-
-
 class OutOfRange(McgVerifyError):
-    """Genus outside the valid range of the decomposition arithmetic."""
+    """A genus outside a supported range: below the range of the
+    decomposition arithmetic, or above ``words.MAX_GENUS``."""
 
 
 class BudgetExceeded(McgVerifyError):

@@ -130,18 +130,9 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(rules)
 
 
-def load_rules(path=None) -> RuleSet:
-    """Load a rule file; defaults to the canonical shipped rules."""
-    if path is None:
-        text = resources.files("mcgverify.data").joinpath("lantern_rules.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_rules(text)
-
-
 def canonical_rules() -> RuleSet:
-    return load_rules()
+    """The shipped rule file, parsed."""
+    return parse_rules(resources.files("mcgverify.data").joinpath("lantern_rules.txt").read_text())
 
 
 def load_countermodels() -> dict:

@@ -596,7 +596,7 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
     word = tuple(word)
     pres = catalog.presentation
     matrix = abelianize(evaluate(catalog, word))
-    period = vector_period(matrix.entries, range(1, catalog.genus), max_order)
+    period = vector_period(matrix, range(1, catalog.genus), max_order)
     if period is None:
         return InfiniteWithinBound(max_order)
 

@@ -135,14 +135,14 @@ def test_criterion_4_determinants():
     for g in range(3, 10):
         cat = get_catalog(g)
         for i in range(1, g):
-            assert abelianize(evaluate(cat, (talpha(i),))).det() == 1, (g, i)
-            assert abelianize(evaluate(cat, (transposition(i),))).det() == -1, (g, i)
+            assert determinant(abelianize(evaluate(cat, (talpha(i),)))) == 1, (g, i)
+            assert determinant(abelianize(evaluate(cat, (transposition(i),)))) == -1, (g, i)
         if g >= 4:
-            assert abelianize(evaluate(cat, (tbeta(),))).det() == 1, g
-        assert abelianize(evaluate(cat, (("e", 0, 1),))).det() == 1, g
-        assert abelianize(evaluate(cat, (crosscap_slide(),))).det() == -1, g
-        det_r = abelianize(evaluate(cat, _r(g))).det()
-        det_rp = abelianize(evaluate(cat, _rp(g))).det()
+            assert determinant(abelianize(evaluate(cat, (tbeta(),)))) == 1, g
+        assert determinant(abelianize(evaluate(cat, (("e", 0, 1),)))) == 1, g
+        assert determinant(abelianize(evaluate(cat, (crosscap_slide(),)))) == -1, g
+        det_r = determinant(abelianize(evaluate(cat, _r(g))))
+        det_rp = determinant(abelianize(evaluate(cat, _rp(g))))
         if g % 2 == 0:
             assert det_r == -1, g
         else:
@@ -172,7 +172,7 @@ def test_criterion_6_decomposition_ranges():
             d = decompose_genus(g, k)
             assert d.p % 2 == 1, (g, k)
             assert d.q >= 0, (g, k)
-            assert d.reconstructs(), (g, k)
+            assert d.p * k + 2 * d.q * (k - 1) + (1 if d.plus_one else 0) == g, (g, k)
     print("ACCEPTANCE 6 (genus decomposition): PASS")
 
 
@@ -248,8 +248,8 @@ def test_criterion_8_kernel_property_suites():
     for _ in range(1000):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
-        left = abelianize(evaluate(cat, w1 + w2)).entries
-        m1, m2 = (abelianize(evaluate(cat, w)).entries for w in (w1, w2))
+        left = abelianize(evaluate(cat, w1 + w2))
+        m1, m2 = (abelianize(evaluate(cat, w)) for w in (w1, w2))
         assert left == matrix_mul(m1, m2)
     print("ACCEPTANCE 8 (kernel property suites): PASS")
 

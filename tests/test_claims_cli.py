@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import mcgverify.claims
+import mcgverify.cli
 from mcgverify.claims import (
     Bounds,
     build_claims,
@@ -146,6 +147,39 @@ def test_run_claim_compares_stated_expected(claim_id, wrong):
     assert run_claim(dataclasses.replace(claim, expected=wrong), Bounds()).status == "fail"
 
 
+@pytest.mark.parametrize("det", [3, -1, 0])
+def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys):
+    """A determinant claim compares the exact determinant with its expected
+    sign: +-1 of the wrong sign, or a value the criterion does not allow,
+    is a failed row that shows the determinant, and ``run`` exits 2."""
+    monkeypatch.setattr(mcgverify.claims, "determinant", lambda matrix: det)
+    claim = find_claim(build_claims(genus_range=(3, 3)), "twist.det.a1.g3")
+    report = run_claim(claim, Bounds())
+    assert (report.status, report.observed) == ("fail", det)
+    args = ["run", "--filter", "twist.det.a1.g3", "--genus", "3..3", "--format", "json"]
+    assert mcgverify.cli.main(args) == 2
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["status"], row["observed"]) for row in rows] == [("fail", det)]
+
+
+@pytest.mark.parametrize("p,q", [
+    (1, 9),    # p odd and q >= 0, but 12 + 2*9*11 != 232
+    (12, 4),   # 12*12 + 2*4*11 = 232 with p even
+    (23, -2),  # 23*12 - 2*2*11 = 232 with q < 0
+])
+def test_decomposition_claim_fails_on_a_wrong_decomposition(p, q, monkeypatch):
+    """The decomposition claim checks g = pk + 2q(k-1) (+1), p odd and
+    q >= 0 on the fields ``decompose_genus`` returns; each wrong (p, q)
+    breaks one of the three."""
+    decompose = mcgverify.claims.decompose_genus
+    monkeypatch.setattr(mcgverify.claims, "decompose_genus",
+                        lambda g, k: dataclasses.replace(decompose(g, k), p=p, q=q))
+    claim = find_claim(build_claims(genus_range=(3, 3)), "cor4.decomp.g232.k12")
+    report = run_claim(claim, Bounds())
+    assert report.status == "fail"
+    assert (report.observed["p"], report.observed["q"]) == (p, q)
+
+
 def test_exit_code_logic():
     class R:
         def __init__(self, status):
@@ -203,12 +237,15 @@ def test_cli_report_same_under_python_O():
     and the even rungs of the power table's ladder.  The identities and the
     orders of s and s' at genera 24 and 25 cover both ladder parities, and
     their shared entries.  The determinant families at genus 24 cover
-    abelianization, with and without an x_g letter."""
+    abelianization, with and without an x_g letter.  The decompositions and
+    the rotation-model claims cover the arithmetic and the dense power
+    their runners check."""
     for claims, genus in (("thm1.*", "3..6"), ("lemma1.*", "3..6"), ("thm1.*", "24..24"),
                           ("thm1.order.*", "25..25"), ("thm1.id.*", "24..25"),
                           ("thm1.order.s*", "24..25"), ("twist.*", "24..24"),
                           ("mcg.det.*", "24..24"), ("tsub.*", "24..24"),
-                          ("thm1.order.*", "5..5"), ("thm1.id.*", "5..5")):
+                          ("thm1.order.*", "5..5"), ("thm1.id.*", "5..5"),
+                          ("cor4.decomp.g23*.k12", "3..3"), ("lemma-embed.*.k12.p1.*", "3..3")):
         args = ("run", "--filter", claims, "--genus", genus, "--format", "json")
         plain = run_cli(*args)
         optimized = run_cli(*args, interpreter_flags=("-O",))

@@ -5,17 +5,13 @@ import random
 
 import pytest
 
-from mcgverify.errors import DeterminantOutOfRange, InvariantViolation, OutOfRange
+from mcgverify.errors import OutOfRange
 from mcgverify.homology import (
     EgRotationSpec,
-    GenusDecomposition,
-    HomologyMatrix,
     abelianize,
     build_eg_rotation,
     decompose_genus,
     determinant,
-    eg_matrix_power_identity,
-    in_twist_subgroup,
     matrix_identity,
     matrix_mul,
     matrix_order,
@@ -118,7 +114,7 @@ def test_matrix_order_against_dense_powers(genus):
         # transpositions and slides have finite homology order; twists mostly not
         syms = flips if rng.random() < 0.6 else flips + twists
         word = tuple(rng.choice(syms) for _ in range(rng.randrange(1, 7)))
-        m = abelianize(evaluate(cat, word)).entries
+        m = abelianize(evaluate(cat, word))
         limit = rng.randrange(1, 3 * genus)
         got = matrix_order(m, limit)
         assert got == dense_order(m, limit), word
@@ -131,38 +127,32 @@ def test_matrix_order_against_dense_powers(genus):
 
 
 def test_identity_abelianizes_to_identity():
-    m = abelianize(identity_automorphism(5))
-    assert m.entries == matrix_identity(4)
+    assert abelianize(identity_automorphism(5)) == matrix_identity(4)
 
 
 @pytest.mark.parametrize("genus", [3, 5, 6, 9])
 def test_twist_determinants(genus):
     cat = get_catalog(genus)
     for i in range(1, genus):
-        assert abelianize(evaluate(cat, (talpha(i),))).det() == 1
+        assert determinant(abelianize(evaluate(cat, (talpha(i),)))) == 1
     if genus >= 4:
-        assert abelianize(evaluate(cat, (tbeta(),))).det() == 1
-    assert abelianize(evaluate(cat, (teps(),))).det() == 1
+        assert determinant(abelianize(evaluate(cat, (tbeta(),)))) == 1
+    assert determinant(abelianize(evaluate(cat, (teps(),)))) == 1
 
 
 @pytest.mark.parametrize("genus", [3, 5, 6, 9])
 def test_transposition_and_slide_determinants(genus):
     cat = get_catalog(genus)
     for i in range(1, genus):
-        assert abelianize(evaluate(cat, (transposition(i),))).det() == -1
-    assert abelianize(evaluate(cat, (crosscap_slide(),))).det() == -1
+        assert determinant(abelianize(evaluate(cat, (transposition(i),)))) == -1
+    assert determinant(abelianize(evaluate(cat, (crosscap_slide(),)))) == -1
 
 
 def test_in_twist_subgroup():
     cat = get_catalog(5)
-    assert in_twist_subgroup(abelianize(evaluate(cat, (talpha(1),))))
-    assert not in_twist_subgroup(abelianize(evaluate(cat, (transposition(1),))))
-    assert not in_twist_subgroup(abelianize(evaluate(cat, (crosscap_slide(),))))
-
-
-def test_in_twist_subgroup_rejects_bad_matrix():
-    with pytest.raises(DeterminantOutOfRange):
-        in_twist_subgroup(HomologyMatrix(3, ((2, 0), (0, 1))))
+    assert determinant(abelianize(evaluate(cat, (talpha(1),)))) == 1
+    assert determinant(abelianize(evaluate(cat, (transposition(1),)))) == -1
+    assert determinant(abelianize(evaluate(cat, (crosscap_slide(),)))) == -1
 
 
 def test_rotation_determinant_parity():
@@ -170,8 +160,8 @@ def test_rotation_determinant_parity():
         cat = get_catalog(g)
         r = tuple(transposition(i) for i in range(1, g))
         rp = tuple(transposition(i) for i in range(2, g))
-        assert abelianize(evaluate(cat, r)).det() == (-1) ** (g - 1)
-        assert abelianize(evaluate(cat, rp)).det() == (-1) ** g
+        assert determinant(abelianize(evaluate(cat, r))) == (-1) ** (g - 1)
+        assert determinant(abelianize(evaluate(cat, rp))) == (-1) ** g
 
 
 def test_functoriality_of_abelianize(rng):
@@ -182,8 +172,8 @@ def test_functoriality_of_abelianize(rng):
     for _ in range(200):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
-        left = abelianize(evaluate(cat, w1 + w2)).entries
-        m1, m2 = (abelianize(evaluate(cat, w)).entries for w in (w1, w2))
+        left = abelianize(evaluate(cat, w1 + w2))
+        m1, m2 = (abelianize(evaluate(cat, w)) for w in (w1, w2))
         assert left == matrix_mul(m1, m2)
 
 
@@ -197,7 +187,7 @@ def test_det_counts_orientation_reversers(rng):
     for _ in range(150):
         w = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 7)))
         flips = sum(1 for (k, _, _) in w if k in ("u", "y"))
-        assert abelianize(evaluate(cat, w)).det() == (-1) ** flips
+        assert determinant(abelianize(evaluate(cat, w))) == (-1) ** flips
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +238,8 @@ def test_eg_power_identity_grid():
         for p in (1, 3):
             for q in (0, 2):
                 for extra in (False, True):
-                    assert eg_matrix_power_identity(EgRotationSpec(k, p, q, extra))
+                    m = build_eg_rotation(EgRotationSpec(k, p, q, extra))
+                    assert matrix_power(m, k) == matrix_identity(len(m))
 
 
 def test_eg_proper_divisor_powers_not_identity():
@@ -280,19 +271,13 @@ def test_decompose_examples():
     assert (d.p, d.q, d.plus_one) == (1, 0, True)
 
 
-def test_decompose_reconstruction_check_raises(monkeypatch):
-    monkeypatch.setattr(GenusDecomposition, "reconstructs", lambda self: False)
-    with pytest.raises(InvariantViolation):
-        decompose_genus(232, 12)
-
-
 def test_decompose_full_ranges():
     for k in (12, 14, 16):
         lo = 2 * (k - 1) * (k - 2) + k
         for g in range(lo, lo + 201):
             d = decompose_genus(g, k)
             assert d.p % 2 == 1 and d.q >= 0
-            assert d.reconstructs()
+            assert d.p * k + 2 * d.q * (k - 1) + (1 if d.plus_one else 0) == g
 
 
 def test_decompose_rejects_bad_k():

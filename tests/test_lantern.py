@@ -18,7 +18,6 @@ from mcgverify.lantern import (
     format_expr,
     invert_expr,
     load_countermodels,
-    load_rules,
     parse_expr,
     parse_rules,
     reduce_expr,
@@ -53,10 +52,8 @@ def test_rule_file_loads():
     assert any(l == parse_expr("ta1 tb tg ta5") for l, _ in rules.base_rules)
 
 
-def test_rule_file_roundtrip(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text("ta1 tb -> tb ta1\nf ta3 f^-1 -> ta5\n")
-    rules = load_rules(path)
+def test_parse_rules_two_rules():
+    rules = parse_rules("ta1 tb -> tb ta1\nf ta3 f^-1 -> ta5\n")
     assert len(rules.base_rules) == 2
 
 

@@ -606,12 +606,12 @@ def test_probe_period_equals_matrix_order(genus):
     probe = range(1, genus)
     limit = 4 * genus
     for word in order_claim_words(genus):
-        m = abelianize(evaluate(cat, word)).entries
+        m = abelianize(evaluate(cat, word))
         period = vector_period(m, probe, limit)
         assert period is not None
         assert period == matrix_order(m, limit), word
     for i in range(1, genus):
-        m = abelianize(evaluate(cat, (talpha(i),))).entries
+        m = abelianize(evaluate(cat, (talpha(i),)))
         assert vector_period(m, probe, limit) is None
         assert matrix_order(m, limit) is None
 
@@ -788,7 +788,7 @@ def test_order_consistency_with_homology():
         (tuple(talpha(i) for i in range(1, 5)), 10),
     ]:
         assert order_of(cat, word, 24) == n
-        m = abelianize(evaluate(cat, word)).entries
+        m = abelianize(evaluate(cat, word))
         assert matrix_power(m, n) == matrix_identity(len(m))
 
 
