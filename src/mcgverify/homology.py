@@ -276,8 +276,6 @@ def build_eg_rotation(spec: EgRotationSpec):
 class GenusDecomposition:
     """g = p*k + 2*q*(k-1) + (1 if plus_one else 0) with p odd, q >= 0."""
 
-    k: int
-    g: int
     p: int
     q: int
     plus_one: bool
@@ -311,4 +309,4 @@ def decompose_genus(g: int, k: int) -> GenusDecomposition:
         raise OutOfRange(
             f"genus {g} admits no decomposition with p odd for k={k}"
         )
-    return GenusDecomposition(k=k, g=g, p=p, q=q, plus_one=plus_one, n=n, m=m, r=r)
+    return GenusDecomposition(p=p, q=q, plus_one=plus_one, n=n, m=m, r=r)

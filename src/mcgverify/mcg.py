@@ -17,10 +17,12 @@ The generator catalog covers the named elements used throughout:
 
 The pi_1 formulas are derived from the disk-with-crosscaps model and are
 certified, rather than proved here: ``build_catalog`` runs a validation
-suite (relator certificate, exact inverses, locality, braid and
-commutation relations) and the claim catalog exercises the order, identity
-and curve-orbit facts that pin down every direction choice.  A wrong
-formula fails loudly with :class:`ValidationFailure`.
+suite (locality of supports and image letters, relator certificate, exact
+inverses, braid relations, and commutation of t_beta with the twists its
+support overlaps; distant twists commute by locality) and the claim
+catalog exercises the order, identity and curve-orbit facts that pin down
+every direction choice.  A wrong formula fails loudly with
+:class:`ValidationFailure`.
 
 Composition convention: products act right-to-left, ``(f g)(x) = f(g(x))``,
 matching the usual composition of homeomorphisms.
@@ -633,14 +635,22 @@ def _relator_certificate(pres: SurfacePresentation, images) -> bool:
 def build_catalog(genus: int) -> GeneratorCatalog:
     """Build and certify the generator catalog for one genus.
 
-    The validation suite rejects any wrongly derived formula: freely
-    reduced images (which :func:`substitute` relies on), relator
-    certificate for every generator, exact stored inverses, locality,
-    braid relations along the chain, commutation of distant twists and of
-    t_beta with t_alpha_1..3, and homology classes of the stored curve
-    words.  Every relation is checked on the catalog's one table, by
-    comparing the packed :func:`_append` images of its two sides.  Raises
-    ValidationFailure naming the first failed relation.
+    The validation suite rejects any wrongly derived formula.  It checks
+    locality first: each direction of t_alpha_i and u_i moves only x_i and
+    x_{i+1} and writes its images in those two letters alone, and t_beta
+    likewise in x_1..x_4.  Then freely reduced images (which
+    :func:`substitute` relies on), relator certificate for every
+    generator, exact stored inverses, braid relations along the chain,
+    commutation of t_beta with t_alpha_1..3, and homology classes of the
+    stored curve words.  Every relation is checked on the catalog's one
+    table, by comparing the packed :func:`_append` images of its two sides.
+    Raises ValidationFailure naming the first failed check.
+
+    Distant twists are not compared: locality implies that they commute.
+    If two symbols move disjoint sets of generators and write their images
+    only in their own letters, then :func:`_append` computes each moved
+    image from letters the other symbol fixes, in either order, so the two
+    products are the same table.
     """
     catalog = GeneratorCatalog(genus)
     pres = catalog.presentation
@@ -649,6 +659,21 @@ def build_catalog(genus: int) -> GeneratorCatalog:
 
     def product(word) -> list:
         return _append(catalog, ident, word)
+
+    # the generators x_j each symbol may move, and the letters its images
+    # may use
+    support = [(talpha(i, s), (i, i + 1)) for i in range(1, g) for s in (1, -1)]
+    support += [(transposition(i, s), (i, i + 1)) for i in range(1, g) for s in (1, -1)]
+    if g >= 4:
+        support += [(tbeta(s), (1, 2, 3, 4)) for s in (1, -1)]
+    for symbol, allowed in support:
+        name = format_mcg_word((symbol,))
+        for j, im in catalog.moves(symbol):
+            if j + 1 not in allowed:
+                raise ValidationFailure(f"{name} moves x{j + 1}")
+            outside = [abs(x) for x in im if abs(x) not in allowed]
+            if outside:
+                raise ValidationFailure(f"{name} writes x{outside[0]} in the image of x{j + 1}")
 
     for symbol in catalog.symbols():
         kind, idx, _ = symbol
@@ -660,27 +685,16 @@ def build_catalog(genus: int) -> GeneratorCatalog:
         if product((symbol, inv)) != ident or product((inv, symbol)) != ident:
             raise ValidationFailure(f"stored inverse wrong for {symbol}")
 
-    # the generators x_j each symbol may move
-    support = [(talpha(i), (i, i + 1)) for i in range(1, g)]
-    support += [(transposition(i), (i, i + 1)) for i in range(1, g)]
-    if g >= 4:
-        support.append((tbeta(), (1, 2, 3, 4)))
-    for symbol, allowed in support:
-        for j, _ in catalog.moves(symbol):
-            if j + 1 not in allowed:
-                raise ValidationFailure(f"{format_mcg_word((symbol,))} moves x{j + 1}")
-
     for i in range(1, g - 1):
         a, b = talpha(i), talpha(i + 1)
         if product((a, b, a)) != product((b, a, b)):
             raise ValidationFailure(f"braid relation failed for t_a{i}, t_a{i+1}")
-    commuting = [(talpha(i), talpha(j)) for i in range(1, g) for j in range(i + 2, g)]
+    # t_b's support overlaps those of t_a1..t_a3; distant pairs commute by
+    # locality
     if g >= 4:
-        commuting += [(tbeta(), talpha(i)) for i in (1, 2, 3)]
-    for a, b in commuting:
-        if product((a, b)) != product((b, a)):
-            names = format_mcg_word((a,)), format_mcg_word((b,))
-            raise ValidationFailure("{} and {} do not commute".format(*names))
+        for i in (1, 2, 3):
+            if product((tbeta(), talpha(i))) != product((talpha(i), tbeta())):
+                raise ValidationFailure(f"t_b and t_a{i} do not commute")
 
     def reduced(counts):
         return tuple(counts[j] - counts[g - 1] for j in range(g - 1))

@@ -260,10 +260,16 @@ def test_build_catalog_rejects_unreduced_image(monkeypatch):
         build_catalog(5)
 
 
+def distant_chain_pairs(genus):
+    return [(talpha(i), talpha(j)) for i in range(1, genus) for j in range(i + 2, genus)]
+
+
 def certified_relation_words(catalog):
-    """The words whose images ``build_catalog`` compares: both orders of
-    each stored inverse pair, both sides of each braid relation, and both
-    orders of each distant or t_b commuting pair."""
+    """Relation words whose ``_append`` images the test checks against
+    ``compose``: both orders of each stored inverse pair, both sides of each
+    braid relation, and both orders of each t_b commuting pair, which
+    ``build_catalog`` compares, and of each distant chain pair, which it
+    leaves to its locality check."""
     g = catalog.genus
     words = []
     for kind, idx, _ in catalog.symbols():
@@ -272,7 +278,7 @@ def certified_relation_words(catalog):
     for i in range(1, g - 1):
         a, b = talpha(i), talpha(i + 1)
         words += [(a, b, a), (b, a, b)]
-    pairs = [(talpha(i), talpha(j)) for i in range(1, g) for j in range(i + 2, g)]
+    pairs = distant_chain_pairs(g)
     if g >= 4:
         pairs += [(tbeta(), talpha(i)) for i in (1, 2, 3)]
     for a, b in pairs:
@@ -309,6 +315,34 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
         assert all(unpack(inv) == inverse(unpack(b)) for b, inv in pairs), word
 
 
+@pytest.mark.parametrize("genus", [5, 30, 127])
+def test_distant_chain_twists_commute_on_append(genus):
+    """The relation ``build_catalog`` leaves to its locality check: for
+    every distant pair of chain twists the two ``_append`` products are the
+    same table."""
+    cat = get_catalog(genus)
+    ident = cat.presentation.letters_packed
+    for a, b in distant_chain_pairs(genus):
+        ab = mcgverify.mcg._append(cat, ident, (a, b))
+        assert ab == mcgverify.mcg._append(cat, ident, (b, a)), (a, b)
+
+
+@pytest.mark.parametrize("genus", [30, 60, 127])
+def test_build_catalog_append_calls_linear(genus, monkeypatch):
+    """Certifying a catalog costs O(g) products (6g + 8), not one pair per
+    distant chain pair."""
+    append = mcgverify.mcg._append
+    calls = []
+
+    def counted(catalog, pairs, word):
+        calls.append(word)
+        return append(catalog, pairs, word)
+
+    monkeypatch.setattr(mcgverify.mcg, "_append", counted)
+    build_catalog(genus)
+    assert len(calls) <= 8 * genus
+
+
 def mutated(monkeypatch, name, change):
     """Replace an image formula by ``change(original, genus, i, sign)``."""
     original = getattr(mcgverify.mcg, name)
@@ -323,6 +357,13 @@ def u1_sends_x1_to_x2_inverse(original, genus, i, sign):
     return ims
 
 
+def t_a2_writes_x6_into_x2(original, genus, i, sign):
+    ims = original(genus, i, sign)
+    if i == 2 and sign > 0:
+        ims[1] = (6, 2, 2, 3, -6)
+    return ims
+
+
 CATALOG_MUTANTS = [
     pytest.param("transposition_images", lambda orig, g, i, s: orig(g, i, 1 if i == 2 else s),
                  "stored inverse wrong for ('u', 2, 1)", id="u2-inverse-given-u2"),
@@ -331,6 +372,9 @@ CATALOG_MUTANTS = [
                  "braid relation failed for t_a1, t_a2", id="t_a2-given-its-inverse"),
     pytest.param("transposition_images", u1_sends_x1_to_x2_inverse,
                  "relator certificate failed for ('u', 1, 1)", id="u1-sends-x1-to-x2^-1"),
+    # freely reduced, and only the letter x6 leaves the support {x2, x3}
+    pytest.param("chain_twist_images", t_a2_writes_x6_into_x2,
+                 "t_a2 writes x6 in the image of x2", id="t_a2-writes-x6-into-x2"),
 ]
 
 
