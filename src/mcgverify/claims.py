@@ -42,7 +42,6 @@ from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
 from .homology import (
     MODEL_LEAST,
     EgRotationSpec,
-    abelianize,
     build_eg_rotation,
     decompose_genus,
     determinant,
@@ -55,19 +54,19 @@ from .mcg import (
     Inner,
     crosscap_slide,
     curve_class,
-    evaluate,
     format_mcg_word,
     get_catalog,
     identity_status,
     inverse_word,
     order_of,
+    power_pairs,
     product_curve_image,
     talpha,
     tbeta,
     teps,
     transposition,
 )
-from .words import CONJ_BOUND, MAX_GENUS, format_word
+from .words import CONJ_BOUND, MAX_GENUS, abelianized, format_word, unpack
 
 
 @dataclass(frozen=True)
@@ -506,8 +505,19 @@ def _run_curve_image(claim, bounds):
 
 
 def _run_determinant(claim, bounds):
+    """The determinant of the homology matrix M of the claim's word, taken
+    from its moved block: the rows and columns C, the indices j < g-1 whose
+    packed image (:func:`~mcgverify.mcg.power_pairs`) is not the letter
+    x_{j+1}.  That byte comparison checks, rather than assumes, that every
+    other column is the unit column e_j, so expanding det M along those
+    columns leaves det M = det of the C x C block.  A generator moves at
+    most four columns; a composite word may move them all, and then the
+    block is M."""
     genus, word = _family_word(claim)
-    det = determinant(abelianize(evaluate(get_catalog(genus), word)))
+    pairs = power_pairs(get_catalog(genus), word, 1)
+    moved = [j for j in range(genus - 1) if pairs[j][0] != bytes((j + 1,))]
+    columns = [abelianized(genus, unpack(pairs[j][0])) for j in moved]
+    det = determinant(tuple(tuple(column[i] for column in columns) for i in moved))
     return _status(det == claim.expected), det, f"in_twist_subgroup={det == 1}"
 
 

@@ -44,8 +44,12 @@ is its n = 1 entry, ``order_of`` reads ``T^p`` from it, and
 entry, so the orders of s and s' reuse the chain-power identity's powers.
 A curve-orbit map is a product of such entries (:func:`product_pairs`), so
 ``x r^k x^-1`` costs the ladder of ``r^k`` and two compositions.  Squaring
-and composing run through :func:`_compose_pairs`, a table-indexed loop
-beside the per-letter kernel of ``_append``.
+and composing run through :func:`_compose_pairs`, which substitutes runs
+``x_i..x_j`` (or their inverses) rather than letters: a power's images are
+mostly such runs, and few distinct ones, and a run's image under ``a`` is
+``a(P_{i-1})^-1 a(P_j)`` for the prefixes ``P_j = x_1..x_j``.  Free
+reduction is unique, so the tables are the ones a per-letter substitution
+gives.
 
 :func:`is_inner` tries a witness before it compares the classes of the
 generator images, which it needs only when no witness exists.
@@ -54,12 +58,15 @@ generator images, which it needs only when no witness exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 
 from .errors import GenusMismatch, InvariantViolation, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
     CONJ_BOUND,
     SurfacePresentation,
+    _cancel,
     _strict_pass,
     conjugators,
     cyclic_canonical,
@@ -317,6 +324,12 @@ def format_mcg_word(word) -> str:
     return " ".join(parts)
 
 
+# _NEXT[b] is the byte of the letter after that of byte b in a run.  The
+# bytes after x_127 and x_1^-1 (0x80 and 0x00) are no letters, so no run
+# changes sign.
+_NEXT = bytes(b + 1 & 0xFF for b in range(256))
+
+
 def _moved(images) -> tuple:
     """(index, image) of every image that differs from its generator."""
     return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
@@ -426,32 +439,73 @@ def _append(catalog: GeneratorCatalog, pairs, word) -> list:
     return pairs
 
 
+def _run_pair(a, run, prefixes) -> tuple:
+    """Packed image under ``a`` of a run of b's image, with its inverse.
+
+    A run is ``x_i..x_j`` or ``x_j^-1..x_i^-1``.  A single letter takes its
+    pair from ``a``; a longer run takes ``a(P_{i-1})^-1 a(P_j)``, freely
+    reduced, where ``P_j = x_1..x_j``.  ``prefixes`` holds the packed pairs
+    of ``a(P_0), a(P_1), ...``, freely reduced, and is filled on the first
+    longer run.
+    """
+    first = run[0]
+    if len(run) == 1:
+        return a[first - 1] if first < 0x80 else a[(-first & 0xFF) - 1][::-1]
+    if not prefixes:
+        prefixes.append((b"", b""))
+        for piece, inv in a:
+            out = bytearray(prefixes[-1][0])
+            _cancel(out, piece, inv)
+            w = bytes(out)
+            prefixes.append((w, invert(w)))
+    low, high = (first, run[-1]) if first < 0x80 else (-run[-1] & 0xFF, -first & 0xFF)
+    out = bytearray(prefixes[low - 1][1])
+    _cancel(out, *prefixes[high])
+    w = bytes(out)
+    return (w, invert(w)) if first < 0x80 else (invert(w), w)
+
+
 def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
     """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
     image of x_j is ``a`` applied to the image of x_j under ``b``.
 
-    The junction cancellation of :func:`~mcgverify.words._cancel`, run
-    through one 256-slot table built once per call and indexed by a
-    letter's signed byte: the piece ``a`` substitutes for the letter, the
-    last byte of the piece's inverse, that inverse read as one
-    little-endian integer, and its length n.  The bytes of each image of
-    ``b`` are read directly.  At a junction whose last bytes agree, the
-    tail of the product is XORed with the stored integer, shifted right by
-    the bytes the product lacks when it is shorter than n.  Squaring a
-    power cancels most of what it appends, at thousands of junctions, so
-    the work per junction is what counts.  The strict pass follows, as in
-    ``reduce_image``, and each result carries its inverse.
+    Each image of ``b`` is split into maximal runs whose signed letters
+    rise by one, ``x_i x_{i+1} .. x_j`` or its inverse: a letter starts a
+    run unless its byte is the previous byte plus one, found by comparing
+    the image in C with its bytes raised by one (``_NEXT``) and shifted by
+    one letter.  A run's piece is its image under ``a`` freely
+    reduced (:func:`_run_pair`), memoized per call by the run's bytes with
+    the last byte of its inverse, that inverse read as one little-endian
+    integer, and its length n.  Squared power tables are mostly such runs,
+    and few distinct ones, so the pieces are far fewer than the letters.
+    The pieces are joined by the junction cancellation of
+    :func:`~mcgverify.words._cancel`: at a junction whose last bytes
+    agree, the tail of the product is XORed with the stored integer,
+    shifted right by the bytes the product lacks when it is shorter than n.
+    An empty piece has no last byte, so it stores -1 and appends nothing.
+
+    The result is exact: each piece is the free reduction of the images
+    of its letters, and joining freely reduced pieces with junction
+    cancellation freely reduces the whole product, which is unique in the
+    free group, so it is the word a letter-by-letter substitution gives.
+    The strict pass follows, as in ``reduce_image``, and each result
+    carries its inverse.
     """
-    table = [None] * 256
-    for i, (piece, inv) in enumerate(a, 1):
-        n = len(piece)
-        table[i] = (piece, inv[-1], int.from_bytes(inv, "little"), n)
-        table[-i & 0xFF] = (inv, piece[-1], int.from_bytes(piece, "little"), n)
+    entries = {}
+    prefixes = []
     pairs = []
     for image, _ in b:
         out = bytearray()
-        for byte in image:
-            piece, last, key, n = table[byte]
+        starts = [*compress(count(), map(ne, image, b"\0" + image.translate(_NEXT)))]
+        for s, e in zip(starts, starts[1:] + [len(image)]):
+            run = image[s:e]
+            entry = entries.get(run)
+            if entry is None:
+                piece, inv = _run_pair(a, run, prefixes)
+                entry = entries[run] = (
+                    piece, inv[-1] if inv else -1, int.from_bytes(inv, "little"), len(piece)
+                )
+            piece, last, key, n = entry
             if out and out[-1] == last:
                 m = len(out)
                 if m >= n:

@@ -27,12 +27,13 @@ single letters:
 
 Conjugacy works on cyclic words: the canonical form of a conjugacy class is
 the lexicographically smallest member of the closure of the cyclically
-reduced word under rotation and half-for-half exchange.  Conjugators are
-yielded lazily and verified one at a time (:func:`conjugators`), so a
-caller that needs the first usable one checks no more.  Closing under
-exchanges matters at every genus: for example ``x1^2 x2^2`` equals
-``(x3^2 x4^2)^-1`` in genus 4, and the two sides are not rotations of each
-other.
+reduced word under rotation and half-for-half exchange.  A word shorter
+than g holds no window of half a rotation, so its closure is its rotations,
+listed without a search (:func:`_component`).  Conjugators are yielded
+lazily and verified one at a time (:func:`conjugators`), so a caller that
+needs the first usable one checks no more.  Closing under exchanges
+matters at every genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1``
+in genus 4, and the two sides are not rotations of each other.
 
 Dehn reduction has one kernel, over packed words: a ``bytes`` object with
 one signed byte per letter (``pack``/``unpack``), whose inverse is the
@@ -43,13 +44,14 @@ piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
 Cancellation runs in two places: ``_cancel``, which the strict pass and
 :func:`reduce_image` call at every junction, and ``mcg._compose_pairs``,
-which squares power tables through a per-call table indexed by a
-letter's byte and ends in the same strict pass.  The strict pass has one
-prefilter: it searches the word for floor(g/2) doubled letters in a row,
-which every strict window holds, and returns at once if there are none;
-otherwise it looks every window up.  Public functions take and return
-tuples and pack at their boundary.  A signed byte holds letters up to
-127, so the genus is capped at ``MAX_GENUS = 127``.
+which squares power tables by substituting runs ``x_i..x_j`` of letters,
+each piece memoized per call with its inverse as one integer, and ends in
+the same strict pass.  The strict pass has one prefilter: it searches the
+word for floor(g/2) doubled letters in a row, which every strict window
+holds, and returns at once if there are none; otherwise it looks every
+window up.  Public functions take and return tuples and pack at their
+boundary.  A signed byte holds letters up to 127, so the genus is capped
+at ``MAX_GENUS = 127``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
@@ -395,7 +397,20 @@ def _component(pres: SurfacePresentation, start: Word):
     """Closure of a cyclically reduced word under rotation and
     half-exchange at constant length.  Yields a dict word -> conjugator
     (relative to ``start``), unless some member shrinks, in which case
-    returns ('shrunk', word, conjugator)."""
+    returns ('shrunk', word, conjugator).
+
+    A start shorter than g is closed under rotation alone: every rotation
+    of a cyclically reduced word is cyclically reduced and as short, so
+    none holds a half window (length g) or a strict window (length g+1),
+    and none shrinks.  Its members are its rotations, each with the
+    conjugator ``start[:k]`` of its first k, which is what the search
+    below assigns them.  Longer starts are searched breadth first.
+    """
+    if len(start) < pres.genus:
+        members = {}
+        for k in range(len(start)):
+            members.setdefault(start[k:] + start[:k], start[:k])
+        return ("done", members, None)
     members = {start: EMPTY}
     queue = deque([start])
     while queue:

@@ -260,6 +260,7 @@ def test_criterion_8_kernel_property_suites():
 REPORT_DIGESTS = {
     "default": "68fe9b98387236e0e32c06914f99aef5729be4f0d7524f35eca70860ef9b41bf",
     "[mt]* genus 24..30": "e43ab98d0b0da114a15550a771c89e416f848b1c7b7e4f62bdcf7ff95a54a083",
+    "[mt]* genus 127..127": "c96b21a87bd726bf95f96c86d266003818bee2f74e1383c55e403d9e3c1d44b3",
 }
 
 
@@ -294,3 +295,13 @@ def test_high_genus_reports_match_committed_digest():
     reports = run_claims(claims, Bounds())
     assert len(reports) == 847
     assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 24..30"]
+
+
+def test_genus_cap_reports_match_committed_digest():
+    """``run --filter '[mt]*' --genus 127..127``: the same claims at the
+    genus cap, where the power tables are longest, report equal to the
+    committed one apart from timings."""
+    claims = filter_claims(build_claims(genus_range=(127, 127)), "[mt]*")
+    reports = run_claims(claims, Bounds())
+    assert len(reports) == 521
+    assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 127..127"]

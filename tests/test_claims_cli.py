@@ -24,7 +24,9 @@ from mcgverify.claims import (
     run_claims,
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
+from mcgverify.homology import abelianize, determinant
 from mcgverify.lantern import DEFAULT_BUDGET
+from mcgverify.mcg import evaluate, get_catalog
 
 
 def load_schema():
@@ -160,6 +162,29 @@ def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys
     assert mcgverify.cli.main(args) == 2
     rows = json.loads(capsys.readouterr().out)
     assert [(row["status"], row["observed"]) for row in rows] == [("fail", det)]
+
+
+@pytest.mark.parametrize("genus", [3, 5, 30, 127])
+def test_determinant_claims_read_the_moved_block(genus, monkeypatch):
+    """Every determinant claim about the genus-g surface (twist.det,
+    mcg.det, thm1.det, tsub.det) reports the determinant of the whole
+    homology matrix, computed on the block of the moved columns: at most
+    four of them for a single generator."""
+    catalog = get_catalog(genus)
+    sizes = []
+
+    def spy(matrix):
+        sizes.append(len(matrix))
+        return determinant(matrix)
+
+    monkeypatch.setattr(mcgverify.claims, "determinant", spy)
+    claims = [c for c in build_claims(genus_range=(genus, genus)) if c.kind == "determinant"]
+    assert {c.id.split(".")[0] for c in claims} == {"twist", "mcg", "thm1", "tsub"}
+    for claim in claims:
+        _, word = mcgverify.claims._family_word(claim)
+        det = determinant(abelianize(evaluate(catalog, word)))
+        assert run_claim(claim, Bounds()).observed == det, claim.id
+        assert len(word) > 1 or sizes[-1] <= 4, claim.id
 
 
 @pytest.mark.parametrize("p,q", [

@@ -1,5 +1,6 @@
 """Generator catalog, inner-automorphism decisions, orders, curve orbits."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -58,6 +59,7 @@ from mcgverify.words import (
     MAX_GENUS,
     _canonical_with_conj,
     _primitive_root,
+    _strict_pass,
     dehn_reduce,
     free_reduce,
     get_presentation,
@@ -536,15 +538,51 @@ def power_rungs(n):
     return rungs
 
 
+def run_cases(rng, genus):
+    """(a, b) image tables whose images of b are runs x_i..x_j and their
+    inverses: the whole chain x_1..x_g of each sign, runs that start or end
+    at x_1 or x_g, seeded runs of both signs back to back, and a run whose
+    image is empty (a sends x_{i+1} to the inverse of a(x_i)), alone,
+    between single letters of either sign and inside a longer run."""
+    pres = get_presentation(genus)
+    g = genus
+
+    def run(i, j):
+        return tuple(range(i, j + 1))
+
+    # every fifth table: seeded images, strict pieces, doubled runs, ...
+    for images, _ in itertools.islice(kernel_cases(rng, pres, 2), 0, None, 5):
+        images = list(images)
+        runs = [run(1, g), inverse(run(1, g)), run(2, g), inverse(run(1, g - 1)),
+                run(1, 2) + inverse(run(g - 1, g)), inverse(run(1, 2)) + run(g - 1, g)]
+        for _ in range(4):
+            seeded = ()
+            for _ in range(rng.randrange(2, 5)):
+                i = rng.randrange(1, g)
+                piece = run(i, rng.randrange(i + 1, g + 1))
+                seeded += piece if rng.random() < 0.5 else inverse(piece)
+            runs.append(seeded)
+        yield images, (runs * g)[:g]
+        i = rng.randrange(1, g)
+        images[i] = inverse(images[i - 1])
+        empty = run(i, i + 1)
+        others = [(-rng.randrange(1, g + 1),) + empty + (-rng.randrange(1, g + 1),),
+                  (rng.randrange(1, g + 1),) + inverse(empty) + (rng.randrange(1, g + 1),),
+                  run(max(i - 1, 1), min(i + 2, g))]
+        yield images, ([empty] + others * g)[:g]
+
+
 def squaring_cases(rng, genus):
     """(a, b) image tables for _compose_pairs: seeded tables from
-    ``kernel_cases``, with the case's word as the first image of b, and
-    every square the power table's ladder takes towards the orders of s,
-    s', r and r', with one product P^h P^1 per word, on a fresh catalog."""
+    ``kernel_cases``, with the case's word as the first image of b, the
+    runs of ``run_cases``, and every square the power table's ladder takes
+    towards the orders of s, s', r and r', with one product P^h P^1 per
+    word, on a fresh catalog."""
     pres = get_presentation(genus)
     rest = [(i,) for i in range(2, genus + 1)]
     for images, word in kernel_cases(rng, pres, 20):
         yield images, [word] + rest
+    yield from run_cases(rng, genus)
     cat = build_catalog(genus)
     even = genus % 2 == 0
     orders = {word_s: genus if even else 2 * genus,
@@ -564,17 +602,18 @@ def squaring_cases(rng, genus):
 
 @pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
 def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
-    """The table-indexed loop of ``_compose_pairs`` gives, image for image,
-    what ``compose`` (the reference route) and the tuple oracle that cancels
-    one letter at a time give, with exact inverses, on seeded tables and on
-    the squares of the power tables of s, s', r and r'.  Every case the
-    table's junction handles occurs: a product shorter than the piece's
-    inverse (the shifted key), a whole piece cancelled, an emptied product,
-    a run back into an earlier piece, negative letters (table slots from
-    0x80 up) and, from genus 10 on, letter 10, byte 0x0a, which the strict
-    pass's regex reads only because ``re.S`` is set.  At genus 127 the
-    oracle, which pops one letter per cancelled letter, reads the first
-    image and six seeded others of each table; ``compose`` reads them all."""
+    """The run-substituting loop of ``_compose_pairs`` gives, image for
+    image, what ``compose`` (the reference route) and the tuple oracle that
+    cancels one letter at a time give, with exact inverses, on seeded
+    tables, on the runs of ``run_cases`` and on the squares of the power
+    tables of s, s', r and r'.  Every case the junction handles occurs: a
+    product shorter than the piece's inverse (the shifted key), a whole
+    piece cancelled, an emptied product, a cancellation that runs back into
+    an earlier piece, negative letters (bytes from 0x80 up) and, from genus
+    10 on, letter 10, byte 0x0a, which the strict pass's regex reads only
+    because ``re.S`` is set.  At genus 127 the oracle, which pops one
+    letter per cancelled letter, reads the first image and six seeded
+    others of each table; ``compose`` reads them all."""
     pres = get_presentation(genus)
     rng = random.Random(9300 + genus)
     seen = set()
@@ -605,6 +644,58 @@ def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
             )
     want_seen = {"product shorter", "whole piece", "emptied", "runs back", "byte >= 0x80"}
     assert seen == want_seen | ({"byte 0x0a"} if genus >= 10 else set())
+
+
+def letter_compose_pairs(pres, a, b):
+    """Oracle: ``_compose_pairs`` one letter of b's images at a time, each
+    letter's piece from a 256-slot table indexed by its signed byte, joined
+    by the same junction cancellation and strict pass."""
+    table = [None] * 256
+    for i, (piece, inv) in enumerate(a, 1):
+        n = len(piece)
+        table[i] = (piece, inv[-1], int.from_bytes(inv, "little"), n)
+        table[-i & 0xFF] = (inv, piece[-1], int.from_bytes(piece, "little"), n)
+    pairs = []
+    for image, _ in b:
+        out = bytearray()
+        for byte in image:
+            piece, last, key, n = table[byte]
+            if out and out[-1] == last:
+                m = len(out)
+                if m >= n:
+                    x = int.from_bytes(out[-n:], "little") ^ key
+                    k = n - (x.bit_length() + 7 >> 3)
+                else:
+                    x = int.from_bytes(out, "little") ^ (key >> 8 * (n - m))
+                    k = m - (x.bit_length() + 7 >> 3)
+                del out[-k:]
+                out += piece[k:]
+            else:
+                out += piece
+        w = _strict_pass(pres, bytes(out))
+        pairs.append((w, invert(w)))
+    return pairs
+
+
+@pytest.mark.parametrize("genus", [30, MAX_GENUS])
+def test_compose_pairs_matches_letter_loop_on_chain_ladders(genus):
+    """Every square the power table takes towards s^g and (s')^(g-1), the
+    two sides of the chain-power identity, and towards the orders of s and
+    s', is byte for byte the table the per-letter loop computes."""
+    cat = build_catalog(genus)
+    pres = cat.presentation
+    even = genus % 2 == 0
+    ladders = {word_s(genus): {genus, genus if even else 2 * genus},
+               word_s_prime(genus): {genus - 1, genus - 1 if even else 2 * genus - 2}}
+    squares = 0
+    for word, targets in ladders.items():
+        for n in set().union(*map(power_rungs, targets)):
+            if n % 2 == 0:
+                half = power_pairs(cat, word, n // 2)
+                got = mcgverify.mcg._compose_pairs(pres, half, half)
+                assert got == letter_compose_pairs(pres, half, half), n
+                squares += 1
+    assert squares >= 6
 
 
 def test_order_of_identity_word(catalog):

@@ -20,6 +20,8 @@ from mcgverify.words import (
     MAX_GENUS,
     SurfacePresentation,
     _canonical_with_conj,
+    _component,
+    _cyclic_free_reduce,
     _half_swaps_linear,
     _strict_pass,
     cyclic_canonical,
@@ -678,6 +680,69 @@ def test_canonical_form_conjugator_verifies(genus):
         assert is_trivial(pres, mul(conj, canon, inverse(conj), inverse(w))), w
         assert _canonical_with_conj(SurfacePresentation(genus), w) == (canon, conj), w
         assert cyclic_canonical(pres, w) == canon
+
+
+def bfs_component(pres, start):
+    """Oracle: the breadth-first closure of a cyclically reduced word under
+    rotation and half-exchange that ``_component`` runs on words of length
+    g or more, on every start: ('done', members, None) with members a dict
+    word -> conjugator, or ('shrunk', word, conjugator)."""
+    members = {start: ()}
+    queue = [start]
+    for current in queue:
+        neighbors = [(current[k:] + current[:k], current[:k]) for k in range(1, len(current))]
+        neighbors += [(swapped, ()) for swapped in _half_swaps_linear(pres, current)]
+        for neighbor, step in neighbors:
+            reduced, conj = _cyclic_free_reduce(neighbor, ())
+            reduced2 = unpack(_strict_pass(pres, pack(reduced)))
+            if len(reduced2) < len(reduced):
+                reduced, conj = _cyclic_free_reduce(reduced2, conj)
+            total = mul(members[current], step, conj)
+            if len(reduced) < len(start):
+                return ("shrunk", reduced, total)
+            if reduced not in members:
+                members[reduced] = total
+                queue.append(reduced)
+    return ("done", members, None)
+
+
+def cyclically_reduced(word):
+    return word == free_reduce(word) and not (word and word[0] == -word[-1])
+
+
+def short_cyclic_words(genus):
+    """Every cyclically reduced word shorter than g at g <= 5; seeded ones,
+    some periodic, at larger g."""
+    if genus <= 5:
+        words = itertools.chain.from_iterable(all_words(genus, n) for n in range(1, genus))
+        return [w for w in words if cyclically_reduced(w)]
+    rng = random.Random(genus)
+    words = []
+    while len(words) < 300:
+        w = random_word(rng, genus, genus - 1, min_len=1)
+        w = (w * (genus // len(w)))[: genus - 1] if rng.random() < 0.2 else w
+        if cyclically_reduced(w):
+            words.append(w)
+    return words
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 30])
+def test_short_component_matches_breadth_first_search(genus, monkeypatch):
+    """A cyclically reduced word shorter than g has its rotations as its
+    component, with the conjugators the breadth-first search assigns, and
+    its canonical pair is the one the search gives.  Halves of the
+    relator's rotations, of length g, are the shortest words with an
+    exchange, so the search must still run on them.  Each route reads a
+    fresh presentation, so neither reads the other's memo."""
+    pres = get_presentation(genus)
+    words = short_cyclic_words(genus) + [s[:genus] for s in pres.relator_shifts[::genus]]
+    for w in words:
+        assert _component(pres, w) == bfs_component(pres, w), w
+    fast = SurfacePresentation(genus)
+    canonical = [_canonical_with_conj(fast, w) for w in words]
+    monkeypatch.setattr(mcgverify.words, "_component", bfs_component)
+    slow = SurfacePresentation(genus)
+    assert [_canonical_with_conj(slow, w) for w in words] == canonical
 
 
 # ---------------------------------------------------------------------------
