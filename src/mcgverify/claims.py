@@ -50,7 +50,6 @@ from .homology import (
 )
 from .lantern import DEFAULT_BUDGET, canonical_rules, check_countermodel, verify_lemma1
 from .mcg import (
-    Inconclusive,
     Inner,
     crosscap_slide,
     curve_class,
@@ -66,21 +65,21 @@ from .mcg import (
     teps,
     transposition,
 )
-from .words import CONJ_BOUND, MAX_GENUS, abelianized, format_word, unpack
+from .words import MAX_GENUS, abelianized, format_word, unpack
 
 
 @dataclass(frozen=True)
 class Bounds:
     """The rewriting budget of a run, the one bound a run sets.
 
-    The other bounds a verdict depends on are fixed: conjugator powers up
-    to ``CONJ_BOUND`` and orders up to 4g.  ``as_dict`` reports all three.
+    The other bound a verdict depends on is fixed: orders up to 4g.
+    ``as_dict`` reports both.
     """
 
     budget: int = DEFAULT_BUDGET
 
     def as_dict(self) -> dict:
-        return {"conj": CONJ_BOUND, "order": "4g", "budget": self.budget}
+        return {"order": "4g", "budget": self.budget}
 
 
 @dataclass(frozen=True)
@@ -479,8 +478,6 @@ def _run_order(claim, bounds):
     genus, word = _family_word(claim)
     catalog = get_catalog(genus)
     result = order_of(catalog, word, 4 * genus)
-    if isinstance(result, Inconclusive):
-        return "inconclusive", f"inconclusive at conjugator bound {result.bound}", None
     if isinstance(result, int):
         return _status(result == claim.expected), result, format_mcg_word(word)
     return "fail", f"no order within {4 * genus}", None
@@ -488,9 +485,7 @@ def _run_order(claim, bounds):
 
 def _run_identity(claim, bounds):
     genus, (lhs, rhs) = _family_word(claim)
-    status = identity_status(get_catalog(genus), lhs, rhs, bound=CONJ_BOUND)
-    if isinstance(status, Inconclusive):
-        return "inconclusive", f"inconclusive at conjugator bound {status.bound}", None
+    status = identity_status(get_catalog(genus), lhs, rhs)
     inner = isinstance(status, Inner)
     return _status(inner == claim.expected), inner, format_word(status.witness) if inner else None
 

@@ -6,7 +6,7 @@ class McgVerifyError(Exception):
 
 
 class ConjugacyMismatch(McgVerifyError):
-    """A conjugator search (``conjugators``, ``find_conjugators``) was asked
+    """A conjugator lookup (``conjugator``, ``find_conjugators``) was asked
     for a pair that is not conjugate."""
 
 

@@ -51,8 +51,9 @@ mostly such runs, and few distinct ones, and a run's image under ``a`` is
 reduction is unique, so the tables are the ones a per-letter substitution
 gives.
 
-:func:`is_inner` tries a witness before it compares the classes of the
-generator images, which it needs only when no witness exists.
+:func:`is_inner` decides exactly, with no bound: centralizers in pi_1 are
+cyclic, so the conjugators of x_1 and x_2 onto their images meet in at most
+one candidate, and checking that candidate on every generator decides.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 
-from .errors import GenusMismatch, InvariantViolation, ValidationFailure
+from .errors import GenusMismatch, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
-    CONJ_BOUND,
     SurfacePresentation,
     _cancel,
     _strict_pass,
-    conjugators,
+    conjugator,
     cyclic_canonical,
     format_word,
     free_reduce,
@@ -158,68 +158,61 @@ class NotInner:
 
 
 @dataclass(frozen=True)
-class Inconclusive:
-    """No witness found within the configured bound; not a verdict."""
-
-    bound: int
-
-
-@dataclass(frozen=True)
 class InfiniteWithinBound:
     """No power up to ``bound`` is inner."""
 
     bound: int
 
 
-def is_inner(pres: SurfacePresentation, a: Automorphism, bound: int = CONJ_BOUND):
-    """Decide whether ``a`` is an inner automorphism.
+def _common_power(pres: SurfacePresentation, b1, b2):
+    """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist:
+    read off the homology vector h of b_2^-1 b_1 (see :func:`is_inner`),
+    it is -h_1 when h_i = 0 for every i >= 3, and None otherwise."""
+    h = pres.abelianized(mul(inverse(b2), b1))
+    return None if any(h[2:]) else -h[0]
 
-    Returns Inner(witness) with a verified conjugator, NotInner when some
-    invariant (homology action, or the conjugacy class of a generator
-    image) rules it out, and Inconclusive(bound) when all candidate
-    conjugators within the centralizer power bound fail.  An Inner verdict
-    always carries a witness w with w x_i w^-1 = a(x_i) for every i.
 
-    Inconclusive is the usual answer for a conjugate of u_i^2 or y^2,
-    which is what :func:`identity_status` meets when the two sides differ
-    in the sign of one u or y symbol.  Such a class is a twist about a
-    curve that bounds a one-holed Klein bottle; it fixes homology and the
-    conjugacy class of every generator image, so neither invariant can
-    refute it.
+def is_inner(pres: SurfacePresentation, a: Automorphism):
+    """Decide whether ``a`` is an inner automorphism: Inner(witness), with
+    w x_i w^-1 = a(x_i) for every i, or NotInner.  No bound: one candidate
+    conjugator decides.
 
-    The checks run witness first: after the homology check and the class of
-    x1's image, the verified conjugators of x1 onto its image are taken one
-    at a time (:func:`~mcgverify.words.conjugators`, the order
-    ``find_conjugators`` lists them in), and the first that also sends every
-    other x_i onto its image is the witness.  Only when none does are the
-    classes of the other images compared.  No verdict depends on that
-    order: a witness proves every image conjugate to its generator, so the
-    class loop could not have refuted it, and without one the class loop
-    runs as it would have first.  If no candidate verifies on x1, whose
-    class matched, the canonical forms are at fault: InvariantViolation.
+    After the homology check (an inner automorphism fixes homology), a(x_1)
+    must be conjugate to x_1 and a(x_2) to x_2, and the canonical forms give
+    verified conjugators b_1, b_2 of x_1, x_2 onto their images
+    (:func:`~mcgverify.words.conjugator`).  Suppose conjugation by c is
+    ``a``.  Then b_1^-1 c centralizes x_1.  pi_1(N_g), g >= 3, is
+    torsion-free hyperbolic, so the centralizer of a nontrivial element is
+    cyclic (Bridson-Haefliger, Metric Spaces of Non-positive Curvature,
+    III.Gamma), and x_1 is not a proper power, as its homology class
+    (1, 0, ..., 0) is primitive; so c = b_1 x_1^k for some k, and likewise
+    c = b_2 x_2^m.  Then b_2^-1 b_1 = x_2^m x_1^-k, whose homology vector h
+    (exponent sums less that of x_g, which the relator leaves unchanged) is
+    (-k, m, 0, ..., 0).  So c exists only if h_i = 0 for every i >= 3, and
+    then k = -h_1 (:func:`_common_power`).  The one candidate c = b_1 x_1^k
+    is checked on x_2..x_g; it sends x_1 onto a(x_1) already.  The center is
+    trivial, so an inner automorphism has one conjugator, and the witness
+    is this word.
+
+    Raises InvariantViolation if a matched conjugator fails to verify.
     """
     g = pres.genus
-    # Inner automorphisms act trivially on homology.
     for i in range(1, g + 1):
         if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
             return NotInner(f"homology class of image of x{i} moved")
-    if not is_conjugate(pres, (1,), a.images[0]):
-        return NotInner("image of x1 not conjugate to x1")
-    verified = False
-    for c in conjugators(pres, (1,), a.images[0], bound=bound):
-        verified = True
-        c_inv = inverse(c)
-        if all(
-            is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1])))
-            for i in range(2, g + 1)
-        ):
-            return Inner(c)
-    if not verified:
-        raise InvariantViolation("canonical matching produced no valid conjugator")
-    for i in range(2, g + 1):
+    for i in (1, 2):
         if not is_conjugate(pres, (i,), a.images[i - 1]):
             return NotInner(f"image of x{i} not conjugate to x{i}")
-    return Inconclusive(bound)
+    b1 = conjugator(pres, (1,), a.images[0])
+    k = _common_power(pres, b1, conjugator(pres, (2,), a.images[1]))
+    if k is None:
+        return NotInner("x1 and x2 have no common conjugator")
+    c = mul(b1, (1 if k > 0 else -1,) * abs(k))
+    c_inv = inverse(c)
+    for i in range(2, g + 1):
+        if not is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1]))):
+            return NotInner(f"the one candidate conjugator fails on x{i}")
+    return Inner(c)
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +607,20 @@ def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass
 # Equality and orders up to inner automorphism
 
 
-def identity_status(catalog: GeneratorCatalog, lhs, rhs, bound: int = CONJ_BOUND):
+def identity_status(catalog: GeneratorCatalog, lhs, rhs):
     """Inner-automorphism status of ``L R^-1`` for ``L = R``, each side a
-    ``(word, exponent)`` pair.  Equal side tables (:func:`power_pairs`) give
-    Inner(()); otherwise ``is_inner`` decides ``evaluate(L R^-1)``, because
-    two routes may leave different sides of an exactly-half relator piece."""
+    ``(word, exponent)`` pair: Inner or NotInner.  Equal side tables
+    (:func:`power_pairs`) give Inner(()); otherwise ``is_inner`` decides
+    ``evaluate(L R^-1)``, because two routes may leave different sides of
+    an exactly-half relator piece."""
     (lword, ln), (rword, rn) = lhs, rhs
     if power_pairs(catalog, lword, ln) == power_pairs(catalog, rword, rn):
         return Inner(())
     word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
-    return is_inner(catalog.presentation, evaluate(catalog, word), bound=bound)
+    return is_inner(catalog.presentation, evaluate(catalog, word))
 
 
-def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_BOUND):
+def order_of(catalog: GeneratorCatalog, word, max_order: int):
     """Least n <= max_order with evaluate(word)^n inner.
 
     The homology matrix M gives a cheap necessary condition: an inner power
@@ -638,14 +632,13 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
     probe decides only the cost, never the verdict: the multiples n of p
     with M^n = I are the ones a full matrix order would test, and for any
     other multiple some generator's homology class moves, so the homology
-    check :func:`is_inner` runs first refutes T^n as NotInner, never
-    Inconclusive.
+    check :func:`is_inner` runs first refutes T^n.
 
     The catalog's table gives both the matrix, from ``T``, and ``T^p``
     (:func:`power_pairs`); each later multiple ``2p, 3p, ...`` composes the
-    last one with ``T^p``.  Returns the order,
-    InfiniteWithinBound(max_order), or Inconclusive if a witness search was
-    indecisive.
+    last one with ``T^p``.  Each power is decided exactly by
+    :func:`is_inner`, so the result is the order or
+    InfiniteWithinBound(max_order).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -660,11 +653,8 @@ def order_of(catalog: GeneratorCatalog, word, max_order: int, bound: int = CONJ_
     for n in range(period, max_order + 1, period):
         if n > period:
             pairs = _compose_pairs(pres, pairs, step)
-        status = is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs)), bound=bound)
-        if isinstance(status, Inner):
+        if isinstance(is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs))), Inner):
             return n
-        if isinstance(status, Inconclusive):
-            return status
     return InfiniteWithinBound(max_order)
 
 

@@ -29,9 +29,9 @@ Conjugacy works on cyclic words: the canonical form of a conjugacy class is
 the lexicographically smallest member of the closure of the cyclically
 reduced word under rotation and half-for-half exchange.  A word shorter
 than g holds no window of half a rotation, so its closure is its rotations,
-listed without a search (:func:`_component`).  Conjugators are yielded
-lazily and verified one at a time (:func:`conjugators`), so a caller that
-needs the first usable one checks no more.  Closing under exchanges
+listed without a search (:func:`_component`).  Matching two canonical
+forms gives one conjugator, verified before it is returned
+(:func:`conjugator`).  Closing under exchanges
 matters at every genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1``
 in genus 4, and the two sides are not rotations of each other.
 
@@ -76,8 +76,9 @@ EMPTY: Word = ()
 # pathological input locking up a batch run.
 SATURATION_CAP = 200_000
 
-# Conjugator search: powers z^k, |k| <= CONJ_BOUND, of the centralizer root.
-# The catalog's claims need |k| <= 2 at every genus checked (3..30, 40, 50).
+# find_conjugators lists the powers z^k, |k| <= CONJ_BOUND, of the
+# centralizer root by default.  No verdict reads it: mcg.is_inner computes
+# its one candidate's power.
 CONJ_BOUND = 16
 
 # A packed letter is one signed byte, so |letter| <= 127.
@@ -494,18 +495,14 @@ def _primitive_root(pres: SurfacePresentation, canon: Word, conj: Word) -> Word:
     return mul(conj, canon, inverse(conj))
 
 
-def conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND):
-    """Yield the verified conjugators c with c a c^-1 = b, lazily.
+def conjugator(pres: SurfacePresentation, a, b) -> Word:
+    """The conjugator c = conj_b conj_a^-1 with c a c^-1 = b that matching
+    the canonical forms a = conj_a K conj_a^-1 and b = conj_b K conj_b^-1
+    gives, verified with ``is_trivial``.
 
-    One base conjugator is recovered from the canonical-form matching; it
-    is composed with powers z^k, |k| <= bound, of the primitive root z of
-    ``a`` (the centralizer candidates), in the order base, base z,
-    base z^-1, base z^2, ...  A candidate is yielded only once
-    ``is_trivial`` verifies it, so a caller that stops at the first one it
-    can use builds and checks no later candidate.
-
-    Raises ConjugacyMismatch, at the first step, if the two words are not
-    conjugate.
+    Raises ConjugacyMismatch if the two words are not conjugate, and
+    InvariantViolation if the matched conjugator fails the check, which
+    only wrong canonical forms can cause.
     """
     a, b = tuple(a), tuple(b)
     canon_a, conj_a = _canonical_with_conj(pres, a)
@@ -514,36 +511,34 @@ def conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND):
         raise ConjugacyMismatch(
             f"{format_word(a)} and {format_word(b)} are not conjugate"
         )
-    if not canon_a:
-        yield EMPTY
-        return
-    base = mul(conj_b, inverse(conj_a))
-    root = _primitive_root(pres, canon_a, conj_a)
+    c = mul(conj_b, inverse(conj_a))
+    if not is_trivial(pres, mul(c, a, inverse(c), inverse(b))):
+        raise InvariantViolation("canonical matching produced no valid conjugator")
+    return c
+
+
+def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
+    """The verified conjugators c with c a c^-1 = b among base z^k,
+    |k| <= bound, in the order base, base z, base z^-1, base z^2, ...:
+    ``base`` is :func:`conjugator`'s and z is the primitive root of ``a``,
+    which spans its centralizer.
+
+    Raises ConjugacyMismatch if the two words are not conjugate, and
+    InvariantViolation if the base conjugator does not verify.
+    """
+    a, b = tuple(a), tuple(b)
+    base = conjugator(pres, a, b)
+    canon, conj = _canonical_with_conj(pres, a)
+    if not canon:
+        return [base]
+    root = _primitive_root(pres, canon, conj)
     b_inv = inverse(b)
-
-    def verified(c):
-        return is_trivial(pres, mul(c, a, inverse(c), b_inv))
-
-    if verified(base):
-        yield base
-    power = EMPTY
-    inv_power = EMPTY
+    found = [base]
+    power = inv_power = EMPTY
     for _ in range(bound):
         power = mul(power, root)
         inv_power = mul(inv_power, inverse(root))
         for c in (mul(base, power), mul(base, inv_power)):
-            if verified(c):
-                yield c
-
-
-def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
-    """Every verified conjugator c with c a c^-1 = b that :func:`conjugators`
-    yields, in its order.
-
-    Raises ConjugacyMismatch if the two words are not conjugate, and
-    InvariantViolation if no candidate verifies.
-    """
-    verified = list(conjugators(pres, a, b, bound))
-    if not verified:
-        raise InvariantViolation("canonical matching produced no valid conjugator")
-    return verified
+            if is_trivial(pres, mul(c, a, inverse(c), b_inv)):
+                found.append(c)
+    return found

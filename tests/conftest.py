@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mcgverify.mcg import Automorphism, Inner, NotInner, identity_status
-from mcgverify.words import CONJ_BOUND, get_presentation
+from mcgverify.words import get_presentation
 
 
 @pytest.fixture(scope="session")
@@ -31,12 +31,11 @@ def random_word(rng, genus, max_len, min_len=0):
     return tuple(rng.choice(letters) for _ in range(rng.randrange(min_len, max_len + 1)))
 
 
-def mcg_equal(catalog, w1, w2, bound=CONJ_BOUND):
+def mcg_equal(catalog, w1, w2):
     """True iff the two mapping-class words define the same mapping class,
-    by ``identity_status`` of ``w1 = w2``: True, False, or
-    Inconclusive(bound)."""
-    status = identity_status(catalog, (tuple(w1), 1), (tuple(w2), 1), bound=bound)
-    return {Inner: True, NotInner: False}.get(type(status), status)
+    by ``identity_status`` of ``w1 = w2``."""
+    status = identity_status(catalog, (tuple(w1), 1), (tuple(w2), 1))
+    return {Inner: True, NotInner: False}[type(status)]
 
 
 def identity_automorphism(genus):

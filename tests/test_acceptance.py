@@ -258,9 +258,9 @@ def test_criterion_8_kernel_property_suites():
 # equal digests mean the same verdicts, observed values and witnesses.  A
 # change that means to move one of them updates the digest here.
 REPORT_DIGESTS = {
-    "default": "68fe9b98387236e0e32c06914f99aef5729be4f0d7524f35eca70860ef9b41bf",
-    "[mt]* genus 24..30": "e43ab98d0b0da114a15550a771c89e416f848b1c7b7e4f62bdcf7ff95a54a083",
-    "[mt]* genus 127..127": "c96b21a87bd726bf95f96c86d266003818bee2f74e1383c55e403d9e3c1d44b3",
+    "default": "f5fefd49c57172e8a391dce8410755b95f415761e8bf8c83559da938dad3e302",
+    "[mt]* genus 24..30": "28348d755401d3c06b30e860fbef98537abc31752d315373fcff069d74b14e66",
+    "[mt]* genus 127..127": "5a27b0fe1e2e763e9b1dff8dd1e246be227958983d8a5ee544a35f290a8a09cc",
 }
 
 

@@ -48,3 +48,15 @@ def test_claim_kinds_match_runners_and_tracer():
     """A renamed kind would drop out of the per-kind bench metrics."""
     kinds = {claim.kind for claim in build_claims()}
     assert kinds == set(RUNNERS) == set(tracer_constant("CLAIM_KINDS"))
+
+
+def test_is_inner_outcome_names_match_tracer():
+    """The tracer counts ``is_inner`` outcomes by class name; a renamed
+    class would be counted as ``error``."""
+    from mcgverify.mcg import evaluate, get_catalog, is_inner, talpha, transposition
+
+    cat = get_catalog(3)
+    pres = cat.presentation
+    inner = is_inner(pres, evaluate(cat, (transposition(2),) * 2))
+    not_inner = is_inner(pres, evaluate(cat, (talpha(1),)))
+    assert [type(inner).__name__, type(not_inner).__name__] == ["Inner", "NotInner"]

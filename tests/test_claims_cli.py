@@ -240,7 +240,7 @@ def test_cli_run_json_validates_against_schema():
     rows = json.loads(proc.stdout)
     jsonschema.validate(rows, load_schema())
     assert all(row["status"] == "pass" for row in rows)
-    assert all(row["bounds"] == {"conj": 16, "order": "4g", "budget": DEFAULT_BUDGET}
+    assert all(row["bounds"] == {"order": "4g", "budget": DEFAULT_BUDGET}
                for row in rows)
 
 
@@ -307,7 +307,7 @@ def test_cli_out_of_range_flag_exits_4(flag, value):
     ("--jobs", "2"),       # removed option
     ("--cache", "x"),      # removed option
     ("--bound-order", "4"),  # removed option: the order bound is 4g
-    ("--bound-conj", "3"),   # removed option: the power bound is CONJ_BOUND
+    ("--bound-conj", "3"),   # removed option: is_inner has no bound
     ("--bogus",),
     ("--budget", "abc"),
     ("--k", "1..2"),

@@ -30,7 +30,6 @@ from mcgverify.homology import (
 )
 from mcgverify.mcg import (
     Automorphism,
-    Inconclusive,
     Inner,
     NotInner,
     build_catalog,
@@ -60,6 +59,7 @@ from mcgverify.words import (
     _canonical_with_conj,
     _primitive_root,
     _strict_pass,
+    conjugator,
     dehn_reduce,
     free_reduce,
     get_presentation,
@@ -712,12 +712,15 @@ def test_order_of_infinite_order_twist():
 
 
 @pytest.mark.parametrize("genus", [5, 6, 7])
-def test_order_of_inconclusive_when_conjugator_powers_run_out(genus):
-    """The witness of r'^(g-1) needs the square of the centralizer root:
-    conjugator bound 1 exhausts the candidates, bound 2 finds the order."""
+def test_r_prime_order_witness_at_centralizer_power_2(genus):
+    """r'^(g-1) is inner, and its witness is b_1 x_1^2, where b_1 is the
+    matched conjugator of x_1 onto its image: the candidate sits at
+    centralizer power 2, which no bound now has to reach."""
     cat = get_catalog(genus)
-    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=1) == Inconclusive(1)
-    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=2) == genus - 1
+    assert order_of(cat, word_r_prime(genus), 4 * genus) == genus - 1
+    auto = tabled(genus, power_pairs(cat, word_r_prime(genus), genus - 1))
+    b1 = conjugator(cat.presentation, (1,), auto.images[0])
+    assert is_inner(cat.presentation, auto) == Inner(mul(b1, (1, 1)))
 
 
 def order_claim_words(genus):
@@ -755,8 +758,7 @@ def test_probe_period_equals_matrix_order(genus):
 def test_order_of_does_not_rest_on_the_probe(genus, monkeypatch):
     """With a probe period of 1, order_of tests every power, and the
     homology check in is_inner refutes the ones below the order: every
-    result is unchanged, including the Inconclusive of a too-small
-    conjugator bound."""
+    result is unchanged."""
     from mcgverify.mcg import InfiniteWithinBound
 
     monkeypatch.setattr(mcgverify.mcg, "vector_period", lambda entries, vector, limit: 1)
@@ -766,22 +768,16 @@ def test_order_of_does_not_rest_on_the_probe(genus, monkeypatch):
         assert order_of(cat, word_s(genus), 4 * genus) == (genus if even else 2 * genus)
         assert order_of(cat, word_s_prime(genus), 4 * genus) == (
             genus - 1 if even else 2 * (genus - 1))
-    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=1) == Inconclusive(1)
-    assert order_of(cat, word_r_prime(genus), 4 * genus, bound=2) == genus - 1
+    assert order_of(cat, word_r_prime(genus), 4 * genus) == genus - 1
     assert order_of(get_catalog(4), (talpha(1),), 16) == InfiniteWithinBound(16)
 
 
-def test_is_inner_inconclusive_at_bound_0():
-    cat = get_catalog(6)
-    a = evaluate(cat, word_s(6) * 6)
-    assert is_inner(cat.presentation, a, bound=0) == Inconclusive(0)
-    assert isinstance(is_inner(cat.presentation, a), Inner)
-
-
 def eager_is_inner(pres, a, bound=CONJ_BOUND):
-    """Reference: is_inner with every generator's class compared first and
-    the whole candidate list built and verified before any is tried, as
-    ``find_conjugators`` built it before it read a lazy generator."""
+    """Reference: a bounded search over the centralizer powers of x1's
+    conjugator.  Every generator's class is compared first, then the whole
+    candidate list base z^k, |k| <= bound, is built and verified, and the
+    first candidate that sends every x_i onto its image is the witness.
+    None when no candidate within the bound does."""
     g = pres.genus
     for i in range(1, g + 1):
         if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
@@ -807,58 +803,100 @@ def eager_is_inner(pres, a, bound=CONJ_BOUND):
         if all(is_trivial(pres, mul(c, (i,), inverse(c), inverse(a.images[i - 1])))
                for i in range(2, g + 1)):
             return Inner(c)
-    return Inconclusive(bound)
+    return None
 
 
 def tabled(genus, pairs):
     return Automorphism(genus, [unpack(b) for b, _ in pairs])
 
 
+def matches_eager(pres, auto):
+    """is_inner's verdict, checked against the bounded reference at
+    CONJ_BOUND: an Inner verdict has the reference's witness, and the
+    reference finds no witness where is_inner says NotInner."""
+    status = is_inner(pres, auto)
+    ref = eager_is_inner(pres, auto)
+    if isinstance(status, Inner) or isinstance(ref, Inner):
+        assert status == ref
+    else:
+        assert isinstance(status, NotInner)
+    return status
+
+
+def flipped_slide_words():
+    """w = t_a3 y u4^-1 t_a4 t_e y^-1 t_a2 at genus 5, and w with its second
+    y flipped: their classes differ by a conjugate of y^2."""
+    w = (talpha(3), crosscap_slide(), transposition(4, -1), talpha(4), teps(),
+         crosscap_slide(-1), talpha(2))
+    return w, w[:5] + (crosscap_slide(),) + w[6:]
+
+
 def named_inner_cases():
-    """(presentation, automorphism, bound) for each way is_inner can end:
-    t_a1 (homology), (u2 t_b^-1)^2 at genus 4 (x1's class), (u3 t_e)^2 at
-    genus 5 (x3's class, after every x1 candidate failed), u2^2 at genus 3
-    (a nontrivial witness), u1^2 and y^2 (Inconclusive), and s^6 at genus 6
-    with bound 0 (Inconclusive(0)) and the default bound (Inner)."""
+    """(presentation, automorphism) for each way is_inner can end: t_a1
+    (homology), (u2 t_b^-1)^2 at genus 4 (x1's class), x2 -> x2 [x3, x4]
+    (x2's class), x2 -> x3 x2 x3^-1 (b_2^-1 b_1 has h_3 != 0, so no common
+    conjugator), (u3 t_e)^2 at genus 5 and u1^2 and y^2 at genus 5 and 6
+    (the one candidate fails), and u2^2 at genus 3 and s^6 at genus 6
+    (Inner)."""
     cases = []
-    for genus, word, bound in [
-        (4, (talpha(1),), CONJ_BOUND),
-        (4, (transposition(2), tbeta(-1)) * 2, CONJ_BOUND),
-        (5, (transposition(3), teps()) * 2, CONJ_BOUND),
-        (3, (transposition(2),) * 2, CONJ_BOUND),
-        *((g, (transposition(1),) * 2, CONJ_BOUND) for g in (5, 6)),
-        *((g, (crosscap_slide(),) * 2, CONJ_BOUND) for g in (5, 6)),
-        (6, word_s(6) * 6, 0),
-        (6, word_s(6) * 6, CONJ_BOUND),
+    for genus, word in [
+        (4, (talpha(1),)),
+        (4, (transposition(2), tbeta(-1)) * 2),
+        (5, (transposition(3), teps()) * 2),
+        (3, (transposition(2),) * 2),
+        *((g, (transposition(1),) * 2) for g in (5, 6)),
+        *((g, (crosscap_slide(),) * 2) for g in (5, 6)),
+        (6, word_s(6) * 6),
     ]:
         cat = get_catalog(genus)
-        cases.append((cat.presentation, evaluate(cat, word), bound))
+        cases.append((cat.presentation, evaluate(cat, word)))
+    pres = get_presentation(5)
+    for x2 in [(2, 3, 4, -3, -4), (3, 2, -3)]:
+        cases.append((pres, Automorphism(5, [(1,), x2, (3,), (4,), (5,)])))
     return cases
 
 
 def test_is_inner_matches_eager_on_named_cases():
     seen = set()
-    for pres, auto, bound in named_inner_cases():
-        status = is_inner(pres, auto, bound=bound)
-        assert status == eager_is_inner(pres, auto, bound=bound)
-        seen.add(getattr(status, "reason", type(status).__name__).split(" to ")[0])
-    assert seen == {"homology class of image of x1 moved", "image of x1 not conjugate",
-                    "image of x3 not conjugate", "Inner", "Inconclusive"}
+    for pres, auto in named_inner_cases():
+        status = matches_eager(pres, auto)
+        seen.add(getattr(status, "reason", "Inner").rstrip("0123456789"))
+    assert seen == {"homology class of image of x1 moved", "image of x1 not conjugate to x",
+                    "image of x2 not conjugate to x", "x1 and x2 have no common conjugator",
+                    "the one candidate conjugator fails on x", "Inner"}
+
+
+@pytest.mark.parametrize("genus", [5, 6])
+def test_u_and_y_squares_are_not_inner(genus):
+    """u1^2 and y^2 fix homology and the class of every generator image, so
+    neither invariant refutes them; the one candidate conjugator does."""
+    cat = get_catalog(genus)
+    for word in [(transposition(1),) * 2, (crosscap_slide(),) * 2]:
+        assert isinstance(is_inner(cat.presentation, evaluate(cat, word)), NotInner)
+        assert mcg_equal(cat, word, ()) is False
+
+
+def test_flipped_slide_pair_not_equal():
+    """The bounded reference compares the classes of images of up to 419
+    letters here, which takes seconds; is_inner canonicalizes only the
+    images of x1 and x2."""
+    cat = get_catalog(5)
+    lhs, rhs = flipped_slide_words()
+    assert mcg_equal(cat, lhs, rhs) is False
+    status = is_inner(cat.presentation, evaluate(cat, lhs + inverse_word(rhs)))
+    assert status == NotInner("the one candidate conjugator fails on x3")
 
 
 @pytest.mark.parametrize("genus", [*range(3, 13), 24, 25])
 def test_is_inner_matches_eager_on_order_powers(genus):
-    """Every power T^n, n = 1..order, of every order-claim word: the
-    witness-first order gives the status, witness and reason the eager
-    reference gives."""
+    """Every power T^n, n = 1..order, of every order-claim word: is_inner
+    agrees with the bounded reference, and only T^order is inner."""
     cat = get_catalog(genus)
     pres = cat.presentation
     for word in order_claim_words(genus):
         order = order_of(cat, word, 4 * genus)
         for n in range(1, order + 1):
-            auto = tabled(genus, power_pairs(cat, word, n))
-            status = is_inner(pres, auto)
-            assert status == eager_is_inner(pres, auto), (word, n)
+            status = matches_eager(pres, tabled(genus, power_pairs(cat, word, n)))
             assert isinstance(status, Inner) == (n == order), (word, n)
 
 
@@ -872,48 +910,64 @@ def test_is_inner_matches_eager_on_identity_quotients(genus):
              for c in resolve_claims(f"thm1.id.*.g{genus}")]
     sides.append(((word_s_prime(genus), genus - 1), (word_s(genus), genus + 1)))
     for lhs, rhs in sides:
-        auto = evaluate(cat, word_power(*lhs) + inverse_word(word_power(*rhs)))
-        assert is_inner(pres, auto) == eager_is_inner(pres, auto), (lhs, rhs)
+        matches_eager(pres, evaluate(cat, word_power(*lhs) + inverse_word(word_power(*rhs))))
+
+
+def seeded_conjugations(genus, seed, count):
+    rng = random.Random(seed)
+    autos = []
+    for _ in range(count):
+        w = random_word(rng, genus, 6)
+        autos.append(Automorphism(genus, [mul(w, (i,), inverse(w)) for i in range(1, genus + 1)]))
+    return autos
 
 
 @pytest.mark.parametrize("genus", [3, 4, 5, 7])
 def test_is_inner_matches_eager_on_seeded_conjugations(genus):
-    rng = random.Random(9400 + genus)
     pres = get_presentation(genus)
-    for _ in range(30):
-        w = random_word(rng, genus, 6)
-        auto = Automorphism(genus, [mul(w, (i,), inverse(w)) for i in range(1, genus + 1)])
-        status = is_inner(pres, auto)
-        assert isinstance(status, Inner)
-        assert status == eager_is_inner(pres, auto)
+    for auto in seeded_conjugations(genus, 9400 + genus, 30):
+        assert isinstance(matches_eager(pres, auto), Inner)
+
+
+def test_is_inner_rejects_a_shifted_centralizer_power(monkeypatch):
+    """Forcing k to k + 1 or k - 1 makes the candidate b_1 x_1^k fail on
+    some x_i, so every Inner case turns NotInner: the check of the candidate,
+    not the computed k, certifies an Inner verdict."""
+    cases = [case for case in named_inner_cases() if isinstance(is_inner(*case), Inner)]
+    cases += [(get_presentation(5), auto) for auto in seeded_conjugations(5, 9600, 10)]
+    for genus in (5, 6, 7):
+        cat = get_catalog(genus)
+        cases.append((cat.presentation,
+                      tabled(genus, power_pairs(cat, word_r_prime(genus), genus - 1))))
+    assert all(isinstance(is_inner(*case), Inner) for case in cases)
+    common_power = mcgverify.mcg._common_power
+    for shift in (1, -1):
+        monkeypatch.setattr(mcgverify.mcg, "_common_power",
+                            lambda *args: common_power(*args) + shift)
+        for case in cases:
+            assert isinstance(is_inner(*case), NotInner), shift
 
 
 def test_is_inner_raises_when_no_candidate_verifies(monkeypatch):
     """With ``is_trivial`` forced to False no conjugator verifies, as when
-    canonical forms are wrong.  Wherever homology and x1's class pass,
-    is_inner raises InvariantViolation: it never falls through to the class
-    loop, so never to Inconclusive.  Refutations before the search stand."""
-    rng = random.Random(9500)
-    pres = get_presentation(5)
+    canonical forms are wrong.  Wherever homology and the classes of x1's
+    and x2's images pass, is_inner raises InvariantViolation.  Refutations
+    before the matching stand."""
     cases = named_inner_cases()
-    for _ in range(5):
-        w = random_word(rng, 5, 6)
-        cases.append((pres, Automorphism(5, [mul(w, (i,), inverse(w)) for i in range(1, 6)]),
-                      CONJ_BOUND))
-    want = [is_inner(p, auto, bound=bound) for p, auto, bound in cases]
+    cases += [(get_presentation(5), auto) for auto in seeded_conjugations(5, 9500, 5)]
+    want = [is_inner(*case) for case in cases]
     never = lambda pres, word: False
     monkeypatch.setattr(mcgverify.words, "is_trivial", never)
     monkeypatch.setattr(mcgverify.mcg, "is_trivial", never)
     raised = 0
-    for (p, auto, bound), status in zip(cases, want):
-        reason = getattr(status, "reason", "")
-        if reason.startswith(("homology", "image of x1 ")):
-            assert is_inner(p, auto, bound=bound) == status
+    for case, status in zip(cases, want):
+        if getattr(status, "reason", "").startswith(("homology", "image of x")):
+            assert is_inner(*case) == status
             continue
         with pytest.raises(InvariantViolation):
-            is_inner(p, auto, bound=bound)
+            is_inner(*case)
         raised += 1
-    assert raised == len(cases) - 2
+    assert raised == len(cases) - 3
 
 
 def test_order_consistency_with_homology():
@@ -1088,10 +1142,9 @@ def generator_relation_sides(genus):
 @pytest.mark.parametrize("genus", range(5, 9))
 def test_mcg_equal_metamorphic_all_generators(genus):
     """Inserting either side of a relation in u, y, t_b or t_e into a random
-    word gives equal classes.  Flipping the sign of one t_a, t_b or t_e
-    symbol gives a class that ``mcg_equal`` refutes.  Flipping a u or y symbol
-    changes the class by a conjugate of u^2 or y^2, which neither invariant
-    of ``is_inner`` sees, so there only a True answer would be wrong."""
+    word gives equal classes.  Flipping the sign of one symbol of any kind
+    gives a class that ``mcg_equal`` refutes; for a u or y symbol the two
+    differ by a conjugate of u^2 or y^2."""
     rng = random.Random(genus)
     cat = get_catalog(genus)
     for _ in range(10):
@@ -1099,15 +1152,11 @@ def test_mcg_equal_metamorphic_all_generators(genus):
         for lhs, rhs in generator_relation_sides(genus):
             k = rng.randrange(len(w) + 1)
             assert mcg_equal(cat, w[:k] + lhs + w[k:], w[:k] + rhs + w[k:]) is True
-        # flips on a prefix: the images of long words with u or y symbols
-        # make the conjugacy search of an Inconclusive answer slow
+        # flips on a prefix: canonical forms of the images of x1 and x2 take
+        # time quadratic in their length (words._component)
         v = w[:4]
         for k, (kind, i, s) in enumerate(v):
-            changed = v[:k] + ((kind, i, -s),) + v[k + 1:]
-            if kind in "abe":
-                assert mcg_equal(cat, v, changed) is False
-            else:
-                assert mcg_equal(cat, v, changed) is not True
+            assert mcg_equal(cat, v, v[:k] + ((kind, i, -s),) + v[k + 1:]) is False
 
 
 # ---------------------------------------------------------------------------
