@@ -17,8 +17,9 @@ All arithmetic is exact over Python integers; determinants use
 fraction-free (Bareiss) elimination.  Periods push a dense vector through
 the sparse columns of a matrix: :func:`vector_period` gives the least n
 with M^n v = v, and :func:`matrix_order` is the lcm of the basis vectors'
-periods.  ``mcg.order_of`` needs only the period of one probe vector,
-which divides the order of M.
+periods.  ``mcg.order_of`` needs only the period of one probe vector:
+it divides the order of M, so only its multiples that divide the stated
+order are tested in pi_1.
 """
 
 from __future__ import annotations

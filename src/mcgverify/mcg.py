@@ -39,8 +39,8 @@ image, is kept as the tests' reference route.
 
 The catalog's one memo table (:func:`power_pairs`) maps ``(word, n)`` to the
 packed images of ``word^n``, built by appending and squaring.  ``evaluate``
-is its n = 1 entry, ``order_of`` reads ``T^p`` from it, and
-:func:`identity_status` compares the two sides of an identity entry against
+is its n = 1 entry, ``order_of`` reads each ``T^m`` it tests from it, and
+:func:`identity_status` compares the two sides of an identity entry by
 entry, so the orders of s and s' reuse the chain-power identity's powers.
 A curve-orbit map is a product of such entries (:func:`product_pairs`), so
 ``x r^k x^-1`` costs the ladder of ``r^k`` and two compositions.  Squaring
@@ -155,13 +155,6 @@ class NotInner:
     """Certified not inner (a conjugacy-invariant rules it out)."""
 
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class InfiniteWithinBound:
-    """No power up to ``bound`` is inner."""
-
-    bound: int
 
 
 def _common_power(pres: SurfacePresentation, b1, b2):
@@ -620,42 +613,40 @@ def identity_status(catalog: GeneratorCatalog, lhs, rhs):
     return is_inner(catalog.presentation, evaluate(catalog, word))
 
 
-def order_of(catalog: GeneratorCatalog, word, max_order: int):
-    """Least n <= max_order with evaluate(word)^n inner.
+def order_of(catalog: GeneratorCatalog, word, n: int):
+    """The order of ``T = evaluate(word)`` up to inner automorphism if it
+    divides n, else None.
 
-    The homology matrix M gives a cheap necessary condition: an inner power
-    T^n acts trivially on H_1, so M^n = I and in particular M^n v = v for
-    the fixed probe v = (1, 2, ..., g-1).  The period p of v
+    Only the multiples m of the probe period p that divide n are tested,
+    least first, and the first m with T^m inner (:func:`is_inner`, exact) is
+    returned.  The probe is v = (1, 2, ..., g-1) and p is the least p with
+    M^p v = v for the homology matrix M
     (:func:`~mcgverify.homology.vector_period`, which pushes v through the
-    sparse columns of M) therefore divides n, and only the multiples of p
-    are tested at the pi_1 level; no other power can be inner.  The
-    probe decides only the cost, never the verdict: the multiples n of p
-    with M^n = I are the ones a full matrix order would test, and for any
-    other multiple some generator's homology class moves, so the homology
-    check :func:`is_inner` runs first refutes T^n.
+    sparse columns of M).  This is the order exactly:
 
-    The catalog's table gives both the matrix, from ``T``, and ``T^p``
-    (:func:`power_pairs`); each later multiple ``2p, 3p, ...`` composes the
-    last one with ``T^p``.  Each power is decided exactly by
-    :func:`is_inner`, so the result is the order or
-    InfiniteWithinBound(max_order).
+    * an inner T^m acts trivially on H_1, so M^m = I, M^m v = v and p | m:
+      no power outside the multiples of p is inner;
+    * T^m is inner exactly when the order d divides m.  So if d | n, d is
+      among the candidates and is the least inner one; if d does not
+      divide n, or T has infinite order, no candidate is inner.
+
+    The probe decides only the cost, never the verdict: a candidate m with
+    M^m != I moves some generator's homology class, and the homology check
+    :func:`is_inner` runs first refutes T^m.  Each T^m is read from the
+    catalog's table (:func:`power_pairs`); no power above n is built.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     word = tuple(word)
-    pres = catalog.presentation
-    matrix = abelianize(evaluate(catalog, word))
-    period = vector_period(matrix, range(1, catalog.genus), max_order)
+    period = vector_period(abelianize(evaluate(catalog, word)), range(1, catalog.genus), n)
     if period is None:
-        return InfiniteWithinBound(max_order)
-
-    pairs = step = power_pairs(catalog, word, period)
-    for n in range(period, max_order + 1, period):
-        if n > period:
-            pairs = _compose_pairs(pres, pairs, step)
-        if isinstance(is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs))), Inner):
-            return n
-    return InfiniteWithinBound(max_order)
+        return None
+    for m in range(period, n + 1, period):
+        if n % m == 0:
+            power = Automorphism(catalog.genus, _unpacked(power_pairs(catalog, word, m)))
+            if isinstance(is_inner(catalog.presentation, power), Inner):
+                return m
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from mcgverify.mcg import Automorphism, Inner, NotInner, identity_status
+from mcgverify.homology import abelianize, vector_period
+from mcgverify.mcg import (
+    Automorphism,
+    Inner,
+    NotInner,
+    _compose_pairs,
+    _unpacked,
+    evaluate,
+    identity_status,
+    is_inner,
+    power_pairs,
+)
 from mcgverify.words import get_presentation
 
 
@@ -40,3 +51,22 @@ def mcg_equal(catalog, w1, w2):
 
 def identity_automorphism(genus):
     return Automorphism(genus, [(i,) for i in range(1, genus + 1)])
+
+
+def scan_order(catalog, word, limit):
+    """Reference: the least n <= limit with evaluate(word)^n inner, or None.
+    Only the multiples of the probe period p of v = (1, ..., g-1) under the
+    homology matrix can be inner; T^p is read from the power table and each
+    later multiple 2p, 3p, ... composes the last power with T^p."""
+    word = tuple(word)
+    pres = catalog.presentation
+    period = vector_period(abelianize(evaluate(catalog, word)), range(1, catalog.genus), limit)
+    if period is None:
+        return None
+    pairs = step = power_pairs(catalog, word, period)
+    for n in range(period, limit + 1, period):
+        if n > period:
+            pairs = _compose_pairs(pres, pairs, step)
+        if isinstance(is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs))), Inner):
+            return n
+    return None

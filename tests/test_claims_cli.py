@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -149,6 +150,19 @@ def test_run_claim_compares_stated_expected(claim_id, wrong):
     assert run_claim(dataclasses.replace(claim, expected=wrong), Bounds()).status == "fail"
 
 
+@pytest.mark.parametrize("wrong,observed", [
+    (12, 6),                      # 6 divides 12: the order is found, and it is not 12
+    (4, "no order dividing 4"),   # the order 6 does not divide 4
+])
+def test_order_claim_fails_on_a_wrong_order(wrong, observed):
+    """r has order 6 at genus 6.  A claim stating another order is a failed
+    row that shows what order_of found, and nothing raises."""
+    (claim,) = mcgverify.claims.resolve_claims("thm1.order.r.g6")
+    report = run_claim(dataclasses.replace(claim, expected=wrong), Bounds())
+    assert (report.status, report.observed) == ("fail", observed)
+    assert report.witness == run_claim(claim, Bounds()).witness
+
+
 @pytest.mark.parametrize("det", [3, -1, 0])
 def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys):
     """A determinant claim compares the exact determinant with its expected
@@ -240,8 +254,16 @@ def test_cli_run_json_validates_against_schema():
     rows = json.loads(proc.stdout)
     jsonschema.validate(rows, load_schema())
     assert all(row["status"] == "pass" for row in rows)
-    assert all(row["bounds"] == {"order": "4g", "budget": DEFAULT_BUDGET}
-               for row in rows)
+    assert all(row["bounds"] == {"budget": DEFAULT_BUDGET} for row in rows)
+
+
+def test_readme_library_example_runs():
+    """Every ```python block of the README runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_empty_filter_match_exits_zero():
@@ -306,7 +328,7 @@ def test_cli_out_of_range_flag_exits_4(flag, value):
 @pytest.mark.parametrize("args", [
     ("--jobs", "2"),       # removed option
     ("--cache", "x"),      # removed option
-    ("--bound-order", "4"),  # removed option: the order bound is 4g
+    ("--bound-order", "4"),  # removed option: an order claim checks its stated order
     ("--bound-conj", "3"),   # removed option: is_inner has no bound
     ("--bogus",),
     ("--budget", "abc"),
