@@ -46,12 +46,12 @@ Cancellation runs in two places: ``_cancel``, which the strict pass and
 :func:`reduce_image` call at every junction, and ``mcg._compose_pairs``,
 which squares power tables by substituting runs ``x_i..x_j`` of letters,
 each piece memoized per call with its inverse as one integer, and ends in
-the same strict pass.  The strict pass has one prefilter: it searches the
-word for floor(g/2) doubled letters in a row, which every strict window
-holds, and returns at once if there are none; otherwise it looks every
-window up.  Public functions take and return tuples and pack at their
-boundary.  A signed byte holds letters up to 127, so the genus is capped
-at ``MAX_GENUS = 127``.
+the same strict pass, which looks windows up in the one table of relator
+rotations, ``SurfacePresentation._rotations``.  It has one prefilter: it
+searches the word for floor(g/2) doubled letters in a row, which every
+strict window holds, and returns at once if there are none.  Public
+functions take and return tuples and pack at their boundary.  A signed
+byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
@@ -178,18 +178,18 @@ class SurfacePresentation:
     """The one-relator presentation of pi_1(N_g), with the lookup tables
     used by Dehn reduction.
 
-    ``relator_shifts`` holds all 4g cyclic rotations of the relator and of
-    its inverse; a subword of a rotation is a prefix of another rotation,
-    so prefix tables suffice for matching.  ``_strict`` maps each packed
-    rotation's prefix of length g+1 to the packed rotation, and ``_half``
-    maps each rotation's prefix of length g to the inverse of the other
-    half; a scan looks every window up in them.  ``_doubled`` searches a
-    packed word for floor(g/2) doubled letters in a row, ``aabb...``,
-    which every window of length g+1..2g of every rotation contains: a
-    word it does not match holds no strict window.  Its pattern
-    ``(.)\\1(.)\\2...`` has a group per pair, which searches twice as
-    fast as one repeated group.  ``letters_packed`` holds the packed pair
-    (x_i, x_i^-1) of each generator: the image table of the identity.
+    ``_rotations`` maps the first g letters of each of the 4g rotations of
+    the relator and of its inverse, which determine it, to the packed
+    rotation (12g^2 bytes in all).  A subword of a rotation is a prefix of
+    another rotation, so a window of g letters found in it is half a
+    rotation, and with the rotation's next letter a strict one.  ``_doubled``
+    searches a packed word for floor(g/2) doubled letters in a row,
+    ``aabb...``, which every window of length g+1..2g of every rotation
+    contains: a word it does not match holds no strict window.  Its
+    pattern ``(.)\\1(.)\\2...`` has a group per pair, which searches
+    twice as fast as one repeated group.  ``letters_packed`` holds the
+    packed pair (x_i, x_i^-1) of each generator: the image table of the
+    identity.
 
     Raises OutOfRange above ``MAX_GENUS``, where letters no longer fit a
     signed byte.
@@ -208,24 +208,19 @@ class SurfacePresentation:
         for i in range(1, genus + 1):
             relator += [i, i]
         self.relator: Word = tuple(relator)
-        shifts = []
-        for base in (self.relator, inverse(self.relator)):
-            for k in range(len(base)):
-                shifts.append(base[k:] + base[:k])
-        self.relator_shifts = tuple(shifts)
-        if len(set(self.relator_shifts)) != 4 * genus:
-            raise InvariantViolation("relator rotations are not distinct")
 
         g = genus
-        # Prefix of length g+1 determines the rotation uniquely (length-2
-        # runs cannot fill a window of length g+1 >= 4).
-        packed = [pack(s) for s in self.relator_shifts]
-        self._strict = {p[: g + 1]: p for p in packed}
-        if len(self._strict) != 4 * genus:
-            raise InvariantViolation("strict-reduction prefixes are not unique")
-        # Exactly-half table: half a rotation equals the inverse of the
-        # complementary half.
-        self._half = {s[:g]: inverse(s[g:]) for s in self.relator_shifts}
+        # Rotations of the relator and of its inverse differ in sign, and
+        # two of one differ in their first letter or, in one pair, second.
+        self._rotations = {}
+        packed = pack(self.relator)
+        for base in (packed, invert(packed)):
+            twice = base + base
+            for k in range(2 * g):
+                rotation = twice[k : k + 2 * g]
+                self._rotations[rotation[:g]] = rotation
+        if len(self._rotations) != 4 * g:
+            raise InvariantViolation("relator rotations share a prefix of length g")
         doubled = b"".join(rb"(.)\%d" % k for k in range(1, g // 2 + 1))
         self._doubled = re.compile(doubled, re.S).search
         self.letters_packed = tuple((pack((i,)), pack((-i,))) for i in range(1, g + 1))
@@ -283,28 +278,28 @@ def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
     run of doubled letters, so a window of length g+1 or more holds
     floor(g/2) doubled letters in a row, and a word without such a run
     has no window to replace.  The search only rejects; on a word it
-    matches, the scan looks every window ``w[i:i+g+1]`` up in ``_strict``
-    and decides.  The replacement is freely reduced, so free reduction
-    runs only at its two junctions (:func:`_cancel`).
+    matches, the scan looks every ``w[i:i+g]`` up in ``_rotations``, a
+    strict window if ``w[i+g]`` is the rotation's next letter too.  The
+    replacement is freely reduced, so free reduction runs only at its two
+    junctions (:func:`_cancel`).
     """
     g = pres.genus
-    window = g + 1
     full = 2 * g
-    strict = pres._strict
+    rotations = pres._rotations
     doubled = pres._doubled
     while len(w) > g and doubled(w):
         for i in range(len(w) - g):
-            shift = strict.get(w[i : i + window])
-            if shift is not None:
+            rotation = rotations.get(w[i : i + g])
+            if rotation is not None and w[i + g] == rotation[g]:
                 break
         else:
             return w
-        m = window
+        m = g + 1
         n = len(w)
-        while m < full and i + m < n and w[i + m] == shift[m]:
+        while m < full and i + m < n and w[i + m] == rotation[m]:
             m += 1
         out = bytearray(w[:i])
-        tail = shift[m:]
+        tail = rotation[m:]
         _cancel(out, invert(tail), tail)
         rest = w[i + m :]
         _cancel(out, rest, invert(rest))
@@ -354,16 +349,18 @@ def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
 
 def _half_swaps_linear(pres: SurfacePresentation, word: Word):
     """Yield words obtained by one half-for-half exchange at any position,
-    left to right: every window of length g is looked up in ``_half``.
-    Length is preserved before free reduction; afterwards it can only
-    drop.  Only the canonical cyclic forms (:func:`_component`) use it;
-    triviality needs no exchanges."""
+    left to right: every window of length g of the packed word is looked
+    up in ``_rotations``, and half a rotation becomes the inverse of the
+    other half.  Length is preserved before free reduction; afterwards it
+    can only drop.  Only the canonical cyclic forms (:func:`_component`)
+    use it; triviality needs no exchanges."""
     g = pres.genus
-    half = pres._half
+    rotations = pres._rotations
+    packed = pack(word)
     for i in range(len(word) - g + 1):
-        replacement = half.get(word[i : i + g])
-        if replacement is not None:
-            yield mul(word[:i], replacement, word[i + g :])
+        rotation = rotations.get(packed[i : i + g])
+        if rotation is not None:
+            yield mul(word[:i], unpack(invert(rotation[g:])), word[i + g :])
 
 
 def is_trivial(pres: SurfacePresentation, word) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from mcgverify.mcg import (
     is_inner,
     power_pairs,
 )
-from mcgverify.words import get_presentation
+from mcgverify.words import get_presentation, inverse
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,25 @@ def mcg_equal(catalog, w1, w2):
 
 def identity_automorphism(genus):
     return Automorphism(genus, [(i,) for i in range(1, genus + 1)])
+
+
+def automorphism(catalog, symbol):
+    """The generator's automorphism, built from the images it moves."""
+    images = [(i,) for i in range(1, catalog.genus + 1)]
+    for j, im in catalog.moves(symbol):
+        images[j] = im
+    return Automorphism(catalog.genus, images)
+
+
+@functools.lru_cache(maxsize=None)
+def relator_rotations(genus):
+    """The 2g rotations of the relator, then the 2g of its inverse, as
+    tuples: the oracle for ``SurfacePresentation._rotations``."""
+    relator = get_presentation(genus).relator
+    rotations = []
+    for base in (relator, inverse(relator)):
+        rotations += [base[k:] + base[:k] for k in range(len(base))]
+    return tuple(rotations)
 
 
 def scan_order(catalog, word, limit):

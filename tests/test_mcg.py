@@ -29,6 +29,7 @@ from mcgverify.homology import (
     vector_period,
 )
 from mcgverify.mcg import (
+    BETA_WORD,
     Automorphism,
     Inner,
     NotInner,
@@ -72,7 +73,14 @@ from mcgverify.words import (
     unpack,
 )
 
-from conftest import identity_automorphism, mcg_equal, random_word, scan_order
+from conftest import (
+    automorphism,
+    identity_automorphism,
+    mcg_equal,
+    random_word,
+    relator_rotations,
+    scan_order,
+)
 from test_words import kernel_cases, tuple_reduce_image
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -101,12 +109,33 @@ def test_build_catalog_validates(genus):
     build_catalog(genus)
 
 
+@pytest.mark.parametrize("genus", [3, 4])
+def test_composites_fix_relator_only_up_to_conjugacy(genus):
+    """y and t_eps carry no relator certificate of their own: their images
+    are the Dehn-reduced images of products of certified generators.  At
+    g = 3 and 4 the relator's free image under some of them is a conjugate
+    of a rotation of the relator, not the relator; it is trivial in pi_1."""
+    cat = build_catalog(genus)
+    pres = cat.presentation
+    exact = []
+    for symbol in (crosscap_slide(1), crosscap_slide(-1), teps(1), teps(-1)):
+        images = automorphism(cat, symbol).images
+        image = mul(*(images[x - 1] for x in pres.relator))
+        core = image
+        while core and core[0] == -core[-1]:
+            core = core[1:-1]
+        assert core in relator_rotations(genus), symbol
+        assert is_trivial(pres, image), symbol
+        exact.append(image == pres.relator)
+    assert not all(exact)
+
+
 def test_generator_inverses_exact(catalog):
     ident = identity_automorphism(catalog.genus)
     for sym in catalog.symbols():
         kind, idx, _ = sym
-        a = catalog.automorphism(sym)
-        b = catalog.automorphism((kind, idx, -1))
+        a = automorphism(catalog, sym)
+        b = automorphism(catalog, (kind, idx, -1))
         assert compose(a, b) == ident
         assert compose(b, a) == ident
 
@@ -135,7 +164,7 @@ def test_locality_disjoint_support():
 
 def test_compose_identity(catalog):
     ident = identity_automorphism(catalog.genus)
-    a = catalog.automorphism(talpha(1))
+    a = automorphism(catalog, talpha(1))
     assert compose(ident, a) == a
     assert compose(a, ident) == a
 
@@ -150,7 +179,7 @@ def test_evaluate_empty_is_identity(catalog):
 
 
 def test_evaluate_single_symbol(catalog):
-    assert evaluate(catalog, (talpha(1),)) == catalog.automorphism(talpha(1))
+    assert evaluate(catalog, (talpha(1),)) == automorphism(catalog, talpha(1))
 
 
 def test_evaluate_group_level_homomorphism(rng):
@@ -188,7 +217,7 @@ def evaluate_by_compose(catalog, word):
     every image at every symbol."""
     acc = identity_automorphism(catalog.genus)
     for symbol in reversed(word):
-        acc = compose(catalog.automorphism(symbol), acc)
+        acc = compose(automorphism(catalog, symbol), acc)
     return acc
 
 
@@ -197,7 +226,7 @@ def test_generator_moves_match_images(catalog):
     for sym in all_symbols(catalog.genus):
         moves = catalog.moves(sym)
         assert len(moves) == sizes[sym[0]], sym
-        images = catalog.automorphism(sym).images
+        images = automorphism(catalog, sym).images
         moved = dict(moves)
         for j, im in enumerate(images):
             assert im == moved.get(j, (j + 1,))
@@ -228,7 +257,7 @@ def test_substitute_matches_dehn_reduce_of_concatenation(genus):
     concatenation, for any table of freely reduced images."""
     rng = random.Random(7100 + genus)
     pres = get_presentation(genus)
-    shifts = pres.relator_shifts
+    shifts = relator_rotations(genus)
     for _ in range(200):
         images = []
         for _ in range(genus):
@@ -301,7 +330,10 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
     monkeypatch.setattr(mcgverify.mcg, "compose", refuse)
     cat = build_catalog(genus)
     g = genus
-    auto = cat.automorphism
+
+    def auto(symbol):
+        return automorphism(cat, symbol)
+
     y = compose(auto(talpha(g - 1)), auto(transposition(g - 1)))
     y_inv = compose(auto(transposition(g - 1, -1)), auto(talpha(g - 1, -1)))
     assert auto(crosscap_slide()) == y
@@ -346,16 +378,33 @@ def test_build_catalog_append_calls_linear(genus, monkeypatch):
 
 
 def mutated(monkeypatch, name, change):
-    """Replace an image formula by ``change(original, genus, i, sign)``."""
+    """Replace an image formula by ``change(original, genus, *args)``, with
+    the formula's own arguments: ``i, sign``, or ``sign`` for t_beta."""
     original = getattr(mcgverify.mcg, name)
     monkeypatch.setattr(mcgverify.mcg, name,
-                        lambda genus, i, sign=1: change(original, genus, i, sign))
+                        lambda genus, *args: change(original, genus, *args))
 
 
 def u1_sends_x1_to_x2_inverse(original, genus, i, sign):
     ims = original(genus, i, sign)
     if i == 1 and sign > 0:
         ims[0] = (-2,)
+    return ims
+
+
+def u3_inverse_sends_x4_to_x3_inverse(original, genus, i, sign):
+    ims = original(genus, i, sign)
+    if i == 3 and sign < 0:
+        ims[3] = (-3,)
+    return ims
+
+
+def t_b_inserts_beta_inverse_at_x3(original, genus, sign):
+    """The insertion at x3 takes beta's inverse where the formula has
+    beta: local and freely reduced, but x1^2..x4^2 no longer comes back."""
+    ims = original(genus, sign)
+    if sign > 0:
+        ims[2] = free_reduce((-2,) + inverse(BETA_WORD) + (2, 3))
     return ims
 
 
@@ -374,6 +423,13 @@ CATALOG_MUTANTS = [
                  "braid relation failed for t_a1, t_a2", id="t_a2-given-its-inverse"),
     pytest.param("transposition_images", u1_sends_x1_to_x2_inverse,
                  "relator certificate failed for ('u', 1, 1)", id="u1-sends-x1-to-x2^-1"),
+    # only the inverse direction is wrong; a certificate of the positive
+    # direction alone leaves it to the stored-inverse check, on ('u', 3, 1)
+    pytest.param("transposition_images", u3_inverse_sends_x4_to_x3_inverse,
+                 "relator certificate failed for ('u', 3, -1)",
+                 id="u3-inverse-sends-x4-to-x3^-1"),
+    pytest.param("beta_twist_images", t_b_inserts_beta_inverse_at_x3,
+                 "relator certificate failed for ('b', 0, 1)", id="t_b-inserts-beta^-1-at-x3"),
     # freely reduced, and only the letter x6 leaves the support {x2, x3}
     pytest.param("chain_twist_images", t_a2_writes_x6_into_x2,
                  "t_a2 writes x6 in the image of x2", id="t_a2-writes-x6-into-x2"),
@@ -428,13 +484,13 @@ def test_is_inner_conjugation_by_construction(rng):
 def test_is_inner_rejects_twist():
     cat = get_catalog(4)
     pres = get_presentation(4)
-    assert isinstance(is_inner(pres, cat.automorphism(talpha(1))), NotInner)
+    assert isinstance(is_inner(pres, automorphism(cat, talpha(1))), NotInner)
 
 
 def test_u2_squared_inner_in_genus3():
     cat = get_catalog(3)
     pres = get_presentation(3)
-    u2 = cat.automorphism(transposition(2))
+    u2 = automorphism(cat, transposition(2))
     assert isinstance(is_inner(pres, u2), NotInner)
     assert isinstance(is_inner(pres, compose(u2, u2)), Inner)
 

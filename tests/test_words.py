@@ -40,7 +40,7 @@ from mcgverify.words import (
     unpack,
 )
 
-from conftest import random_word
+from conftest import random_word, relator_rotations
 
 
 PACKAGE_MODULES = ["mcgverify"] + [
@@ -112,8 +112,20 @@ def test_presentation_shape():
     for g in (3, 4, 5, 8):
         p = SurfacePresentation(g)
         assert len(p.relator) == 2 * g
-        assert len(p.relator_shifts) == 4 * g
-        assert len(set(p.relator_shifts)) == 4 * g
+        assert len(p._rotations) == 4 * g
+        assert len(set(p._rotations.values())) == 4 * g
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 30, MAX_GENUS])
+def test_rotation_table_matches_tuple_rotations(genus):
+    """``_rotations`` holds the 4g packed rotations of the relator and of
+    its inverse, each keyed by its first g letters, and nothing more: its
+    keys and values hold 12g^2 bytes."""
+    table = get_presentation(genus)._rotations
+    assert len(table) == 4 * genus
+    assert sorted(table.values()) == sorted(map(pack, relator_rotations(genus)))
+    assert all(key == rotation[:genus] for key, rotation in table.items())
+    assert sum(len(key) + len(rotation) for key, rotation in table.items()) == 12 * genus**2
 
 
 def test_presentation_rejects_small_genus():
@@ -143,7 +155,13 @@ def test_dehn_reduce_idempotent_monotone(pres4, rng):
 @functools.lru_cache(maxsize=None)
 def tuple_strict_table(genus):
     """Each rotation's prefix of length g+1, as a tuple, to the rotation."""
-    return {s[: genus + 1]: s for s in get_presentation(genus).relator_shifts}
+    return {s[: genus + 1]: s for s in relator_rotations(genus)}
+
+
+@functools.lru_cache(maxsize=None)
+def tuple_half_table(genus):
+    """Each rotation's first half, as a tuple, to the inverse of its second."""
+    return {s[:genus]: inverse(s[genus:]) for s in relator_rotations(genus)}
 
 
 def full_scan_strict_pass(pres, word, log=None):
@@ -173,10 +191,11 @@ def full_scan_strict_pass(pres, word, log=None):
 
 
 def full_scan_half_swaps(pres, word):
-    """Oracle: half-exchanges that look up every window in ``_half``."""
+    """Oracle: half-exchanges that look up every tuple window of length g."""
     g = pres.genus
+    half = tuple_half_table(g)
     for i in range(len(word) - g + 1):
-        replacement = pres._half.get(word[i : i + g])
+        replacement = half.get(word[i : i + g])
         if replacement is not None:
             yield mul(word[:i], replacement, word[i + g :])
 
@@ -203,10 +222,10 @@ def scan_words(rng, pres):
     g = pres.genus
 
     def piece():
-        return rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g)]
+        return rng.choice(relator_rotations(g))[: rng.randrange(g + 1, 2 * g)]
 
     def spurious():
-        s = rng.choice(pres.relator_shifts)
+        s = rng.choice(relator_rotations(g))
         middle = random_word(rng, g, g - 1, min_len=g - 1)
         return (s[0],) + middle + (s[g],)
 
@@ -219,11 +238,11 @@ def scan_words(rng, pres):
         yield piece() + piece()
         yield random_word(rng, g, g, min_len=g)
         yield random_word(rng, g, g + 1, min_len=g + 1)
-        yield rng.choice(pres.relator_shifts)[: rng.choice((g, g + 1))]
+        yield rng.choice(relator_rotations(g))[: rng.choice((g, g + 1))]
         yield spurious()
         yield filler[:k] + spurious() + filler[k:]
         yield filler[:k] + doubled_run(rng, g) + filler[k:]
-        yield filler[:k] + rng.choice(pres.relator_shifts)[:g] + filler[k:]
+        yield filler[:k] + rng.choice(relator_rotations(g))[:g] + filler[k:]
     yield (1, 2, 2, 2, 3)  # at genus 4: end pair (1, 3) fits, no piece
 
 
@@ -236,7 +255,7 @@ def test_prefiltered_scans_match_full_scans(genus):
     rng = random.Random(genus)
     # windows whose end letters are those of a strict window, and which
     # are no relator piece, must occur
-    ends = {(s[0], s[genus]) for s in pres.relator_shifts}
+    ends = {(s[0], s[genus]) for s in relator_rotations(genus)}
     strict = tuple_strict_table(genus)
     spurious_seen = 0
     branches = set()
@@ -268,7 +287,7 @@ def test_doubled_prefilter_matches_every_strict_window():
     for g in range(3, MAX_GENUS + 1):
         pres = get_presentation(g)
         doubled = pres._doubled
-        packed = [pack(s) for s in pres.relator_shifts]
+        packed = [pack(s) for s in relator_rotations(g)]
         for p in packed:
             assert all(map(doubled, (p[:n] for n in range(g + 1, 2 * g + 1)))), (g, p)
         longer = re.compile(rb"(?:(.)\1){%d}" % (g // 2 + 1), re.S).search
@@ -294,7 +313,8 @@ def test_doubled_prefilter_matches_repeated_group_pattern(genus):
     pres = get_presentation(genus)
     repeated = re.compile(rb"(?:(.)\1){%d}" % (genus // 2), re.S).search
     rng = random.Random(4400 + genus)
-    words = [pack(s)[:n] for s in pres.relator_shifts for n in (genus, genus + 1, 2 * genus)]
+    words = [pack(s)[:n] for s in relator_rotations(genus)
+             for n in (genus, genus + 1, 2 * genus)]
     for _ in range(300):
         filler = doubling_word(rng, genus, rng.randrange(1, 3 * genus))
         k = rng.randrange(len(filler) + 1)
@@ -343,7 +363,7 @@ def kernel_cases(rng, pres, count):
     letters = [x for i in range(1, g + 1) for x in (i, -i)]
 
     def strict_piece():
-        return rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g + 1)]
+        return rng.choice(relator_rotations(g))[: rng.randrange(g + 1, 2 * g + 1)]
 
     def noise(n):
         return free_reduce(random_word(rng, g, n, min_len=1)) or (rng.choice(letters),)
@@ -371,7 +391,7 @@ def kernel_cases(rng, pres, count):
         yield images, filler + (a + 1, b + 1) + filler
         yield images, random_word(rng, g, 12)
         # doubled runs and exactly-half pieces as images
-        images[a], images[b] = doubled_run(rng, g), rng.choice(pres.relator_shifts)[:g]
+        images[a], images[b] = doubled_run(rng, g), rng.choice(relator_rotations(g))[:g]
         yield images, filler + (a + 1,) + filler
         yield images, filler + (b + 1,) + filler
         yield images, random_word(rng, g, 12)
@@ -457,7 +477,7 @@ def test_genus3_relator_insertions_reduce_to_empty(pres3):
     C'(1/4)-T(4)): a word built by inserting relator rotations into the
     empty word, freely reducing after each, reduces to the empty word."""
     rng = random.Random(3)
-    shifts = pres3.relator_shifts
+    shifts = relator_rotations(3)
     for _ in range(3000):
         w = ()
         for _ in range(rng.randrange(1, 9)):
@@ -553,7 +573,7 @@ def test_genus3_trivial_words_die_in_s4_quotients(pres3):
         parts = []
         for _ in range(rng.randrange(1, 4)):
             u = random_word(rng, 3, 8)
-            parts.append(mul(u, rng.choice(pres3.relator_shifts), inverse(u)))
+            parts.append(mul(u, rng.choice(relator_rotations(3)), inverse(u)))
         product = mul(*parts)
         k = rng.randrange(len(product) + 1)
         a, b = rng.sample(letters, 2)
@@ -659,7 +679,7 @@ def spliced_word(rng, pres):
     core = random_word(rng, g, 10)
     if rng.random() < 0.5:
         k = rng.randrange(len(core) + 1)
-        piece = rng.choice(pres.relator_shifts)[: rng.randrange(g + 1, 2 * g + 1)]
+        piece = rng.choice(relator_rotations(g))[: rng.randrange(g + 1, 2 * g + 1)]
         core = core[:k] + piece + core[k:]
         k = rng.randrange(len(core))
         core = core[k:] + core[:k]
@@ -735,7 +755,7 @@ def test_short_component_matches_breadth_first_search(genus, monkeypatch):
     exchange, so the search must still run on them.  Each route reads a
     fresh presentation, so neither reads the other's memo."""
     pres = get_presentation(genus)
-    words = short_cyclic_words(genus) + [s[:genus] for s in pres.relator_shifts[::genus]]
+    words = short_cyclic_words(genus) + [s[:genus] for s in relator_rotations(genus)[::genus]]
     for w in words:
         assert _component(pres, w) == bfs_component(pres, w), w
     fast = SurfacePresentation(genus)
