@@ -39,7 +39,6 @@ def matrix_identity(n: int):
 
 
 def matrix_mul(a, b):
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a

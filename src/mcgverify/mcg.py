@@ -234,6 +234,7 @@ def chain_twist_images(genus: int, i: int, sign: int = 1):
         ims[i] = (i, i + 1, i + 1)
     return ims
 
+
 def transposition_images(genus: int, i: int, sign: int = 1):
     """Crosscap transposition u_i.  Fixes x_i^2 x_{i+1}^2 exactly; the
     inverse direction swaps the roles of the two crosscaps."""
@@ -658,7 +659,9 @@ def build_catalog(genus: int) -> GeneratorCatalog:
     (x_1^2..x_4^2), freely reduce back to those letters.  Then freely
     reduced images (which :func:`substitute` relies on), exact stored
     inverses, braid relations along the chain, commutation of t_beta with
-    t_alpha_1..3, and homology classes of the stored curve words.  Every
+    t_alpha_1..3, and the homology class of the hand-written beta word,
+    that of x_1 x_2 x_3 x_4 (the alpha_i words x_i x_{i+1} are built in
+    the catalog's constructor, so they need no check).  Every
     relation is checked on the catalog's one table, by comparing the
     packed :func:`_append` images of its two sides.  Raises
     ValidationFailure naming the first failed check.
@@ -725,19 +728,8 @@ def build_catalog(genus: int) -> GeneratorCatalog:
             if product((tbeta(), talpha(i))) != product((talpha(i), tbeta())):
                 raise ValidationFailure(f"t_b and t_a{i} do not commute")
 
-    def reduced(counts):
-        return tuple(counts[j] - counts[g - 1] for j in range(g - 1))
-
-    for i in range(1, g):
-        vec = pres.abelianized(catalog.curves[f"a{i}"])
-        counts = [1 if j + 1 in (i, i + 1) else 0 for j in range(g)]
-        if vec != reduced(counts):
-            raise ValidationFailure(f"curve word for alpha_{i} abelianizes wrongly")
-    if g >= 4:
-        vec = pres.abelianized(catalog.curves["b"])
-        counts = [1 if j < 4 else 0 for j in range(g)]
-        if vec != reduced(counts):
-            raise ValidationFailure("curve word for beta abelianizes wrongly")
+    if g >= 4 and pres.abelianized(BETA_WORD) != pres.abelianized((1, 2, 3, 4)):
+        raise ValidationFailure("curve word for beta abelianizes wrongly")
 
     return catalog
 

@@ -25,15 +25,15 @@ single letters:
   negative); three rotations cancelling pairwise around a triangle would
   alternate sign around an odd cycle, which is impossible.
 
-Conjugacy works on cyclic words: the canonical form of a conjugacy class is
-the lexicographically smallest member of the closure of the cyclically
-reduced word under rotation and half-for-half exchange.  A word shorter
-than g holds no window of half a rotation, so its closure is its rotations,
-listed without a search (:func:`_component`).  Matching two canonical
-forms gives one conjugator, verified before it is returned
-(:func:`conjugator`).  Closing under exchanges
-matters at every genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1``
-in genus 4, and the two sides are not rotations of each other.
+Conjugacy works on cyclic words: the closure of the cyclically reduced word
+under half-for-half exchange keeps each member as its least rotation, and
+the canonical form of the conjugacy class is the least of these
+(:func:`_component`).  The windows are the length-g slices of the cyclic
+word, so one route serves every length; a word shorter than g has none.
+Matching two canonical forms gives one conjugator, verified before it is
+returned (:func:`conjugator`).  Closing under exchanges matters at every
+genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1`` in genus 4, and
+the two sides are not rotations of each other.
 
 Dehn reduction has one kernel, over packed words: a ``bytes`` object with
 one signed byte per letter (``pack``/``unpack``), whose inverse is the
@@ -69,8 +69,6 @@ from operator import neg
 from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation, OutOfRange
 
 Word = tuple  # tuple of nonzero ints
-
-EMPTY: Word = ()
 
 # Component searches are tiny in practice; the cap only guards against a
 # pathological input locking up a batch run.
@@ -347,22 +345,6 @@ def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
     return _strict_pass(pres, bytes(out))
 
 
-def _half_swaps_linear(pres: SurfacePresentation, word: Word):
-    """Yield words obtained by one half-for-half exchange at any position,
-    left to right: every window of length g of the packed word is looked
-    up in ``_rotations``, and half a rotation becomes the inverse of the
-    other half.  Length is preserved before free reduction; afterwards it
-    can only drop.  Only the canonical cyclic forms (:func:`_component`)
-    use it; triviality needs no exchanges."""
-    g = pres.genus
-    rotations = pres._rotations
-    packed = pack(word)
-    for i in range(len(word) - g + 1):
-        rotation = rotations.get(packed[i : i + g])
-        if rotation is not None:
-            yield mul(word[:i], unpack(invert(rotation[g:])), word[i + g :])
-
-
 def is_trivial(pres: SurfacePresentation, word) -> bool:
     """True iff the word represents the identity of pi_1(N_g): strict Dehn
     reduction empties it, which decides at every genus (Greendlinger's
@@ -380,58 +362,63 @@ def is_trivial(pres: SurfacePresentation, word) -> bool:
 # Cyclic words and conjugacy
 
 
-def _cyclic_free_reduce(word: Word, conj: Word) -> tuple:
-    """Strip matching first/last letters: returns (core, conj') with
-    word = conj' core conj'^-1 modulo the tracked outer conjugator."""
+def _cyclic_free_reduce(word: Word) -> tuple:
+    """Freely and cyclically reduce: returns (core, pre) with
+    word = pre core pre^-1 and core cyclically reduced."""
     w = free_reduce(word)
-    pre = list(conj)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        pre.append(w[0])
-        w = w[1:-1]
-    return w, tuple(pre)
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k : len(w) - k], w[:k]
+
+
+def _least_rotation(word: Word) -> tuple:
+    """(rotation, k): the least rotation word[k:] + word[:k] of a nonempty
+    word, at the least such k.  It starts with the word's least letter."""
+    lo = min(word)
+    return min((word[k:] + word[:k], k) for k, letter in enumerate(word) if letter == lo)
 
 
 def _component(pres: SurfacePresentation, start: Word):
-    """Closure of a cyclically reduced word under rotation and
-    half-exchange at constant length.  Yields a dict word -> conjugator
-    (relative to ``start``), unless some member shrinks, in which case
-    returns ('shrunk', word, conjugator).
+    """Closure of a cyclically reduced cyclic word under half-exchange.
+    Returns ('done', members, None), where ``members`` maps the least
+    rotation of each member to its conjugator c (start = c member c^-1),
+    unless an exchange shortens the word, in which case it returns
+    ('shrunk', word, conjugator).
 
-    A start shorter than g is closed under rotation alone: every rotation
-    of a cyclically reduced word is cyclically reduced and as short, so
-    none holds a half window (length g) or a strict window (length g+1),
-    and none shrinks.  Its members are its rotations, each with the
-    conjugator ``start[:k]`` of its first k, which is what the search
-    below assigns them.  Longer starts are searched breadth first.
+    The windows of a cyclic word of length n >= g are the slices of
+    length g that start at its n positions, read from the word written
+    twice.  An exchange at position i replaces the window, half a relator
+    rotation, by the inverse of the other half, in front of the rest of
+    the rotation that starts at i, and cyclically free-reduces.  A strict
+    window, one letter longer, cancels at the end of its own exchange, so
+    every member that a strict pass would shorten shrinks here too.  A
+    word shorter than g has no window, and its closure is itself.
     """
-    if len(start) < pres.genus:
-        members = {}
-        for k in range(len(start)):
-            members.setdefault(start[k:] + start[:k], start[:k])
-        return ("done", members, None)
-    members = {start: EMPTY}
-    queue = deque([start])
+    g = pres.genus
+    rotations = pres._rotations
+    n = len(start)
+    sites = range(n) if n >= g else ()
+    key, k = _least_rotation(start)
+    members = {key: start[:k]}
+    queue = deque([key])
     while queue:
         if len(members) > SATURATION_CAP:
             raise BudgetExceeded(f"cyclic component exceeded {SATURATION_CAP} words")
         current = queue.popleft()
-        base_conj = members[current]
-        neighbors = []
-        for k in range(1, len(current)):
-            neighbors.append((current[k:] + current[:k], current[:k]))
-        for swapped in _half_swaps_linear(pres, current):
-            neighbors.append((swapped, EMPTY))
-        for neighbor, step in neighbors:
-            reduced, conj = _cyclic_free_reduce(neighbor, EMPTY)
-            reduced2 = unpack(_strict_pass(pres, pack(reduced)))
-            if len(reduced2) < len(reduced):
-                reduced, conj = _cyclic_free_reduce(reduced2, conj)
-            total = mul(base_conj, step, conj)
-            if len(reduced) < len(start):
-                return ("shrunk", reduced, total)
-            if reduced not in members:
-                members[reduced] = total
-                queue.append(reduced)
+        twice = current + current
+        packed = pack(twice)
+        for i in sites:
+            rotation = rotations.get(packed[i : i + g])
+            if rotation is None:
+                continue
+            swapped, pre = _cyclic_free_reduce(unpack(invert(rotation[g:])) + twice[i + g : i + n])
+            if len(swapped) < n:
+                return ("shrunk", swapped, mul(members[current], current[:i], pre))
+            key, k = _least_rotation(swapped)
+            if key not in members:
+                members[key] = mul(members[current], current[:i], pre, swapped[:k])
+                queue.append(key)
     return ("done", members, None)
 
 
@@ -440,16 +427,17 @@ def _canonical_with_conj(pres: SurfacePresentation, word) -> tuple:
     group.  Conjugate words share the same K.
 
     The Dehn-reduced word is cyclically reduced and its component searched;
-    a member that strict reduction shortens (a rotation included) restarts
-    the search from that shorter word, so the final component is one of
-    cyclically strict-reduced words.  The pair is memoized per word in
-    ``pres._canonical_cache``.
+    an exchange that shortens a member restarts the search from that
+    shorter word.  A strict window cancels at the end of its exchange, so
+    the final component is one of cyclic words that hold no strict
+    window, and K is the least of its members' least rotations.  The pair
+    is memoized per word in ``pres._canonical_cache``.
     """
     word = tuple(word)
     cached = pres._canonical_cache.get(word)
     if cached is not None:
         return cached
-    w, conj = _cyclic_free_reduce(dehn_reduce(pres, word), EMPTY)
+    w, conj = _cyclic_free_reduce(dehn_reduce(pres, word))
     while w:
         outcome, payload, extra = _component(pres, w)
         if outcome == "done":
@@ -531,7 +519,7 @@ def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -
     root = _primitive_root(pres, canon, conj)
     b_inv = inverse(b)
     found = [base]
-    power = inv_power = EMPTY
+    power = inv_power = ()
     for _ in range(bound):
         power = mul(power, root)
         inv_power = mul(inv_power, inverse(root))

@@ -21,8 +21,6 @@ from mcgverify.words import (
     SurfacePresentation,
     _canonical_with_conj,
     _component,
-    _cyclic_free_reduce,
-    _half_swaps_linear,
     _strict_pass,
     cyclic_canonical,
     dehn_reduce,
@@ -263,7 +261,6 @@ def test_prefiltered_scans_match_full_scans(genus):
         w = free_reduce(word)
         want = full_scan_strict_pass(pres, w)
         assert unpack(_strict_pass(pres, pack(w))) == want, w
-        assert list(_half_swaps_linear(pres, w)) == list(full_scan_half_swaps(pres, w)), w
         spurious_seen += any(
             (w[i], w[i + genus]) in ends and w[i : i + genus + 1] not in strict
             for i in range(len(w) - genus)
@@ -603,7 +600,7 @@ def test_genus3_conjugates_stay_conjugate_in_s4_quotients(pres3):
         u = random_word(rng, 3, 6)
         b = mul(u, a, inverse(u))
         for _ in range(2):
-            swaps = list(_half_swaps_linear(pres3, b))
+            swaps = list(full_scan_half_swaps(pres3, b))
             if swaps:
                 b = rng.choice(swaps)
         k = rng.randrange(len(b) + 1)
@@ -702,21 +699,33 @@ def test_canonical_form_conjugator_verifies(genus):
         assert cyclic_canonical(pres, w) == canon
 
 
+def cyclic_free_reduce(word, conj):
+    """Strip matching first/last letters: returns (core, conj') with
+    word = conj' core conj'^-1 modulo the tracked outer conjugator."""
+    w = free_reduce(word)
+    pre = list(conj)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        pre.append(w[0])
+        w = w[1:-1]
+    return w, tuple(pre)
+
+
 def bfs_component(pres, start):
-    """Oracle: the breadth-first closure of a cyclically reduced word under
-    rotation and half-exchange that ``_component`` runs on words of length
-    g or more, on every start: ('done', members, None) with members a dict
-    word -> conjugator, or ('shrunk', word, conjugator)."""
+    """Oracle: the breadth-first closure of a cyclically reduced linear
+    word under rotation and half-exchange, each neighbour cyclically
+    reduced and strict-reduced: ('done', members, None) with members a
+    dict word -> conjugator (start = c word c^-1), or ('shrunk', word,
+    conjugator)."""
     members = {start: ()}
     queue = [start]
     for current in queue:
         neighbors = [(current[k:] + current[:k], current[:k]) for k in range(1, len(current))]
-        neighbors += [(swapped, ()) for swapped in _half_swaps_linear(pres, current)]
+        neighbors += [(swapped, ()) for swapped in full_scan_half_swaps(pres, current)]
         for neighbor, step in neighbors:
-            reduced, conj = _cyclic_free_reduce(neighbor, ())
+            reduced, conj = cyclic_free_reduce(neighbor, ())
             reduced2 = unpack(_strict_pass(pres, pack(reduced)))
             if len(reduced2) < len(reduced):
-                reduced, conj = _cyclic_free_reduce(reduced2, conj)
+                reduced, conj = cyclic_free_reduce(reduced2, conj)
             total = mul(members[current], step, conj)
             if len(reduced) < len(start):
                 return ("shrunk", reduced, total)
@@ -728,6 +737,10 @@ def bfs_component(pres, start):
 
 def cyclically_reduced(word):
     return word == free_reduce(word) and not (word and word[0] == -word[-1])
+
+
+def least_rotation(word):
+    return min(word[k:] + word[:k] for k in range(len(word)))
 
 
 def short_cyclic_words(genus):
@@ -746,23 +759,56 @@ def short_cyclic_words(genus):
     return words
 
 
-@pytest.mark.parametrize("genus", [3, 4, 5, 30])
-def test_short_component_matches_breadth_first_search(genus, monkeypatch):
-    """A cyclically reduced word shorter than g has its rotations as its
-    component, with the conjugators the breadth-first search assigns, and
-    its canonical pair is the one the search gives.  Halves of the
-    relator's rotations, of length g, are the shortest words with an
-    exchange, so the search must still run on them.  Each route reads a
-    fresh presentation, so neither reads the other's memo."""
+def long_cyclic_words(genus, count):
+    """Cyclically reduced words of length g..3g: halves of four of the
+    relator's rotations, the shortest words with an exchange, and seeded
+    words with one or two relator pieces of length g or g+1 planted in
+    them, then rotated, so that a piece may wrap round the ends."""
+    rng = random.Random(genus)
+    words = []
+    while len(words) < count:
+        w = random_word(rng, genus, 2 * genus)
+        for _ in range(rng.choice((1, 1, 2))):
+            k = rng.randrange(len(w) + 1)
+            piece = rng.choice(relator_rotations(genus))[: genus + rng.randrange(2)]
+            w = w[:k] + piece + w[k:]
+        k = rng.randrange(len(w))
+        w = w[k:] + w[:k]
+        if cyclically_reduced(w) and genus <= len(w) <= 3 * genus:
+            words.append(w)
+    return [s[:genus] for s in relator_rotations(genus)[::genus]] + words
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 8, 12, 30])
+def test_component_matches_breadth_first_search(genus, monkeypatch):
+    """The closure of cyclic words under exchange agrees with the
+    breadth-first closure of linear words under rotation and exchange, on
+    starts shorter than g and of length g..3g: the same outcome, and on
+    'done' the least rotations of the oracle's members as its keys.  The
+    two routes reach members by different paths, so the canonical pair
+    agrees in K, and its conjugator verifies.  Each route reads a fresh
+    presentation, so neither reads the other's memo."""
+    count = {3: 600, 4: 600, 5: 400, 8: 200, 12: 100, 30: 6}[genus]
+    words = short_cyclic_words(genus) + long_cyclic_words(genus, count)
     pres = get_presentation(genus)
-    words = short_cyclic_words(genus) + [s[:genus] for s in relator_rotations(genus)[::genus]]
+    outcomes = {"done": 0, "shrunk": 0}
+    long_done = 0
     for w in words:
-        assert _component(pres, w) == bfs_component(pres, w), w
+        outcome, payload, _ = _component(pres, w)
+        want, want_payload, _ = bfs_component(pres, w)
+        assert outcome == want, w
+        outcomes[outcome] += 1
+        if outcome == "done":
+            assert set(payload) == {least_rotation(m) for m in want_payload}, w
+            long_done += len(w) >= genus
+    assert outcomes["shrunk"] > count // 10 and long_done > count // 10, outcomes
     fast = SurfacePresentation(genus)
     canonical = [_canonical_with_conj(fast, w) for w in words]
     monkeypatch.setattr(mcgverify.words, "_component", bfs_component)
     slow = SurfacePresentation(genus)
-    assert [_canonical_with_conj(slow, w) for w in words] == canonical
+    for w, (canon, conj) in zip(words, canonical):
+        assert _canonical_with_conj(slow, w)[0] == canon, w
+        assert is_trivial(fast, mul(conj, canon, inverse(conj), inverse(w))), w
 
 
 # ---------------------------------------------------------------------------
