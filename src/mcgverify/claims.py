@@ -595,7 +595,8 @@ def exit_code(reports) -> int:
 
 
 def report_json(reports) -> str:
-    return json.dumps([r.as_dict() for r in reports], indent=2)
+    """The JSON array of the reports, one claim per line."""
+    return "[\n" + ",\n".join("  " + json.dumps(r.as_dict()) for r in reports) + "\n]"
 
 
 def find_claim(claims, claim_id: str) -> Claim:

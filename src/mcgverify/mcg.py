@@ -35,14 +35,20 @@ Each generator moves only two to four of the g generator images, so only
 those are recomputed.  Images are carried packed, each with its packed
 inverse (see :mod:`mcgverify.words`), so a negative letter costs no
 inversion and every junction cancels in C; they are unpacked to tuples only
-to build an :class:`Automorphism`.  :func:`compose`, which recomputes every
-image, is kept as the tests' reference route.
+to build an :class:`Automorphism` and, in :func:`is_inner`, for the
+homology classes of the images and the conjugacy classes of those of x_1
+and x_2.  :func:`compose`, which
+recomputes every image, is kept as the tests' reference route.
 
-The catalog's one memo table (:func:`power_pairs`) maps ``(word, n)`` to the
-packed images of ``word^n``, built by appending and squaring.  ``evaluate``
-is its n = 1 entry, ``order_of`` reads each ``T^m`` it tests from it, and
-:func:`identity_status` compares the two sides of an identity entry by
-entry, so the orders of s and s' reuse the chain-power identity's powers.
+The catalog has three memo tables.  The power table (:func:`power_pairs`)
+maps ``(word, n)`` to the packed images of ``word^n``, built by appending
+and squaring.  ``evaluate`` is its n = 1 entry, ``order_of`` reads each
+``T^m`` it tests from it, and :func:`identity_status` compares the two
+sides of an identity entry by entry, so the orders of s and s' reuse the
+chain-power identity's powers.  The other two are keyed by a table's
+content: its square, and its :func:`is_inner` status
+(:func:`_inner_status`).  The chain-power identity makes s^g and
+(s')^(g-1) one table, so it is squared and decided once for both orders.
 A curve-orbit map is a product of such entries (:func:`product_pairs`), so
 ``x r^k x^-1`` costs the ladder of ``r^k`` and two compositions.  Squaring
 and composing run through :func:`_compose_pairs`, which substitutes runs
@@ -54,7 +60,8 @@ gives.
 
 :func:`is_inner` decides exactly, with no bound: centralizers in pi_1 are
 cyclic, so the conjugators of x_1 and x_2 onto their images meet in at most
-one candidate, and checking that candidate on every generator decides.
+one candidate, and checking that candidate on every generator decides.  It
+takes the packed pairs of a table, as :func:`power_pairs` returns them.
 """
 
 from __future__ import annotations
@@ -77,7 +84,6 @@ from .words import (
     invert,
     inverse,
     is_conjugate,
-    is_trivial,
     mul,
     pack,
     reduce_image,
@@ -166,8 +172,9 @@ def _common_power(pres: SurfacePresentation, b1, b2):
     return None if any(h[2:]) else -h[0]
 
 
-def is_inner(pres: SurfacePresentation, a: Automorphism):
-    """Decide whether ``a`` is an inner automorphism: Inner(witness), with
+def is_inner(pres: SurfacePresentation, pairs):
+    """Decide whether the automorphism with the packed image pairs ``pairs``
+    (as :func:`power_pairs` returns them) is inner: Inner(witness), with
     w x_i w^-1 = a(x_i) for every i, or NotInner.  No bound: one candidate
     conjugator decides.
 
@@ -188,23 +195,34 @@ def is_inner(pres: SurfacePresentation, a: Automorphism):
     trivial, so an inner automorphism has one conjugator, and the witness
     is this word.
 
+    The candidate check joins the packed ``c x_i c^-1 a(x_i)^-1`` at its
+    junctions (:func:`~mcgverify.words._cancel`) and requires the strict
+    pass to empty it, which is ``is_trivial`` of that word.
+
     Raises InvariantViolation if a matched conjugator fails to verify.
     """
     g = pres.genus
-    for i in range(1, g + 1):
-        if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
+    for i, (image, _) in enumerate(pairs, 1):
+        if pres.abelianized(unpack(image)) != pres.abelianized((i,)):
             return NotInner(f"homology class of image of x{i} moved")
-    for i in (1, 2):
-        if not is_conjugate(pres, (i,), a.images[i - 1]):
+    x1, x2 = unpack(pairs[0][0]), unpack(pairs[1][0])
+    for i, image in ((1, x1), (2, x2)):
+        if not is_conjugate(pres, (i,), image):
             return NotInner(f"image of x{i} not conjugate to x{i}")
-    b1 = conjugator(pres, (1,), a.images[0])
-    k = _common_power(pres, b1, conjugator(pres, (2,), a.images[1]))
+    b1 = conjugator(pres, (1,), x1)
+    k = _common_power(pres, b1, conjugator(pres, (2,), x2))
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
     c = mul(b1, (1 if k > 0 else -1,) * abs(k))
-    c_inv = inverse(c)
+    packed_c = pack(c)
+    c_inv = invert(packed_c)
     for i in range(2, g + 1):
-        if not is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1]))):
+        out = bytearray(packed_c)
+        _cancel(out, *pres.letters_packed[i - 1])
+        _cancel(out, c_inv, packed_c)
+        image, inv = pairs[i - 1]
+        _cancel(out, inv, image)
+        if _strict_pass(pres, bytes(out)):
             return NotInner(f"the one candidate conjugator fails on x{i}")
     return Inner(c)
 
@@ -295,12 +313,6 @@ def inverse_word(word):
     return tuple((k, i, -s) for (k, i, s) in reversed(word))
 
 
-def word_power(word, n: int):
-    if n < 0:
-        return inverse_word(word) * (-n)
-    return tuple(word) * n
-
-
 def format_mcg_word(word) -> str:
     if not word:
         return "id"
@@ -340,7 +352,8 @@ class GeneratorCatalog:
 
     The composite generators y and t_eps are entered by :func:`_append`
     from the symbols already in the table.  Built by :func:`build_catalog`,
-    which also certifies the formulas.  Immutable but for its power table.
+    which also certifies the formulas.  Immutable but for its memo tables
+    of powers, squares and verdicts, which only ever gain entries.
     """
 
     def __init__(self, genus: int):
@@ -375,8 +388,12 @@ class GeneratorCatalog:
             self.curves["b"] = BETA_WORD
         self.curves["e"] = unpack(reduce_image(self.presentation, y_inv, (g - 2, g - 1)))
 
-        # (word, n) -> packed image pairs of word^n, filled by power_pairs
+        # (word, n) -> packed image pairs of word^n, filled by power_pairs;
+        # a table -> its square, and a table -> its is_inner status, keyed
+        # by content, so that the powers of two words that meet are shared
         self._powers: dict = {}
+        self._squares: dict = {}
+        self._verdicts: dict = {}
 
     def symbols(self):
         """All positive-direction generator symbols in this genus."""
@@ -509,7 +526,10 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
     the catalog's table.  A missing entry is built and stored by a ladder:
     n = 1 appends ``word`` to the identity, an even n squares the n/2 entry
     (:func:`_compose_pairs`), an odd n appends ``word`` to the n-1 entry.
-    Each entry is what the ladder computes, whatever the table held."""
+    A square is memoized by the content of the table squared
+    (``catalog._squares``), so two words whose powers meet in one table,
+    as s^g and (s')^(g-1) do, square it once.  Each entry is what the
+    ladder computes, whatever the tables held."""
     key = (word, n)
     pairs = catalog._powers.get(key)
     if pairs is None:
@@ -519,9 +539,23 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
             pairs = _append(catalog, power_pairs(catalog, word, n - 1), word)
         else:
             half = power_pairs(catalog, word, n // 2)
-            pairs = _compose_pairs(catalog.presentation, half, half)
+            pairs = catalog._squares.get(half)
+            if pairs is None:
+                pairs = catalog._squares[half] = tuple(
+                    _compose_pairs(catalog.presentation, half, half)
+                )
         pairs = catalog._powers[key] = tuple(pairs)
     return pairs
+
+
+def _inner_status(catalog: GeneratorCatalog, pairs):
+    """:func:`is_inner` of a table of ``catalog``'s, memoized by the
+    table's content (``catalog._verdicts``), so a table that two words'
+    powers share is decided once."""
+    status = catalog._verdicts.get(pairs)
+    if status is None:
+        status = catalog._verdicts[pairs] = is_inner(catalog.presentation, pairs)
+    return status
 
 
 def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
@@ -599,13 +633,15 @@ def identity_status(catalog: GeneratorCatalog, lhs, rhs):
     """Inner-automorphism status of ``L R^-1`` for ``L = R``, each side a
     ``(word, exponent)`` pair: Inner or NotInner.  Equal side tables
     (:func:`power_pairs`) give Inner(()); otherwise ``is_inner`` decides
-    ``evaluate(L R^-1)``, because two routes may leave different sides of
-    an exactly-half relator piece."""
+    the composite of the left table with that of ``R^-1`` to the same
+    exponent, because two routes may leave different sides of an
+    exactly-half relator piece."""
     (lword, ln), (rword, rn) = lhs, rhs
-    if power_pairs(catalog, lword, ln) == power_pairs(catalog, rword, rn):
+    left = power_pairs(catalog, lword, ln)
+    if left == power_pairs(catalog, rword, rn):
         return Inner(())
-    word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
-    return is_inner(catalog.presentation, evaluate(catalog, word))
+    right_inv = power_pairs(catalog, inverse_word(rword), rn)
+    return is_inner(catalog.presentation, _compose_pairs(catalog.presentation, left, right_inv))
 
 
 def order_of(catalog: GeneratorCatalog, word, n: int):
@@ -628,7 +664,8 @@ def order_of(catalog: GeneratorCatalog, word, n: int):
     The probe decides only the cost, never the verdict: a candidate m with
     M^m != I moves some generator's homology class, and the homology check
     :func:`is_inner` runs first refutes T^m.  Each T^m is read from the
-    catalog's table (:func:`power_pairs`); no power above n is built.
+    catalog's table (:func:`power_pairs`), and its status from the memo of
+    verdicts (:func:`_inner_status`); no power above n is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -637,10 +674,8 @@ def order_of(catalog: GeneratorCatalog, word, n: int):
     if period is None:
         return None
     for m in range(period, n + 1, period):
-        if n % m == 0:
-            power = Automorphism(catalog.genus, _unpacked(power_pairs(catalog, word, m)))
-            if isinstance(is_inner(catalog.presentation, power), Inner):
-                return m
+        if n % m == 0 and isinstance(_inner_status(catalog, power_pairs(catalog, word, m)), Inner):
+            return m
     return None
 
 

@@ -42,14 +42,17 @@ bytes negated through the 256-byte table ``NEG`` and reversed
 the letters that cancel are the longest common suffix of the word and the
 piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
-Cancellation runs in two places: ``_cancel``, which the strict pass and
-:func:`reduce_image` call at every junction, and ``mcg._compose_pairs``,
-which squares power tables by substituting runs ``x_i..x_j`` of letters,
+Cancellation runs in two places: ``_cancel``, which the strict pass,
+:func:`reduce_image` and ``mcg.is_inner`` call at every junction, and
+``mcg._compose_pairs``, which squares power tables by substituting runs
+``x_i..x_j`` of letters,
 each piece memoized per call with its inverse as one integer, and ends in
 the same strict pass, which looks windows up in the one table of relator
 rotations, ``SurfacePresentation._rotations``.  It has one prefilter: it
 searches the word for floor(g/2) doubled letters in a row, which every
-strict window holds, and returns at once if there are none.  Public
+strict window holds, and returns at once if there are none.  Its scan
+starts one letter before the first such run and, after a replacement,
+resumes g letters before the first letter that changed.  Public
 functions take and return tuples and pack at their boundary.  A signed
 byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
@@ -243,8 +246,9 @@ def get_presentation(genus: int) -> SurfacePresentation:
     return pres
 
 
-def _cancel(out: bytearray, piece, inv) -> None:
-    """Append the packed ``piece`` to ``out`` and cancel at the junction.
+def _cancel(out: bytearray, piece, inv) -> int:
+    """Append the packed ``piece`` to ``out``, cancel at the junction and
+    return the number k of letters of ``out`` that cancelled.
 
     Both must be freely reduced and ``inv`` is the packed inverse of
     ``piece``.  The last k letters of ``out`` cancel the first k of
@@ -261,32 +265,42 @@ def _cancel(out: bytearray, piece, inv) -> None:
         k = m - (x.bit_length() + 7 >> 3)
         del out[-k:]
         out += piece[k:]
-    else:
-        out += piece
+        return k
+    out += piece
+    return 0
 
 
 def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
     """Strict Dehn reduction of a freely reduced packed word: replace the
-    leftmost subword longer than half a rotation, freely reduce, and rescan
-    from the start until no such subword occurs.  Returns the word
-    unchanged if there is none.
+    leftmost subword longer than half a rotation and freely reduce, until
+    no such subword occurs.  Returns the word unchanged if there is none.
 
     Most words hold no such subword, and ``_doubled`` proves that with one
     regex search: every rotation of the relator and of its inverse is a
     run of doubled letters, so a window of length g+1 or more holds
-    floor(g/2) doubled letters in a row, and a word without such a run
-    has no window to replace.  The search only rejects; on a word it
-    matches, the scan looks every ``w[i:i+g]`` up in ``_rotations``, a
-    strict window if ``w[i+g]`` is the rotation's next letter too.  The
-    replacement is freely reduced, so free reduction runs only at its two
-    junctions (:func:`_cancel`).
+    floor(g/2) doubled letters in a row, starting at its first or second
+    letter, and a word without such a run has no window to replace.  The
+    scan starts one letter before the search's first match and looks
+    every ``w[i:i+g]`` up in ``_rotations``, a strict window if ``w[i+g]``
+    is the rotation's next letter too.  The replacement is freely reduced,
+    so free reduction runs only at its two junctions (:func:`_cancel`).
+
+    After a replacement the search and the scan resume g letters before
+    the first changed letter, not at the start: a window that starts
+    further left ends among the letters kept unchanged, and held no strict
+    window before, as the replaced one was the leftmost.  So each pass
+    replaces the windows a rescan from the start would, in the same order.
     """
     g = pres.genus
     full = 2 * g
     rotations = pres._rotations
     doubled = pres._doubled
-    while len(w) > g and doubled(w):
-        for i in range(len(w) - g):
+    start = 0
+    while len(w) > g:
+        match = doubled(w, start)
+        if match is None:
+            return w
+        for i in range(max(start, match.start() - 1), len(w) - g):
             rotation = rotations.get(w[i : i + g])
             if rotation is not None and w[i + g] == rotation[g]:
                 break
@@ -298,9 +312,11 @@ def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
             m += 1
         out = bytearray(w[:i])
         tail = rotation[m:]
-        _cancel(out, invert(tail), tail)
+        kept = i - _cancel(out, invert(tail), tail)
         rest = w[i + m :]
-        _cancel(out, rest, invert(rest))
+        joined = len(out)
+        kept = min(kept, joined - _cancel(out, rest, invert(rest)))
+        start = max(0, kept - g)
         w = bytes(out)
     return w
 

@@ -8,14 +8,25 @@ from mcgverify.mcg import (
     Automorphism,
     Inner,
     NotInner,
+    _common_power,
     _compose_pairs,
-    _unpacked,
+    _packed,
     evaluate,
     identity_status,
+    inverse_word,
     is_inner,
     power_pairs,
 )
-from mcgverify.words import get_presentation, inverse
+from mcgverify.words import (
+    _cancel,
+    conjugator,
+    get_presentation,
+    inverse,
+    invert,
+    is_conjugate,
+    is_trivial,
+    mul,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +52,13 @@ def rng():
 def random_word(rng, genus, max_len, min_len=0):
     letters = [i for i in range(1, genus + 1)] + [-i for i in range(1, genus + 1)]
     return tuple(rng.choice(letters) for _ in range(rng.randrange(min_len, max_len + 1)))
+
+
+def word_power(word, n):
+    """The flat mapping-class word of ``word^n``; n < 0 repeats the inverse."""
+    if n < 0:
+        return inverse_word(word) * (-n)
+    return tuple(word) * n
 
 
 def mcg_equal(catalog, w1, w2):
@@ -87,6 +105,63 @@ def scan_order(catalog, word, limit):
     for n in range(period, limit + 1, period):
         if n > period:
             pairs = _compose_pairs(pres, pairs, step)
-        if isinstance(is_inner(pres, Automorphism(catalog.genus, _unpacked(pairs))), Inner):
+        if isinstance(is_inner(pres, pairs), Inner):
             return n
     return None
+
+
+def packed_table(auto):
+    """The packed image pairs of an automorphism, the table ``is_inner``
+    takes."""
+    return tuple(_packed(auto.images))
+
+
+def tuple_is_inner(pres, a):
+    """Reference for ``is_inner`` on an :class:`Automorphism` of tuple
+    images: the same homology check, classes and one candidate conjugator,
+    with the candidate checked by ``is_trivial`` of the tuple word
+    ``c x_i c^-1 a(x_i)^-1``."""
+    g = pres.genus
+    for i in range(1, g + 1):
+        if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
+            return NotInner(f"homology class of image of x{i} moved")
+    for i in (1, 2):
+        if not is_conjugate(pres, (i,), a.images[i - 1]):
+            return NotInner(f"image of x{i} not conjugate to x{i}")
+    b1 = conjugator(pres, (1,), a.images[0])
+    k = _common_power(pres, b1, conjugator(pres, (2,), a.images[1]))
+    if k is None:
+        return NotInner("x1 and x2 have no common conjugator")
+    c = mul(b1, (1 if k > 0 else -1,) * abs(k))
+    c_inv = inverse(c)
+    for i in range(2, g + 1):
+        if not is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1]))):
+            return NotInner(f"the one candidate conjugator fails on x{i}")
+    return Inner(c)
+
+
+def rescan_strict_pass(pres, w):
+    """Reference: strict Dehn reduction of a freely reduced packed word
+    that rescans from the start after every replacement, under the
+    ``_doubled`` prefilter of the whole word."""
+    g = pres.genus
+    full = 2 * g
+    rotations = pres._rotations
+    while len(w) > g and pres._doubled(w):
+        for i in range(len(w) - g):
+            rotation = rotations.get(w[i : i + g])
+            if rotation is not None and w[i + g] == rotation[g]:
+                break
+        else:
+            return w
+        m = g + 1
+        n = len(w)
+        while m < full and i + m < n and w[i + m] == rotation[m]:
+            m += 1
+        out = bytearray(w[:i])
+        tail = rotation[m:]
+        _cancel(out, invert(tail), tail)
+        rest = w[i + m :]
+        _cancel(out, rest, invert(rest))
+        w = bytes(out)
+    return w

@@ -32,11 +32,10 @@ from mcgverify.mcg import (
     talpha,
     tbeta,
     transposition,
-    word_power,
 )
 from mcgverify.words import dehn_reduce, free_reduce, get_presentation, inverse, is_trivial, mul
 
-from conftest import mcg_equal, random_word
+from conftest import mcg_equal, random_word, word_power
 from test_words import all_words, oracle_conjugate
 
 

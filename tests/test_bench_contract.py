@@ -53,10 +53,10 @@ def test_claim_kinds_match_runners_and_tracer():
 def test_is_inner_outcome_names_match_tracer():
     """The tracer counts ``is_inner`` outcomes by class name; a renamed
     class would be counted as ``error``."""
-    from mcgverify.mcg import evaluate, get_catalog, is_inner, talpha, transposition
+    from mcgverify.mcg import get_catalog, is_inner, power_pairs, talpha, transposition
 
     cat = get_catalog(3)
     pres = cat.presentation
-    inner = is_inner(pres, evaluate(cat, (transposition(2),) * 2))
-    not_inner = is_inner(pres, evaluate(cat, (talpha(1),)))
+    inner = is_inner(pres, power_pairs(cat, (transposition(2),), 2))
+    not_inner = is_inner(pres, power_pairs(cat, (talpha(1),), 1))
     assert [type(inner).__name__, type(not_inner).__name__] == ["Inner", "NotInner"]

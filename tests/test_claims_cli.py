@@ -21,6 +21,8 @@ from mcgverify.claims import (
     exit_code,
     filter_claims,
     find_claim,
+    report_json,
+    resolve_claims,
     run_claim,
     run_claims,
 )
@@ -302,14 +304,27 @@ def test_cli_report_same_under_python_O():
         assert rows_without_millis(optimized) == rows_without_millis(plain)
 
 
+def test_report_json_writes_one_claim_per_line():
+    """The report is a JSON array with one compactly encoded claim per line;
+    it parses to the rows themselves."""
+    reports = run_claims(resolve_claims("thm1.*.g5"))
+    text = report_json(reports)
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(reports) + 2
+    assert json.loads(text) == [r.as_dict() for r in reports]
+    assert json.loads(report_json([])) == []
+
+
 def test_order_claims_alone_match_the_full_run():
     """An order claim of s or s' run alone builds its powers from scratch;
     in the full run it reads or squares those the chain-power identity
-    left in the table.  Both give the same row."""
+    left in the table, and reads the verdict of a power the other word's
+    claim decided.  Both give the same row, at odd and even genus."""
     full = run_cli("run", "--filter", "[mt]*", "--genus", "24..30", "--format", "json")
     assert full.returncode == 0, full.stderr
     rows = {row["id"]: row for row in rows_without_millis(full)}
-    for claim_id, genus in (("thm1.order.s.g29", "29..29"), ("thm1.order.sprime.g28", "28..28")):
+    for claim_id, genus in (("thm1.order.s.g29", "29..29"), ("thm1.order.sprime.g28", "28..28"),
+                            ("thm1.order.sprime.g29", "29..29"), ("thm1.order.s.g28", "28..28")):
         alone = run_cli("run", "--format", "json", "--filter", claim_id, "--genus", genus)
         assert alone.returncode == 0, alone.stderr
         assert rows_without_millis(alone) == [rows[claim_id]]

@@ -52,7 +52,6 @@ from mcgverify.mcg import (
     tbeta,
     teps,
     transposition,
-    word_power,
 )
 from mcgverify.words import (
     CONJ_BOUND,
@@ -77,9 +76,12 @@ from conftest import (
     automorphism,
     identity_automorphism,
     mcg_equal,
+    packed_table,
     random_word,
     relator_rotations,
     scan_order,
+    tuple_is_inner,
+    word_power,
 )
 from test_words import kernel_cases, tuple_reduce_image
 
@@ -473,7 +475,7 @@ def test_is_inner_conjugation_by_construction(rng):
         auto = Automorphism(
             4, [mul(w, (i,), inverse(w)) for i in range(1, 5)]
         )
-        status = is_inner(pres, auto)
+        status = is_inner(pres, packed_table(auto))
         assert isinstance(status, Inner)
         for i in range(1, 5):
             assert is_trivial(
@@ -484,15 +486,15 @@ def test_is_inner_conjugation_by_construction(rng):
 def test_is_inner_rejects_twist():
     cat = get_catalog(4)
     pres = get_presentation(4)
-    assert isinstance(is_inner(pres, automorphism(cat, talpha(1))), NotInner)
+    assert isinstance(is_inner(pres, packed_table(automorphism(cat, talpha(1)))), NotInner)
 
 
 def test_u2_squared_inner_in_genus3():
     cat = get_catalog(3)
     pres = get_presentation(3)
     u2 = automorphism(cat, transposition(2))
-    assert isinstance(is_inner(pres, u2), NotInner)
-    assert isinstance(is_inner(pres, compose(u2, u2)), Inner)
+    assert isinstance(is_inner(pres, packed_table(u2)), NotInner)
+    assert isinstance(is_inner(pres, packed_table(compose(u2, u2))), Inner)
 
 
 def test_rotation_powers_genus6():
@@ -502,9 +504,9 @@ def test_rotation_powers_genus6():
     power = identity_automorphism(6)
     for n in range(1, 6):
         power = compose(r, power)
-        assert isinstance(is_inner(pres, power), NotInner), n
+        assert isinstance(is_inner(pres, packed_table(power)), NotInner), n
     power = compose(r, power)
-    assert isinstance(is_inner(pres, power), Inner)
+    assert isinstance(is_inner(pres, packed_table(power)), Inner)
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +774,9 @@ def test_r_prime_order_witness_at_centralizer_power_2(genus):
     centralizer power 2, which no bound now has to reach."""
     cat = get_catalog(genus)
     assert order_of(cat, word_r_prime(genus), genus - 1) == genus - 1
-    auto = tabled(genus, power_pairs(cat, word_r_prime(genus), genus - 1))
-    b1 = conjugator(cat.presentation, (1,), auto.images[0])
-    assert is_inner(cat.presentation, auto) == Inner(mul(b1, (1, 1)))
+    pairs = power_pairs(cat, word_r_prime(genus), genus - 1)
+    b1 = conjugator(cat.presentation, (1,), unpack(pairs[0][0]))
+    assert is_inner(cat.presentation, pairs) == Inner(mul(b1, (1, 1)))
 
 
 def order_claim_words(genus):
@@ -858,7 +860,7 @@ def test_conjugated_transposition_powers_are_not_inner():
     cat = get_catalog(5)
     t = (talpha(2, -1), transposition(3), talpha(2))
     for m in (2, 4, 6, 8):
-        status = is_inner(cat.presentation, evaluate(cat, t * m))
+        status = is_inner(cat.presentation, power_pairs(cat, t * m, 1))
         assert status == NotInner("image of x2 not conjugate to x2"), m
 
 
@@ -936,7 +938,7 @@ def matches_eager(pres, auto):
     """is_inner's verdict, checked against the bounded reference at
     CONJ_BOUND: an Inner verdict has the reference's witness, and the
     reference finds no witness where is_inner says NotInner."""
-    status = is_inner(pres, auto)
+    status = is_inner(pres, packed_table(auto))
     ref = eager_is_inner(pres, auto)
     if isinstance(status, Inner) or isinstance(ref, Inner):
         assert status == ref
@@ -978,6 +980,12 @@ def named_inner_cases():
     return cases
 
 
+def packed_cases(cases):
+    """(presentation, automorphism) cases as the (presentation, packed
+    table) that ``is_inner`` takes."""
+    return [(pres, packed_table(auto)) for pres, auto in cases]
+
+
 def test_is_inner_matches_eager_on_named_cases():
     seen = set()
     for pres, auto in named_inner_cases():
@@ -988,13 +996,44 @@ def test_is_inner_matches_eager_on_named_cases():
                     "the one candidate conjugator fails on x", "Inner"}
 
 
+def seeded_products(genus, seed, count):
+    """Products w T w^-1 of a seeded word w of one to four generator
+    symbols and T one of r^g, r^(g-1), u_1^2, y^2 or the identity.  At
+    genus 4 to 6 every outcome of ``is_inner`` occurs among them."""
+    cat = get_catalog(genus)
+    rng = random.Random(seed)
+    symbols = [(kind, idx, sign) for kind, idx, _ in cat.symbols() for sign in (1, -1)]
+    powers = [word_power(word_r(genus), genus), word_power(word_r(genus), genus - 1),
+              (transposition(1),) * 2, (crosscap_slide(),) * 2, ()]
+    words = []
+    for _ in range(count):
+        w = tuple(rng.choice(symbols) for _ in range(rng.randrange(1, 5)))
+        words.append(w + rng.choice(powers) + inverse_word(w))
+    return cat, words
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 6, 8])
+def test_is_inner_matches_tuple_oracle(genus):
+    """The packed ``is_inner`` gives the verdict and witness of the tuple
+    route ``tuple_is_inner`` on the named cases and on seeded products."""
+    cases = [case for case in named_inner_cases() if case[0].genus == genus]
+    cat, words = seeded_products(genus, 9800 + genus, 40)
+    cases += [(cat.presentation, evaluate(cat, word)) for word in words]
+    kinds = set()
+    for pres, auto in cases:
+        status = is_inner(pres, packed_table(auto))
+        assert status == tuple_is_inner(pres, auto), auto
+        kinds.add(type(status))
+    assert kinds == {Inner, NotInner}
+
+
 @pytest.mark.parametrize("genus", [5, 6])
 def test_u_and_y_squares_are_not_inner(genus):
     """u1^2 and y^2 fix homology and the class of every generator image, so
     neither invariant refutes them; the one candidate conjugator does."""
     cat = get_catalog(genus)
     for word in [(transposition(1),) * 2, (crosscap_slide(),) * 2]:
-        assert isinstance(is_inner(cat.presentation, evaluate(cat, word)), NotInner)
+        assert isinstance(is_inner(cat.presentation, power_pairs(cat, word, 1)), NotInner)
         assert mcg_equal(cat, word, ()) is False
 
 
@@ -1005,7 +1044,7 @@ def test_flipped_slide_pair_not_equal():
     cat = get_catalog(5)
     lhs, rhs = flipped_slide_words()
     assert mcg_equal(cat, lhs, rhs) is False
-    status = is_inner(cat.presentation, evaluate(cat, lhs + inverse_word(rhs)))
+    status = is_inner(cat.presentation, power_pairs(cat, lhs + inverse_word(rhs), 1))
     assert status == NotInner("the one candidate conjugator fails on x3")
 
 
@@ -1054,12 +1093,11 @@ def test_is_inner_rejects_a_shifted_centralizer_power(monkeypatch):
     """Forcing k to k + 1 or k - 1 makes the candidate b_1 x_1^k fail on
     some x_i, so every Inner case turns NotInner: the check of the candidate,
     not the computed k, certifies an Inner verdict."""
-    cases = [case for case in named_inner_cases() if isinstance(is_inner(*case), Inner)]
-    cases += [(get_presentation(5), auto) for auto in seeded_conjugations(5, 9600, 10)]
+    cases = [case for case in packed_cases(named_inner_cases()) if isinstance(is_inner(*case), Inner)]
+    cases += packed_cases((get_presentation(5), auto) for auto in seeded_conjugations(5, 9600, 10))
     for genus in (5, 6, 7):
         cat = get_catalog(genus)
-        cases.append((cat.presentation,
-                      tabled(genus, power_pairs(cat, word_r_prime(genus), genus - 1))))
+        cases.append((cat.presentation, power_pairs(cat, word_r_prime(genus), genus - 1)))
     assert all(isinstance(is_inner(*case), Inner) for case in cases)
     common_power = mcgverify.mcg._common_power
     for shift in (1, -1):
@@ -1076,10 +1114,9 @@ def test_is_inner_raises_when_no_candidate_verifies(monkeypatch):
     before the matching stand."""
     cases = named_inner_cases()
     cases += [(get_presentation(5), auto) for auto in seeded_conjugations(5, 9500, 5)]
+    cases = packed_cases(cases)
     want = [is_inner(*case) for case in cases]
-    never = lambda pres, word: False
-    monkeypatch.setattr(mcgverify.words, "is_trivial", never)
-    monkeypatch.setattr(mcgverify.mcg, "is_trivial", never)
+    monkeypatch.setattr(mcgverify.words, "is_trivial", lambda pres, word: False)
     raised = 0
     for case, status in zip(cases, want):
         if getattr(status, "reason", "").startswith(("homology", "image of x")):
@@ -1115,11 +1152,11 @@ def test_chain_power_identity():
 
 
 def quotient_status(cat, lhs, rhs):
-    """is_inner of ``evaluate(L R^-1)`` for the sides ``L = R``, with no
-    comparison of the side tables."""
+    """is_inner of the table of the flattened word ``L R^-1`` for the sides
+    ``L = R``, with no comparison of the side tables."""
     (lword, ln), (rword, rn) = lhs, rhs
     word = word_power(lword, ln) + inverse_word(word_power(rword, rn))
-    return is_inner(cat.presentation, evaluate(cat, word))
+    return is_inner(cat.presentation, power_pairs(cat, word, 1))
 
 
 @pytest.mark.parametrize("genus", [*range(4, 13), 24, 30])
@@ -1158,6 +1195,36 @@ def test_identity_status_falls_back_on_unequal_tables():
             assert isinstance(status, NotInner)
 
 
+class Unequal(tuple):
+    """A power table that equals no table, not even itself."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 6, 9, 24])
+def test_identity_status_fallback_matches_flattened_route(genus, monkeypatch):
+    """With every side table made unequal, ``identity_status`` composes the
+    left table with that of ``R^-1`` for every identity claim, the
+    chain-power identity with the wrong exponent g+1 and u2^2 = id at
+    genus 3, and gets the verdict and witness of the flattened word's
+    table."""
+    cases = [((word_s_prime(genus), genus - 1), (word_s(genus), genus + 1)),
+             (((transposition(2),), 2), ((), 1))]
+    cases += [FAMILIES[c.params["family"]].word(genus, c.params["index"])
+              for c in resolve_claims(f"thm1.id.*.g{genus}")]
+    flat = [quotient_status(get_catalog(genus), lhs, rhs) for lhs, rhs in cases]
+    assert {type(status) for status in flat} == {Inner, NotInner}
+    power_pairs_ = mcgverify.mcg.power_pairs
+    monkeypatch.setattr(mcgverify.mcg, "power_pairs",
+                        lambda *args: Unequal(power_pairs_(*args)))
+    cat = build_catalog(genus)
+    for (lhs, rhs), want in zip(cases, flat):
+        assert identity_status(cat, lhs, rhs) == want, (lhs, rhs)
+
+
 @pytest.mark.parametrize("genus", [8, 9, 24, 25])
 def test_shared_power_table_equals_fresh_tables(genus):
     """The entries a catalog holds after every thm1 claim of its genus ran
@@ -1171,6 +1238,37 @@ def test_shared_power_table_equals_fresh_tables(genus):
     for (word, n), pairs in shared.items():
         fresh._powers.clear()
         assert power_pairs(fresh, word, n) == pairs, (word, n)
+
+
+def test_shared_power_is_squared_and_decided_once(monkeypatch):
+    """At genus 25 the chain-power identity makes s^25 and (s')^24 one
+    table T.  A ``thm1.*`` run on a fresh catalog squares T once, for s^50
+    and (s')^48, and decides that square once, for both order claims."""
+    genus = 25
+    cat = build_catalog(genus)
+    monkeypatch.setitem(mcgverify.mcg._CATALOGS, genus, cat)
+    squared, decided = [], []
+    compose_pairs, is_inner_ = mcgverify.mcg._compose_pairs, mcgverify.mcg.is_inner
+
+    def compose_spy(pres, a, b):
+        if a == b:
+            squared.append(tuple(a))
+        return compose_pairs(pres, a, b)
+
+    def is_inner_spy(pres, pairs):
+        decided.append(tuple(pairs))
+        return is_inner_(pres, pairs)
+
+    monkeypatch.setattr(mcgverify.mcg, "_compose_pairs", compose_spy)
+    monkeypatch.setattr(mcgverify.mcg, "is_inner", is_inner_spy)
+    reports = run_claims(resolve_claims(f"thm1.*.g{genus}"))
+    assert {r.status for r in reports} == {"pass"}
+    shared = power_pairs(cat, word_s(genus), genus)
+    assert shared == power_pairs(cat, word_s_prime(genus), genus - 1)
+    square = power_pairs(cat, word_s(genus), 2 * genus)
+    assert square == power_pairs(cat, word_s_prime(genus), 2 * (genus - 1))
+    assert squared.count(shared) == 1
+    assert decided.count(square) == 1
 
 
 def test_talpha1_identity_genus5():

@@ -38,7 +38,7 @@ from mcgverify.words import (
     unpack,
 )
 
-from conftest import random_word, relator_rotations
+from conftest import random_word, relator_rotations, rescan_strict_pass
 
 
 PACKAGE_MODULES = ["mcgverify"] + [
@@ -273,6 +273,70 @@ def test_prefiltered_scans_match_full_scans(genus):
                 branches.add("passed, replaced" if want != w else "passed, no window")
     assert spurious_seen > 0
     assert branches == {"rejected", "passed, replaced", "passed, no window"}
+
+
+def planted_full_relators(rng, genus, count):
+    """(word, i): a freely reduced word p R q with a whole relator rotation
+    R at i = len(p), the leftmost strict window.  q starts with the inverse
+    of the last j >= g letters of p, so removing R cancels them: the
+    replacement's second junction cancels back into the kept prefix.  Then
+    q goes on with the g letters that follow the letter a before them in
+    the rotation that starts at a between two doubled letters, so the word
+    left holds a strict window at a, more than g letters before i.  p has
+    no doubled letter, and its last letter neither precedes R cyclically
+    nor cancels R's first."""
+    letters = [x for i in range(1, genus + 1) for x in (i, -i)]
+    rotations = relator_rotations(genus)
+    planted = []
+    while len(planted) < count:
+        r = rng.choice(rotations)
+        j = rng.randrange(genus, 2 * genus)
+        length = j + 1 + rng.randrange(genus)
+        p = []
+        while len(p) < length or p[-1] in (r[-1], -r[0]):
+            p.append(rng.choice([x for x in letters if not p or x not in (p[-1], -p[-1])]))
+        (s,) = [s for s in rotations if s[0] == p[-j - 1] and s[1] != s[0]]
+        if s[1] == p[-j]:
+            continue
+        filler = free_reduce(random_word(rng, genus, 2 * genus))
+        while filler and filler[0] == -s[genus]:
+            filler = filler[1:]
+        q = inverse(tuple(p[-j:])) + s[1 : genus + 1] + filler
+        planted.append((tuple(p) + r + q, len(p)))
+    return planted
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 8, 30, MAX_GENUS])
+def test_strict_pass_matches_rescanning_pass(genus):
+    """``_strict_pass`` starts one letter before the prefilter's first match
+    and resumes g letters before the first letter a replacement changed;
+    byte for byte it gives what the pass that rescans the whole word after
+    every replacement gives (``rescan_strict_pass``).  The words are those
+    of the window scans, runs of strict pieces back to back, and whole
+    relators whose removal cancels back into the kept prefix."""
+    pres = get_presentation(genus)
+    rng = random.Random(5200 + genus)
+    words = [free_reduce(w) for w in scan_words(rng, pres)]
+    for _ in range(60):
+        pieces = [rng.choice(relator_rotations(genus))[: rng.randrange(genus + 1, 2 * genus + 1)]
+                  for _ in range(rng.randrange(2, 5))]
+        words.append(free_reduce(random_word(rng, genus, genus) + sum(pieces, ())))
+    planted = planted_full_relators(rng, genus, 40)
+    for w, i in planted:
+        assert free_reduce(w) == w
+        log = []
+        full_scan_strict_pass(pres, w, log)
+        assert log[0][:2] == (i, i + 2 * genus), w
+    words += [w for w, _ in planted]
+    replacements = []
+    for w in words:
+        log = []
+        want = full_scan_strict_pass(pres, w, log)
+        packed = pack(w)
+        got = _strict_pass(pres, packed)
+        assert got == rescan_strict_pass(pres, packed) == pack(want), w
+        replacements.append(len(log))
+    assert max(replacements) >= 3 and replacements.count(0) > 0
 
 
 def test_doubled_prefilter_matches_every_strict_window():
