@@ -36,9 +36,8 @@ those are recomputed.  Images are carried packed, each with its packed
 inverse (see :mod:`mcgverify.words`), so a negative letter costs no
 inversion and every junction cancels in C; they are unpacked to tuples only
 to build an :class:`Automorphism` and, in :func:`is_inner`, for the
-homology classes of the images and the conjugacy classes of those of x_1
-and x_2.  :func:`compose`, which
-recomputes every image, is kept as the tests' reference route.
+homology classes of the images.  :func:`compose`, which recomputes every
+image, is kept as the tests' reference route.
 
 The catalog has three memo tables.  The power table (:func:`power_pairs`)
 maps ``(word, n)`` to the packed images of ``word^n``, built by appending
@@ -58,10 +57,13 @@ mostly such runs, and few distinct ones, and a run's image under ``a`` is
 reduction is unique, so the tables are the ones a per-letter substitution
 gives.
 
-:func:`is_inner` decides exactly, with no bound: centralizers in pi_1 are
-cyclic, so the conjugators of x_1 and x_2 onto their images meet in at most
-one candidate, and checking that candidate on every generator decides.  It
-takes the packed pairs of a table, as :func:`power_pairs` returns them.
+:func:`is_inner` decides exactly, with no bound: one cyclic strict
+reduction of each of the images of x_1 and x_2 decides whether it is
+conjugate to its letter and gives a conjugator, with no listing of a
+conjugacy class; centralizers in pi_1 are cyclic, so the two conjugators
+meet in at most one candidate, and checking that candidate on every
+generator decides.  It takes the packed pairs of a table, as
+:func:`power_pairs` returns them.
 """
 
 from __future__ import annotations
@@ -70,20 +72,19 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 
-from .errors import GenusMismatch, ValidationFailure
+from .errors import GenusMismatch, InvariantViolation, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
     SurfacePresentation,
     _cancel,
     _strict_pass,
-    conjugator,
     cyclic_canonical,
     format_word,
     free_reduce,
     get_presentation,
     invert,
     inverse,
-    is_conjugate,
+    letter_conjugator,
     mul,
     pack,
     reduce_image,
@@ -172,6 +173,19 @@ def _common_power(pres: SurfacePresentation, b1, b2):
     return None if any(h[2:]) else -h[0]
 
 
+def _conjugates(pres: SurfacePresentation, packed_c, i, pair) -> bool:
+    """True iff c x_i c^-1 = a(x_i) for the packed c and the packed image
+    pair ``(a(x_i), a(x_i)^-1)``: the packed ``c x_i c^-1 a(x_i)^-1`` is
+    joined at its junctions (:func:`~mcgverify.words._cancel`) and the
+    strict pass must empty it, which is ``is_trivial`` of that word."""
+    out = bytearray(packed_c)
+    _cancel(out, *pres.letters_packed[i - 1])
+    _cancel(out, invert(packed_c), packed_c)
+    image, inv = pair
+    _cancel(out, inv, image)
+    return not _strict_pass(pres, bytes(out))
+
+
 def is_inner(pres: SurfacePresentation, pairs):
     """Decide whether the automorphism with the packed image pairs ``pairs``
     (as :func:`power_pairs` returns them) is inner: Inner(witness), with
@@ -179,9 +193,10 @@ def is_inner(pres: SurfacePresentation, pairs):
     conjugator decides.
 
     After the homology check (an inner automorphism fixes homology), a(x_1)
-    must be conjugate to x_1 and a(x_2) to x_2, and the canonical forms give
-    verified conjugators b_1, b_2 of x_1, x_2 onto their images
-    (:func:`~mcgverify.words.conjugator`).  Suppose conjugation by c is
+    must be conjugate to x_1 and a(x_2) to x_2: one cyclic strict
+    reduction of each image decides this and gives conjugators b_1, b_2 of
+    x_1, x_2 onto their images (:func:`~mcgverify.words.letter_conjugator`),
+    each verified by :func:`_conjugates`.  Suppose conjugation by c is
     ``a``.  Then b_1^-1 c centralizes x_1.  pi_1(N_g), g >= 3, is
     torsion-free hyperbolic, so the centralizer of a nontrivial element is
     cyclic (Bridson-Haefliger, Metric Spaces of Non-positive Curvature,
@@ -191,38 +206,33 @@ def is_inner(pres: SurfacePresentation, pairs):
     (exponent sums less that of x_g, which the relator leaves unchanged) is
     (-k, m, 0, ..., 0).  So c exists only if h_i = 0 for every i >= 3, and
     then k = -h_1 (:func:`_common_power`).  The one candidate c = b_1 x_1^k
-    is checked on x_2..x_g; it sends x_1 onto a(x_1) already.  The center is
-    trivial, so an inner automorphism has one conjugator, and the witness
-    is this word.
+    is checked on x_2..x_g by :func:`_conjugates`; it sends x_1 onto a(x_1)
+    already.  The center is trivial, so an inner automorphism has one
+    conjugator, and the witness is this word.
 
-    The candidate check joins the packed ``c x_i c^-1 a(x_i)^-1`` at its
-    junctions (:func:`~mcgverify.words._cancel`) and requires the strict
-    pass to empty it, which is ``is_trivial`` of that word.
-
-    Raises InvariantViolation if a matched conjugator fails to verify.
+    Raises InvariantViolation if b_1 or b_2 fails to verify.
     """
     g = pres.genus
     for i, (image, _) in enumerate(pairs, 1):
         if pres.abelianized(unpack(image)) != pres.abelianized((i,)):
             return NotInner(f"homology class of image of x{i} moved")
-    x1, x2 = unpack(pairs[0][0]), unpack(pairs[1][0])
-    for i, image in ((1, x1), (2, x2)):
-        if not is_conjugate(pres, (i,), image):
+    b = []
+    for i in (1, 2):
+        packed_b = letter_conjugator(pres, pairs[i - 1][0], i)
+        if packed_b is None:
             return NotInner(f"image of x{i} not conjugate to x{i}")
-    b1 = conjugator(pres, (1,), x1)
-    k = _common_power(pres, b1, conjugator(pres, (2,), x2))
+        b.append(packed_b)
+    for i, packed_b in enumerate(b, 1):
+        if not _conjugates(pres, packed_b, i, pairs[i - 1]):
+            raise InvariantViolation(f"the conjugator of x{i} onto its image fails to verify")
+    b1, b2 = map(unpack, b)
+    k = _common_power(pres, b1, b2)
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
     c = mul(b1, (1 if k > 0 else -1,) * abs(k))
     packed_c = pack(c)
-    c_inv = invert(packed_c)
     for i in range(2, g + 1):
-        out = bytearray(packed_c)
-        _cancel(out, *pres.letters_packed[i - 1])
-        _cancel(out, c_inv, packed_c)
-        image, inv = pairs[i - 1]
-        _cancel(out, inv, image)
-        if _strict_pass(pres, bytes(out)):
+        if not _conjugates(pres, packed_c, i, pairs[i - 1]):
             return NotInner(f"the one candidate conjugator fails on x{i}")
     return Inner(c)
 

@@ -33,7 +33,11 @@ word, so one route serves every length; a word shorter than g has none.
 Matching two canonical forms gives one conjugator, verified before it is
 returned (:func:`conjugator`).  Closing under exchanges matters at every
 genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1`` in genus 4, and
-the two sides are not rotations of each other.
+the two sides are not rotations of each other.  The canonical forms serve
+curve classes (``mcg.CurveClass``).  Whether a word is conjugate to one
+letter x_i needs no class listing: a one-letter word has no exchange
+site, and one cyclic strict reduction decides it and gives the conjugator
+(:func:`letter_conjugator`, which ``mcg.is_inner`` calls).
 
 Dehn reduction has one kernel, over packed words: a ``bytes`` object with
 one signed byte per letter (``pack``/``unpack``), whose inverse is the
@@ -43,7 +47,8 @@ the letters that cancel are the longest common suffix of the word and the
 piece's inverse; ``_cancel`` reads its length off the highest differing
 byte of the XOR of the two tails, as integers, so the comparison runs in C.
 Cancellation runs in two places: ``_cancel``, which the strict pass,
-:func:`reduce_image` and ``mcg.is_inner`` call at every junction, and
+:func:`reduce_image`, :func:`letter_conjugator` and ``mcg.is_inner`` call
+at every junction, and
 ``mcg._compose_pairs``, which squares power tables by substituting runs
 ``x_i..x_j`` of letters,
 each piece memoized per call with its inverse as one integer, and ends in
@@ -58,7 +63,8 @@ byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
 All functions are pure.  ``SurfacePresentation`` carries immutable data
 plus one memo table, ``_canonical_cache``, which maps a word to its
-canonical cyclic form and the conjugator that reaches it.  It is unbounded.
+canonical cyclic form and the conjugator that reaches it.  It is unbounded,
+and only curve classes and the tests fill it.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation, OutOf
 Word = tuple  # tuple of nonzero ints
 
 # Component searches are tiny in practice; the cap only guards against a
-# pathological input locking up a batch run.
+# pathological input locking up a batch run.  Only curve classes reach it.
 SATURATION_CAP = 200_000
 
 # find_conjugators lists the powers z^k, |k| <= CONJ_BOUND, of the
@@ -516,6 +522,69 @@ def conjugator(pres: SurfacePresentation, a, b) -> Word:
     if not is_trivial(pres, mul(c, a, inverse(c), inverse(b))):
         raise InvariantViolation("canonical matching produced no valid conjugator")
     return c
+
+
+def letter_conjugator(pres: SurfacePresentation, packed, i: int):
+    """The packed b with b x_i b^-1 = w for the freely reduced packed word
+    ``packed`` = w, if w is conjugate to the letter x_i, and None otherwise.
+
+    One cyclic strict reduction, carrying the conjugator c with
+    w = c core c^-1: the letters that cancel cyclically move into c; a
+    strict window of the cyclic word, found among the n length-g slices of
+    the word written twice as in :func:`_component`, is rotated to the
+    front, the rotated prefix joins c, and the strict pass shortens the
+    word.  When neither applies, the core is cyclically reduced and holds
+    no strict window in its cyclic word, and w is conjugate to x_i exactly
+    when the core is x_i:
+
+    *Claim.* A cyclically reduced word v, conjugate to x_i, whose cyclic
+    word holds no subword longer than half a relator rotation, is x_i.
+
+    *Proof.*  If v and x_i are conjugate in the free group, v is a
+    cyclic permutation of x_i, so v = x_i.  Otherwise there is a reduced
+    annular diagram with boundary labels v and x_i and at least one region
+    (Lyndon-Schupp, Combinatorial Group Theory, ch. V sec. 5).  Both labels
+    are cyclically reduced, x_i is nontrivial, and neither cyclic word holds
+    more than half a rotation (x_i has one letter, g >= 3).  The rotations
+    satisfy C'(1/6) for g >= 4 and C'(1/4)-T(4) at g = 3 (module
+    docstring), and under either hypothesis such a diagram has one layer
+    (ch. V sec. 5): every region has an edge on each boundary.  The inner
+    boundary is the one edge x_i, so there is exactly one region D, whose
+    boundary reads a rotation r of the relator or of its inverse, 2g
+    letters.  An edge of D off both boundaries would have D on both sides:
+    D glued to itself, so r would hold a letter and its inverse.  Every
+    rotation has letters of one sign only, so no such edge exists, and the
+    2g - 1 edges of D other than x_i all lie on the outer boundary, where
+    they are read consecutively: v's cyclic word holds 2g - 1 >= g + 1
+    letters of a rotation, a strict window.  This contradicts the
+    hypothesis, so the second case cannot occur.
+
+    Each strict replacement shortens the word, so the loop ends.
+    """
+    g = pres.genus
+    rotations = pres._rotations
+    w = packed
+    conj = bytearray()
+    while True:
+        n = len(w)
+        k = 0
+        while 2 * k + 1 < n and w[k] == NEG[w[n - 1 - k]]:
+            k += 1
+        _cancel(conj, w[:k], invert(w[:k]))
+        w = w[k : n - k]
+        n -= 2 * k
+        if n <= g:
+            break
+        twice = w + w
+        for j in range(n):
+            rotation = rotations.get(twice[j : j + g])
+            if rotation is not None and twice[j + g] == rotation[g]:
+                break
+        else:
+            break
+        _cancel(conj, w[:j], invert(w[:j]))
+        w = _strict_pass(pres, w[j:] + w[:j])
+    return bytes(conj) if w == pres.letters_packed[i - 1][0] else None
 
 
 def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:

@@ -22,6 +22,7 @@ from mcgverify.words import (
     _canonical_with_conj,
     _component,
     _strict_pass,
+    conjugator,
     cyclic_canonical,
     dehn_reduce,
     find_conjugators,
@@ -32,6 +33,7 @@ from mcgverify.words import (
     inverse,
     is_conjugate,
     is_trivial,
+    letter_conjugator,
     mul,
     pack,
     reduce_image,
@@ -873,6 +875,71 @@ def test_component_matches_breadth_first_search(genus, monkeypatch):
     for w, (canon, conj) in zip(words, canonical):
         assert _canonical_with_conj(slow, w)[0] == canon, w
         assert is_trivial(fast, mul(conj, canon, inverse(conj), inverse(w))), w
+
+
+def letter_cases(rng, genus, count):
+    """(word, i), i alternating 1, 2: seeded conjugates u v u^-1 of x_i, and
+    as many near misses, in which v starts as another letter, x_i with a
+    stray letter, or a stray letter with x_i^2.  One to three relator
+    rotations are planted in v, half of them ending with the inverse of
+    the letter after them, so that part of the rotation cancels; half the
+    time a half window of a rotation in v is exchanged for the inverse of
+    the other half; and v is rotated at random, so that a strict window
+    may cross its ends."""
+    g = genus
+    letters = [x for j in range(1, g + 1) for x in (j, -j)]
+    rotations = relator_rotations(g)
+    halves = {r[:g]: r for r in rotations}
+    cases = []
+    for n in range(count):
+        i = 1 + n % 2
+        v = (i,)
+        if n % 4 >= 2:
+            j = rng.choice([x for x in letters if x != i])
+            v = rng.choice(((j,), free_reduce((i, j)), free_reduce((j, i, i))))
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(len(v) + 1)
+            fits = [r for r in rotations if r[-1] == -v[k:k + 1][0]] if k < len(v) else []
+            r = rng.choice(fits if fits and rng.random() < 0.5 else rotations)
+            v = free_reduce(v[:k] + r + v[k:])
+        sites = [k for k in range(len(v) - g + 1) if v[k:k + g] in halves]
+        if sites and rng.random() < 0.5:
+            k = rng.choice(sites)
+            v = free_reduce(v[:k] + inverse(halves[v[k:k + g]][g:]) + v[k + g:])
+        if v:
+            k = rng.randrange(len(v))
+            v = v[k:] + v[:k]
+        u = random_word(rng, g, 6)
+        cases.append((free_reduce(u + v + inverse(u)), i))
+    return cases
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 6, 8, 12, 30])
+def test_letter_conjugator_matches_canonical_forms(genus):
+    """letter_conjugator agrees with the canonical-form oracle on seeded
+    conjugates of x_1 and x_2 and near misses, and, at genus 3 and 4, on
+    every freely reduced word of length <= 6 and <= 5: it returns None
+    exactly when ``is_conjugate`` says no.  Each b it returns has
+    b x_i b^-1 = w by ``is_trivial``, and differs from ``conjugator``'s by
+    a power of x_i.  Both outcomes make up more than a tenth of the seeded
+    cases."""
+    pres = get_presentation(genus)
+    seeded = letter_cases(random.Random(genus), genus, {30: 200}.get(genus, 400))
+    longest = {3: 6, 4: 5}.get(genus, -1)
+    words = itertools.chain.from_iterable(all_words(genus, n) for n in range(longest + 1))
+    exhaustive = [(w, i) for w in words for i in (1, 2)]
+    found = 0
+    for n, (w, i) in enumerate(seeded + exhaustive):
+        b = letter_conjugator(pres, pack(w), i)
+        assert (b is not None) == is_conjugate(pres, w, (i,)), (w, i)
+        if b is None:
+            continue
+        found += n < len(seeded)
+        b = unpack(b)
+        assert is_trivial(pres, mul(b, (i,), inverse(b), inverse(w))), (w, i)
+        d = mul(inverse(b), conjugator(pres, (i,), w))
+        assert is_trivial(pres, mul(d, (i,), inverse(d), (-i,))), (w, i)
+    assert len(seeded) // 10 < found < len(seeded) - len(seeded) // 10, found
 
 
 # ---------------------------------------------------------------------------
