@@ -10,10 +10,6 @@ class ConjugacyMismatch(McgVerifyError):
     for a pair that is not conjugate."""
 
 
-class GenusMismatch(McgVerifyError):
-    """Automorphisms of different genera were combined."""
-
-
 class ValidationFailure(McgVerifyError):
     """A derived generator formula failed its validation suite.
 

@@ -2,8 +2,9 @@
 
 H_1(N_g; R) has dimension g-1: the crosscap core classes c_1..c_g satisfy
 c_1 + ... + c_g = 0 over the reals, and we eliminate c_g.
-:func:`abelianize` gives the induced matrix of a mapping class as a tuple
-of rows, and :func:`determinant` its exact determinant.  That determinant
+:func:`abelianize` reads the induced matrix of a mapping class off its
+packed image table, as a tuple of rows, and :func:`determinant` gives its
+exact determinant.  That determinant
 is +1 exactly when the class lies in the twist subgroup and -1 otherwise
 (determinant criterion, taken as an oracle); a determinant claim compares
 it with its expected sign, so any other value is a failed claim.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InvariantViolation, OutOfRange
-from .words import abelianized
+from .words import abelianized, unpack
 
 # ---------------------------------------------------------------------------
 # Plain integer matrices (tuples of tuples)
@@ -145,15 +146,17 @@ def determinant(matrix) -> int:
 # The homology action of a mapping class
 
 
-def abelianize(auto) -> tuple:
-    """Matrix of the induced map on H_1(N_g; R), in the basis c_1..c_{g-1}.
+def abelianize(pairs) -> tuple:
+    """Matrix of the induced map on H_1(N_g; R), in the basis c_1..c_{g-1},
+    of the mapping class with the packed table ``pairs`` (g packed
+    ``(image, inverse)`` pairs, as ``mcg.evaluate`` returns them).
 
     Column i is the exponent vector of the image of x_i with c_g
-    eliminated.  Functorial: abelianize(compose(a, b)) equals
-    matrix_mul(abelianize(a), abelianize(b)).
+    eliminated.  Functorial on packed tables: abelianize(compose(a, b))
+    equals matrix_mul(abelianize(a), abelianize(b)).
     """
-    g = auto.genus
-    return tuple(zip(*(abelianized(g, auto.images[j]) for j in range(g - 1))))
+    g = len(pairs)
+    return tuple(zip(*(abelianized(g, unpack(pairs[j][0])) for j in range(g - 1))))
 
 
 # ---------------------------------------------------------------------------

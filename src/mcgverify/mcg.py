@@ -1,9 +1,11 @@
 """Mapping classes of N_g as automorphisms of pi_1, up to inner automorphism.
 
 For a closed surface the mapping class group embeds in the outer
-automorphism group of pi_1, so a mapping class is stored as the tuple of
-images of the generators x_1..x_g, and every identity / order / equality
-question is decided up to composition with an inner automorphism.
+automorphism group of pi_1, so a mapping class is stored as the images of
+the generators x_1..x_g, and every identity / order / equality question is
+decided up to composition with an inner automorphism.  The one value of a
+mapping class is its packed table: a tuple of g ``(image, inverse)`` pairs
+of packed words (see :mod:`mcgverify.words`).
 
 The generator catalog covers the named elements used throughout:
 
@@ -32,12 +34,11 @@ The catalog keeps one generator table, the images each symbol moves, and
 one primitive, :func:`_append`, which applies a word by appending its
 generators on the right, left to right: ``(acc . gen)(x_j) = acc(gen(x_j))``.
 Each generator moves only two to four of the g generator images, so only
-those are recomputed.  Images are carried packed, each with its packed
-inverse (see :mod:`mcgverify.words`), so a negative letter costs no
-inversion and every junction cancels in C; they are unpacked to tuples only
-to build an :class:`Automorphism` and, in :func:`is_inner`, for the
-homology classes of the images.  :func:`compose`, which recomputes every
-image, is kept as the tests' reference route.
+those are recomputed.  Each image carries its packed inverse, so a
+negative letter costs no inversion and every junction cancels in C; images
+are unpacked to tuples only for their homology classes and to store the
+moves of y and t_eps.  :func:`compose`, which recomputes every image, is
+kept as the tests' reference route.
 
 The catalog has three memo tables.  The power table (:func:`power_pairs`)
 maps ``(word, n)`` to the packed images of ``word^n``, built by appending
@@ -72,12 +73,13 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 
-from .errors import GenusMismatch, InvariantViolation, ValidationFailure
+from .errors import InvariantViolation, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
     SurfacePresentation,
     _cancel,
     _strict_pass,
+    abelianized,
     cyclic_canonical,
     format_word,
     free_reduce,
@@ -92,59 +94,30 @@ from .words import (
 )
 
 # ---------------------------------------------------------------------------
-# Automorphisms
+# Substitution
 
 
-class Automorphism:
-    """An automorphism of pi_1(N_g), given by reduced images of x_1..x_g.
-
-    Immutable.  Validity (that the images define a homeomorphism-induced
-    automorphism) is certified by the catalog, not assumed.
-    """
-
-    __slots__ = ("genus", "images")
-
-    def __init__(self, genus: int, images):
-        self.genus = genus
-        self.images = tuple(tuple(w) for w in images)
-        if len(self.images) != genus:
-            raise ValueError("need one image per generator")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.genus == other.genus
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.images))
-
-    def __repr__(self):
-        ims = ", ".join(f"x{i} -> {format_word(w)}" for i, w in enumerate(self.images, 1))
-        return f"Automorphism(genus={self.genus}; {ims})"
-
-
-def substitute(pres: SurfacePresentation, images, word) -> tuple:
-    """Apply an image table to a word and Dehn-reduce.
+def substitute(pres: SurfacePresentation, pairs, word) -> tuple:
+    """Apply a packed image table to a word and Dehn-reduce.
 
     The images must be freely reduced, so that the concatenation cancels
     only where two images meet (:func:`~mcgverify.words.reduce_image`):
     ``build_catalog`` certifies the generator images, and every computed
-    image is Dehn-reduced.  It packs the whole image table (:func:`_packed`).
+    image is Dehn-reduced.
     """
-    return unpack(reduce_image(pres, _packed(images), word))
+    return unpack(reduce_image(pres, pairs, word))
 
 
-def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b: the composite sends x_i to a(b(x_i)), images reduced.
-    Every image is recomputed: the tests' reference route for :func:`_append`.
-    The table of ``a`` is packed once for all the images of ``b``."""
-    if a.genus != b.genus:
-        raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
-    pres = get_presentation(a.genus)
-    pairs = _packed(a.images)
-    return Automorphism(a.genus, [unpack(reduce_image(pres, pairs, im)) for im in b.images])
+def compose(a, b) -> tuple:
+    """a after b, for packed tables: the image of x_i is a(b(x_i)), each
+    image of ``b`` substituted letter by letter under ``a``.  Every image is
+    recomputed: the tests' reference route for :func:`_append` and
+    :func:`_compose_pairs`.  Raises ValueError on tables of unequal length."""
+    if len(a) != len(b):
+        raise ValueError(f"genus {len(a)} vs {len(b)}")
+    pres = get_presentation(len(a))
+    images = (reduce_image(pres, a, unpack(image)) for image, _ in b)
+    return tuple((w, invert(w)) for w in images)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +142,7 @@ def _common_power(pres: SurfacePresentation, b1, b2):
     """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist:
     read off the homology vector h of b_2^-1 b_1 (see :func:`is_inner`),
     it is -h_1 when h_i = 0 for every i >= 3, and None otherwise."""
-    h = pres.abelianized(mul(inverse(b2), b1))
+    h = abelianized(pres.genus, mul(inverse(b2), b1))
     return None if any(h[2:]) else -h[0]
 
 
@@ -214,7 +187,7 @@ def is_inner(pres: SurfacePresentation, pairs):
     """
     g = pres.genus
     for i, (image, _) in enumerate(pairs, 1):
-        if pres.abelianized(unpack(image)) != pres.abelianized((i,)):
+        if abelianized(g, unpack(image)) != abelianized(g, (i,)):
             return NotInner(f"homology class of image of x{i} moved")
     b = []
     for i in (1, 2):
@@ -345,16 +318,6 @@ def _moved(images) -> tuple:
     return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
 
 
-def _packed(images) -> list:
-    """The packed pair (image, inverse) of every image of a table."""
-    return [(b, invert(b)) for b in map(pack, images)]
-
-
-def _unpacked(pairs) -> list:
-    """The images of a list of packed pairs, as tuples."""
-    return [unpack(b) for b, _ in pairs]
-
-
 class GeneratorCatalog:
     """Per-genus table of the generator images each symbol moves, for both
     directions of every generator, and the curve words for
@@ -384,14 +347,14 @@ class GeneratorCatalog:
         ident = self.presentation.letters_packed
         # y = t_alpha_{g-1} . u_{g-1}  (u applied first)
         slide = (talpha(g - 1), transposition(g - 1))
-        self._moves[crosscap_slide(1)] = _moved(_unpacked(_append(self, ident, slide)))
+        self._moves[crosscap_slide(1)] = _moved(unpack(b) for b, _ in _append(self, ident, slide))
         y_inv = _append(self, ident, inverse_word(slide))
-        self._moves[crosscap_slide(-1)] = _moved(_unpacked(y_inv))
+        self._moves[crosscap_slide(-1)] = _moved(unpack(b) for b, _ in y_inv)
         # eps = y^-1(alpha_{g-2}); its twist is the conjugate of the
         # alpha_{g-2} twist by y^-1.
         for sign in (1, -1):
             conj = (crosscap_slide(-1), talpha(g - 2, sign), crosscap_slide(1))
-            self._moves[teps(sign)] = _moved(_unpacked(_append(self, ident, conj)))
+            self._moves[teps(sign)] = _moved(unpack(b) for b, _ in _append(self, ident, conj))
 
         self.curves = {f"a{i}": (i, i + 1) for i in range(1, g)}
         if g >= 4:
@@ -532,8 +495,9 @@ def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
 
 
 def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
-    """Packed image pairs of ``T^n``, n >= 1, ``T = evaluate(word)``, from
-    the catalog's table.  A missing entry is built and stored by a ladder:
+    """Packed image pairs of ``T^n``, n >= 1, for the mapping class T of
+    ``word``, from the catalog's table; :func:`evaluate` is the n = 1
+    entry.  A missing entry is built and stored by a ladder:
     n = 1 appends ``word`` to the identity, an even n squares the n/2 entry
     (:func:`_compose_pairs`), an odd n appends ``word`` to the n-1 entry.
     A square is memoized by the content of the table squared
@@ -581,9 +545,10 @@ def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
     return pairs
 
 
-def evaluate(catalog: GeneratorCatalog, word) -> Automorphism:
-    """Evaluate a mapping-class word, rightmost symbol applied first."""
-    return Automorphism(catalog.genus, _unpacked(power_pairs(catalog, tuple(word), 1)))
+def evaluate(catalog: GeneratorCatalog, word) -> tuple:
+    """The packed image pairs of a mapping-class word, rightmost symbol
+    applied first: the n = 1 entry of :func:`power_pairs`."""
+    return power_pairs(catalog, tuple(word), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +738,7 @@ def build_catalog(genus: int) -> GeneratorCatalog:
             if product((tbeta(), talpha(i))) != product((talpha(i), tbeta())):
                 raise ValidationFailure(f"t_b and t_a{i} do not commute")
 
-    if g >= 4 and pres.abelianized(BETA_WORD) != pres.abelianized((1, 2, 3, 4)):
+    if g >= 4 and abelianized(g, BETA_WORD) != abelianized(g, (1, 2, 3, 4)):
         raise ValidationFailure("curve word for beta abelianizes wrongly")
 
     return catalog

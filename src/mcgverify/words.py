@@ -237,9 +237,6 @@ class SurfacePresentation:
     def __repr__(self):
         return f"SurfacePresentation(genus={self.genus})"
 
-    def abelianized(self, word) -> tuple:
-        return abelianized(self.genus, word)
-
 
 _PRESENTATIONS: dict = {}
 
@@ -375,7 +372,7 @@ def is_trivial(pres: SurfacePresentation, word) -> bool:
     """
     result = not dehn_reduce(pres, word)
     # Abelianization is a one-sided oracle: a trivial word must die in H_1.
-    if result and any(pres.abelianized(word)):
+    if result and any(abelianized(pres.genus, word)):
         raise InvariantViolation(f"trivial word {format_word(word)} has nonzero homology")
     return result
 
@@ -483,7 +480,7 @@ def is_conjugate(pres: SurfacePresentation, a, b) -> bool:
     test (a conjugation invariant) short-circuits most negatives.
     """
     a, b = tuple(a), tuple(b)
-    if pres.abelianized(a) != pres.abelianized(b):
+    if abelianized(pres.genus, a) != abelianized(pres.genus, b):
         return False
     return cyclic_canonical(pres, a) == cyclic_canonical(pres, b)
 

@@ -5,12 +5,10 @@ import pytest
 
 from mcgverify.homology import abelianize, vector_period
 from mcgverify.mcg import (
-    Automorphism,
     Inner,
     NotInner,
     _common_power,
     _compose_pairs,
-    _packed,
     evaluate,
     identity_status,
     inverse_word,
@@ -19,6 +17,7 @@ from mcgverify.mcg import (
 )
 from mcgverify.words import (
     _cancel,
+    abelianized,
     conjugator,
     get_presentation,
     inverse,
@@ -26,6 +25,8 @@ from mcgverify.words import (
     is_conjugate,
     is_trivial,
     mul,
+    pack,
+    unpack,
 )
 
 
@@ -68,16 +69,36 @@ def mcg_equal(catalog, w1, w2):
     return {Inner: True, NotInner: False}[type(status)]
 
 
-def identity_automorphism(genus):
-    return Automorphism(genus, [(i,) for i in range(1, genus + 1)])
+def packed_table(images):
+    """The packed table, ``(image, inverse)`` pairs, of a list of tuple
+    images: the mapping-class value the package computes on."""
+    return tuple((pack(im), pack(inverse(im))) for im in images)
 
 
-def automorphism(catalog, symbol):
-    """The generator's automorphism, built from the images it moves."""
+def unpacked(pairs):
+    """The tuple images of a packed table."""
+    return tuple(unpack(b) for b, _ in pairs)
+
+
+def generator_table(catalog, symbol):
+    """The generator's packed table, built from the images it moves."""
     images = [(i,) for i in range(1, catalog.genus + 1)]
     for j, im in catalog.moves(symbol):
         images[j] = im
-    return Automorphism(catalog.genus, images)
+    return packed_table(images)
+
+
+def tuple_abelianize(images):
+    """Reference for ``abelianize``: the H_1 matrix counted off a list of
+    tuple images, exponent by exponent, with c_g eliminated."""
+    g = len(images)
+    columns = []
+    for image in images[:-1]:
+        counts = [0] * (g + 1)
+        for letter in image:
+            counts[abs(letter)] += 1 if letter > 0 else -1
+        columns.append([counts[i] - counts[g] for i in range(1, g)])
+    return tuple(zip(*columns))
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,32 +131,26 @@ def scan_order(catalog, word, limit):
     return None
 
 
-def packed_table(auto):
-    """The packed image pairs of an automorphism, the table ``is_inner``
-    takes."""
-    return tuple(_packed(auto.images))
-
-
-def tuple_is_inner(pres, a):
-    """Reference for ``is_inner`` on an :class:`Automorphism` of tuple
-    images: the same homology check, classes and one candidate conjugator,
-    with the candidate checked by ``is_trivial`` of the tuple word
+def tuple_is_inner(pres, images):
+    """Reference for ``is_inner`` on a list of tuple images: the same
+    homology check, classes and one candidate conjugator, with the
+    candidate checked by ``is_trivial`` of the tuple word
     ``c x_i c^-1 a(x_i)^-1``."""
     g = pres.genus
     for i in range(1, g + 1):
-        if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
+        if abelianized(g, images[i - 1]) != abelianized(g, (i,)):
             return NotInner(f"homology class of image of x{i} moved")
     for i in (1, 2):
-        if not is_conjugate(pres, (i,), a.images[i - 1]):
+        if not is_conjugate(pres, (i,), images[i - 1]):
             return NotInner(f"image of x{i} not conjugate to x{i}")
-    b1 = conjugator(pres, (1,), a.images[0])
-    k = _common_power(pres, b1, conjugator(pres, (2,), a.images[1]))
+    b1 = conjugator(pres, (1,), images[0])
+    k = _common_power(pres, b1, conjugator(pres, (2,), images[1]))
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
     c = mul(b1, (1 if k > 0 else -1,) * abs(k))
     c_inv = inverse(c)
     for i in range(2, g + 1):
-        if not is_trivial(pres, mul(c, (i,), c_inv, inverse(a.images[i - 1]))):
+        if not is_trivial(pres, mul(c, (i,), c_inv, inverse(images[i - 1]))):
             return NotInner(f"the one candidate conjugator fails on x{i}")
     return Inner(c)
 

@@ -3,11 +3,16 @@
 
 The tracer wraps functions by name; a deleted or renamed one would make the
 traced benchmark fail, so these tests read its target table and check every
-name still exists.
+name still exists, and run one traced sample to check the call shapes its
+observers read.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +20,10 @@ import pytest
 import mcgverify
 from mcgverify.claims import RUNNERS, build_claims
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+CHILD = ROOT / "bench" / "child.py"
+SRC = str(ROOT / "src")
 
 
 def tracer_constant(name):
@@ -60,3 +68,25 @@ def test_is_inner_outcome_names_match_tracer():
     inner = is_inner(pres, power_pairs(cat, (transposition(2),), 2))
     not_inner = is_inner(pres, power_pairs(cat, (talpha(1),), 1))
     assert [type(inner).__name__, type(not_inner).__name__] == ["Inner", "NotInner"]
+
+
+def test_traced_sample_runs():
+    """One traced ``bench/child.py`` sample of ``[mt]*`` at genera 5..6
+    exits 0, every claim passes, and no observer counts an outcome as
+    ``error``.  The observers read ``evaluate(catalog, word)``,
+    ``run_claim(claim, ...)`` and the class names of ``is_inner``'s
+    outcomes, so this pins those call shapes, not only the names."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    argv = ["trace", "5,6", "run", "--format", "json", "--filter", "[mt]*", "--genus", "5..6"]
+    proc = subprocess.run([sys.executable, str(CHILD), *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sample = json.loads(proc.stdout)
+    assert sample["package"].startswith(SRC)
+    assert sample["exit_code"] == 0
+    rows = json.loads(sample["report"])
+    assert rows and all(row["status"] == "pass" for row in rows)
+    counters = sample["trace"]["counters"]
+    assert [key for key in counters if key.endswith(".error")] == []
+    assert counters["is_inner.inner"] > 0 and counters["evaluate.symbols"] > 0

@@ -19,6 +19,7 @@ from mcgverify.homology import (
     vector_period,
 )
 from mcgverify.mcg import (
+    compose,
     crosscap_slide,
     evaluate,
     get_catalog,
@@ -27,8 +28,9 @@ from mcgverify.mcg import (
     teps,
     transposition,
 )
+from mcgverify.words import get_presentation
 
-from conftest import identity_automorphism
+from conftest import tuple_abelianize, unpacked
 
 
 def cofactor_det(m):
@@ -127,7 +129,27 @@ def test_matrix_order_against_dense_powers(genus):
 
 
 def test_identity_abelianizes_to_identity():
-    assert abelianize(identity_automorphism(5)) == matrix_identity(4)
+    assert abelianize(get_presentation(5).letters_packed) == matrix_identity(4)
+
+
+@pytest.mark.parametrize("genus", [3, 5, 30, 127])
+def test_abelianize_matches_tuple_oracle(genus):
+    """The matrix read off the packed images equals the exponent counts
+    of the unpacked ones, on seeded words that each end in a symbol moving
+    x_g, so that x_g^-1 occurs in the images (byte 0x81 at genus 127)."""
+    rng = random.Random(5300 + genus)
+    cat = get_catalog(genus)
+    syms = [(kind, idx, sign) for kind, idx, _ in cat.symbols() for sign in (1, -1)]
+    top = [sym for sym in syms if any(j == genus - 1 for j, _ in cat.moves(sym))]
+    letters = set()
+    for _ in range(40):
+        word = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
+        word += (rng.choice(top),)
+        pairs = evaluate(cat, word)
+        images = unpacked(pairs)
+        assert abelianize(pairs) == tuple_abelianize(images), word
+        letters.update(letter for image in images for letter in image)
+    assert -genus in letters
 
 
 @pytest.mark.parametrize("genus", [3, 5, 6, 9])
@@ -172,9 +194,10 @@ def test_functoriality_of_abelianize(rng):
     for _ in range(200):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
-        left = abelianize(evaluate(cat, w1 + w2))
-        m1, m2 = (abelianize(evaluate(cat, w)) for w in (w1, w2))
-        assert left == matrix_mul(m1, m2)
+        a, b = evaluate(cat, w1), evaluate(cat, w2)
+        product = matrix_mul(abelianize(a), abelianize(b))
+        assert abelianize(evaluate(cat, w1 + w2)) == product
+        assert abelianize(compose(a, b)) == product
 
 
 def test_det_counts_orientation_reversers(rng):

@@ -20,7 +20,7 @@ from mcgverify.claims import (
     word_s_prime,
     word_x,
 )
-from mcgverify.errors import GenusMismatch, InvariantViolation, OutOfRange, ValidationFailure
+from mcgverify.errors import InvariantViolation, OutOfRange, ValidationFailure
 from mcgverify.homology import (
     abelianize,
     matrix_identity,
@@ -30,7 +30,6 @@ from mcgverify.homology import (
 )
 from mcgverify.mcg import (
     BETA_WORD,
-    Automorphism,
     Inner,
     NotInner,
     build_catalog,
@@ -59,6 +58,7 @@ from mcgverify.words import (
     _canonical_with_conj,
     _primitive_root,
     _strict_pass,
+    abelianized,
     conjugator,
     dehn_reduce,
     free_reduce,
@@ -73,14 +73,14 @@ from mcgverify.words import (
 )
 
 from conftest import (
-    automorphism,
-    identity_automorphism,
+    generator_table,
     mcg_equal,
     packed_table,
     random_word,
     relator_rotations,
     scan_order,
     tuple_is_inner,
+    unpacked,
     word_power,
 )
 from test_words import kernel_cases, tuple_reduce_image
@@ -121,7 +121,7 @@ def test_composites_fix_relator_only_up_to_conjugacy(genus):
     pres = cat.presentation
     exact = []
     for symbol in (crosscap_slide(1), crosscap_slide(-1), teps(1), teps(-1)):
-        images = automorphism(cat, symbol).images
+        images = unpacked(generator_table(cat, symbol))
         image = mul(*(images[x - 1] for x in pres.relator))
         core = image
         while core and core[0] == -core[-1]:
@@ -133,11 +133,11 @@ def test_composites_fix_relator_only_up_to_conjugacy(genus):
 
 
 def test_generator_inverses_exact(catalog):
-    ident = identity_automorphism(catalog.genus)
+    ident = catalog.presentation.letters_packed
     for sym in catalog.symbols():
         kind, idx, _ = sym
-        a = automorphism(catalog, sym)
-        b = automorphism(catalog, (kind, idx, -1))
+        a = generator_table(catalog, sym)
+        b = generator_table(catalog, (kind, idx, -1))
         assert compose(a, b) == ident
         assert compose(b, a) == ident
 
@@ -165,23 +165,26 @@ def test_locality_disjoint_support():
 
 
 def test_compose_identity(catalog):
-    ident = identity_automorphism(catalog.genus)
-    a = automorphism(catalog, talpha(1))
+    ident = catalog.presentation.letters_packed
+    a = generator_table(catalog, talpha(1))
     assert compose(ident, a) == a
     assert compose(a, ident) == a
 
 
 def test_compose_genus_mismatch():
-    with pytest.raises(GenusMismatch):
-        compose(identity_automorphism(3), identity_automorphism(4))
+    """Tables of two genera do not compose, either way round."""
+    a, b = get_presentation(3).letters_packed, get_presentation(4).letters_packed
+    for first, second in [(a, b), (b, a)]:
+        with pytest.raises(ValueError, match="genus"):
+            compose(first, second)
 
 
 def test_evaluate_empty_is_identity(catalog):
-    assert evaluate(catalog, ()) == identity_automorphism(catalog.genus)
+    assert evaluate(catalog, ()) == catalog.presentation.letters_packed
 
 
 def test_evaluate_single_symbol(catalog):
-    assert evaluate(catalog, (talpha(1),)) == automorphism(catalog, talpha(1))
+    assert evaluate(catalog, (talpha(1),)) == generator_table(catalog, talpha(1))
 
 
 def test_evaluate_group_level_homomorphism(rng):
@@ -198,7 +201,7 @@ def test_evaluate_group_level_homomorphism(rng):
             w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
             a = evaluate(cat, w1 + w2)
             b = compose(evaluate(cat, w1), evaluate(cat, w2))
-            for x, y in zip(a.images, b.images):
+            for x, y in zip(unpacked(a), unpacked(b)):
                 assert is_trivial(pres, mul(x, inverse(y)))
 
 
@@ -210,16 +213,16 @@ def test_compose_associative_at_group_level(rng):
         a, b, c = (evaluate(cat, (rng.choice(syms),)) for _ in range(3))
         lhs = compose(compose(a, b), c)
         rhs = compose(a, compose(b, c))
-        for x, y in zip(lhs.images, rhs.images):
+        for x, y in zip(unpacked(lhs), unpacked(rhs)):
             assert is_trivial(pres, mul(x, inverse(y)))
 
 
 def evaluate_by_compose(catalog, word):
     """Oracle: the right-to-left chain of full compositions, recomputing
     every image at every symbol."""
-    acc = identity_automorphism(catalog.genus)
+    acc = catalog.presentation.letters_packed
     for symbol in reversed(word):
-        acc = compose(automorphism(catalog, symbol), acc)
+        acc = compose(generator_table(catalog, symbol), acc)
     return acc
 
 
@@ -228,7 +231,7 @@ def test_generator_moves_match_images(catalog):
     for sym in all_symbols(catalog.genus):
         moves = catalog.moves(sym)
         assert len(moves) == sizes[sym[0]], sym
-        images = automorphism(catalog, sym).images
+        images = unpacked(generator_table(catalog, sym))
         moved = dict(moves)
         for j, im in enumerate(images):
             assert im == moved.get(j, (j + 1,))
@@ -248,7 +251,7 @@ def test_evaluate_matches_compose_chain(genus):
         seen.update(word)
         got = evaluate(cat, word)
         want = evaluate_by_compose(cat, word)
-        for x, y in zip(got.images, want.images):
+        for x, y in zip(unpacked(got), unpacked(want)):
             assert is_trivial(pres, mul(x, inverse(y)))
     assert seen == set(syms)
 
@@ -271,7 +274,7 @@ def test_substitute_matches_dehn_reduce_of_concatenation(genus):
             images.append(free_reduce(noise[0] + piece + noise[1]))
         word = random_word(rng, genus, 12)
         plain = [l for x in word for l in (images[x - 1] if x > 0 else inverse(images[-x - 1]))]
-        assert substitute(pres, images, word) == dehn_reduce(pres, plain)
+        assert substitute(pres, packed_table(images), word) == dehn_reduce(pres, plain)
 
 
 def test_get_catalog_above_genus_cap_raises():
@@ -334,7 +337,7 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
     g = genus
 
     def auto(symbol):
-        return automorphism(cat, symbol)
+        return generator_table(cat, symbol)
 
     y = compose(auto(talpha(g - 1)), auto(transposition(g - 1)))
     y_inv = compose(auto(transposition(g - 1, -1)), auto(talpha(g - 1, -1)))
@@ -345,9 +348,9 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
 
     ident = get_presentation(g).letters_packed
     for word in certified_relation_words(cat):
-        want = evaluate_by_compose(cat, word).images
+        want = unpacked(evaluate_by_compose(cat, word))
         pairs = mcgverify.mcg._append(cat, ident, word)
-        assert tuple(unpack(b) for b, _ in pairs) == want, word
+        assert unpacked(pairs) == want, word
         assert all(unpack(inv) == inverse(unpack(b)) for b, inv in pairs), word
 
 
@@ -472,41 +475,39 @@ def test_is_inner_conjugation_by_construction(rng):
     pres = get_presentation(4)
     for _ in range(40):
         w = random_word(rng, 4, 6)
-        auto = Automorphism(
-            4, [mul(w, (i,), inverse(w)) for i in range(1, 5)]
-        )
-        status = is_inner(pres, packed_table(auto))
+        images = [mul(w, (i,), inverse(w)) for i in range(1, 5)]
+        status = is_inner(pres, packed_table(images))
         assert isinstance(status, Inner)
         for i in range(1, 5):
             assert is_trivial(
-                pres, mul(status.witness, (i,), inverse(status.witness), inverse(auto.images[i - 1]))
+                pres, mul(status.witness, (i,), inverse(status.witness), inverse(images[i - 1]))
             )
 
 
 def test_is_inner_rejects_twist():
     cat = get_catalog(4)
     pres = get_presentation(4)
-    assert isinstance(is_inner(pres, packed_table(automorphism(cat, talpha(1)))), NotInner)
+    assert isinstance(is_inner(pres, generator_table(cat, talpha(1))), NotInner)
 
 
 def test_u2_squared_inner_in_genus3():
     cat = get_catalog(3)
     pres = get_presentation(3)
-    u2 = automorphism(cat, transposition(2))
-    assert isinstance(is_inner(pres, packed_table(u2)), NotInner)
-    assert isinstance(is_inner(pres, packed_table(compose(u2, u2))), Inner)
+    u2 = generator_table(cat, transposition(2))
+    assert isinstance(is_inner(pres, u2), NotInner)
+    assert isinstance(is_inner(pres, compose(u2, u2)), Inner)
 
 
 def test_rotation_powers_genus6():
     cat = get_catalog(6)
     pres = get_presentation(6)
     r = evaluate(cat, tuple(transposition(i) for i in range(1, 6)))
-    power = identity_automorphism(6)
+    power = pres.letters_packed
     for n in range(1, 6):
         power = compose(r, power)
-        assert isinstance(is_inner(pres, packed_table(power)), NotInner), n
+        assert isinstance(is_inner(pres, power), NotInner), n
     power = compose(r, power)
-    assert isinstance(is_inner(pres, packed_table(power)), Inner)
+    assert isinstance(is_inner(pres, power), Inner)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +681,8 @@ def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
         a = [(pack(im), pack(inverse(im))) for im in a_images]
         b = [(pack(im), pack(inverse(im))) for im in b_images]
         got = mcgverify.mcg._compose_pairs(pres, a, b)
-        want = compose(Automorphism(genus, a_images), Automorphism(genus, b_images))
-        assert tuple(unpack(w) for w, _ in got) == want.images
+        want = compose(packed_table(a_images), packed_table(b_images))
+        assert unpacked(got) == unpacked(want)
         assert all(invert(w) == inv for w, inv in got)
         read = range(genus) if genus <= 30 else [0, *rng.sample(range(1, genus), 6)]
         for j in read:
@@ -890,7 +891,7 @@ def test_order_of_does_not_rest_on_the_probe(genus, monkeypatch):
     assert order_of(get_catalog(4), (talpha(1),), 16) is None
 
 
-def eager_is_inner(pres, a, bound=CONJ_BOUND):
+def eager_is_inner(pres, images, bound=CONJ_BOUND):
     """Reference: a bounded search over the centralizer powers of x1's
     conjugator.  Every generator's class is compared first, then the whole
     candidate list base z^k, |k| <= bound, is built and verified, and the
@@ -898,12 +899,12 @@ def eager_is_inner(pres, a, bound=CONJ_BOUND):
     None when no candidate within the bound does."""
     g = pres.genus
     for i in range(1, g + 1):
-        if pres.abelianized(a.images[i - 1]) != pres.abelianized((i,)):
+        if abelianized(g, images[i - 1]) != abelianized(g, (i,)):
             return NotInner(f"homology class of image of x{i} moved")
     for i in range(1, g + 1):
-        if not is_conjugate(pres, (i,), a.images[i - 1]):
+        if not is_conjugate(pres, (i,), images[i - 1]):
             return NotInner(f"image of x{i} not conjugate to x{i}")
-    b = a.images[0]
+    b = images[0]
     canon, conj_a = _canonical_with_conj(pres, (1,))
     conj_b = _canonical_with_conj(pres, b)[1]
     base = mul(conj_b, inverse(conj_a))
@@ -918,22 +919,18 @@ def eager_is_inner(pres, a, bound=CONJ_BOUND):
     if not verified:
         raise InvariantViolation("canonical matching produced no valid conjugator")
     for c in verified:
-        if all(is_trivial(pres, mul(c, (i,), inverse(c), inverse(a.images[i - 1])))
+        if all(is_trivial(pres, mul(c, (i,), inverse(c), inverse(images[i - 1])))
                for i in range(2, g + 1)):
             return Inner(c)
     return None
 
 
-def tabled(genus, pairs):
-    return Automorphism(genus, [unpack(b) for b, _ in pairs])
-
-
-def matches_eager(pres, auto):
+def matches_eager(pres, pairs):
     """is_inner's verdict, checked against the bounded reference at
     CONJ_BOUND: an Inner verdict has the reference's witness, and the
     reference finds no witness where is_inner says NotInner."""
-    status = is_inner(pres, packed_table(auto))
-    ref = eager_is_inner(pres, auto)
+    status = is_inner(pres, pairs)
+    ref = eager_is_inner(pres, unpacked(pairs))
     if isinstance(status, Inner) or isinstance(ref, Inner):
         assert status == ref
     else:
@@ -950,7 +947,7 @@ def flipped_slide_words():
 
 
 def named_inner_cases():
-    """(presentation, automorphism) for each way is_inner can end: t_a1
+    """(presentation, packed table) for each way is_inner can end: t_a1
     (homology), (u2 t_b^-1)^2 at genus 4 (x1's class), x2 -> x2 [x3, x4]
     (x2's class), x2 -> x3 x2 x3^-1 (b_2^-1 b_1 has h_3 != 0, so no common
     conjugator), (u3 t_e)^2 at genus 5 and u1^2 and y^2 at genus 5 and 6
@@ -970,20 +967,14 @@ def named_inner_cases():
         cases.append((cat.presentation, evaluate(cat, word)))
     pres = get_presentation(5)
     for x2 in [(2, 3, 4, -3, -4), (3, 2, -3)]:
-        cases.append((pres, Automorphism(5, [(1,), x2, (3,), (4,), (5,)])))
+        cases.append((pres, packed_table([(1,), x2, (3,), (4,), (5,)])))
     return cases
-
-
-def packed_cases(cases):
-    """(presentation, automorphism) cases as the (presentation, packed
-    table) that ``is_inner`` takes."""
-    return [(pres, packed_table(auto)) for pres, auto in cases]
 
 
 def test_is_inner_matches_eager_on_named_cases():
     seen = set()
-    for pres, auto in named_inner_cases():
-        status = matches_eager(pres, auto)
+    for pres, pairs in named_inner_cases():
+        status = matches_eager(pres, pairs)
         seen.add(getattr(status, "reason", "Inner").rstrip("0123456789"))
     assert seen == {"homology class of image of x1 moved", "image of x1 not conjugate to x",
                     "image of x2 not conjugate to x", "x1 and x2 have no common conjugator",
@@ -1014,9 +1005,9 @@ def test_is_inner_matches_tuple_oracle(genus):
     cat, words = seeded_products(genus, 9800 + genus, 40)
     cases += [(cat.presentation, evaluate(cat, word)) for word in words]
     kinds = set()
-    for pres, auto in cases:
-        status = is_inner(pres, packed_table(auto))
-        assert status == tuple_is_inner(pres, auto), auto
+    for pres, pairs in cases:
+        status = is_inner(pres, pairs)
+        assert status == tuple_is_inner(pres, unpacked(pairs)), unpacked(pairs)
         kinds.add(type(status))
     assert kinds == {Inner, NotInner}
 
@@ -1050,7 +1041,7 @@ def test_is_inner_matches_eager_on_order_powers(genus):
     pres = cat.presentation
     for word, order in order_claim_words(genus):
         for n in range(1, order + 1):
-            status = matches_eager(pres, tabled(genus, power_pairs(cat, word, n)))
+            status = matches_eager(pres, power_pairs(cat, word, n))
             assert isinstance(status, Inner) == (n == order), (word, n)
 
 
@@ -1069,26 +1060,26 @@ def test_is_inner_matches_eager_on_identity_quotients(genus):
 
 def seeded_conjugations(genus, seed, count):
     rng = random.Random(seed)
-    autos = []
+    tables = []
     for _ in range(count):
         w = random_word(rng, genus, 6)
-        autos.append(Automorphism(genus, [mul(w, (i,), inverse(w)) for i in range(1, genus + 1)]))
-    return autos
+        tables.append(packed_table([mul(w, (i,), inverse(w)) for i in range(1, genus + 1)]))
+    return tables
 
 
 @pytest.mark.parametrize("genus", [3, 4, 5, 7])
 def test_is_inner_matches_eager_on_seeded_conjugations(genus):
     pres = get_presentation(genus)
-    for auto in seeded_conjugations(genus, 9400 + genus, 30):
-        assert isinstance(matches_eager(pres, auto), Inner)
+    for pairs in seeded_conjugations(genus, 9400 + genus, 30):
+        assert isinstance(matches_eager(pres, pairs), Inner)
 
 
 def test_is_inner_rejects_a_shifted_centralizer_power(monkeypatch):
     """Forcing k to k + 1 or k - 1 makes the candidate b_1 x_1^k fail on
     some x_i, so every Inner case turns NotInner: the check of the candidate,
     not the computed k, certifies an Inner verdict."""
-    cases = [case for case in packed_cases(named_inner_cases()) if isinstance(is_inner(*case), Inner)]
-    cases += packed_cases((get_presentation(5), auto) for auto in seeded_conjugations(5, 9600, 10))
+    cases = [case for case in named_inner_cases() if isinstance(is_inner(*case), Inner)]
+    cases += [(get_presentation(5), pairs) for pairs in seeded_conjugations(5, 9600, 10)]
     for genus in (5, 6, 7):
         cat = get_catalog(genus)
         cases.append((cat.presentation, power_pairs(cat, word_r_prime(genus), genus - 1)))
@@ -1108,8 +1099,7 @@ def test_is_inner_raises_when_no_candidate_verifies(monkeypatch):
     of x1's and x2's images pass, is_inner raises InvariantViolation.
     Refutations before the matching stand."""
     cases = named_inner_cases()
-    cases += [(get_presentation(5), auto) for auto in seeded_conjugations(5, 9500, 5)]
-    cases = packed_cases(cases)
+    cases += [(get_presentation(5), pairs) for pairs in seeded_conjugations(5, 9500, 5)]
     want = [is_inner(*case) for case in cases]
     found = mcgverify.mcg.letter_conjugator
 
@@ -1459,6 +1449,6 @@ def test_factored_orbit_maps_match_flat_words(genus):
         flat = x + word_power(r, k) + inverse_word(x)
         image = product_curve_image(cat, factors, a3)
         assert image == curve_image(cat, flat, a3) == curve_class(cat, cat.curves[target])
-        product = tabled(genus, product_pairs(cat, factors))
-        for got, want in zip(product.images, evaluate(cat, flat).images):
+        product = product_pairs(cat, factors)
+        for got, want in zip(unpacked(product), unpacked(evaluate(cat, flat))):
             assert is_trivial(pres, mul(got, inverse(want)))
