@@ -26,8 +26,10 @@ produce.
 
 Reports are reproducible: the report is ordered by claim id.  An order
 claim is checked against the order N it states (``order_of`` tests only the
-divisors of N), so it needs no search bound; the one bound a run sets is
-the rewriting budget of the ``lemma1.proof`` derivation.
+divisors of N), so it needs no search bound.  The one search that has a
+bound is the ``lemma1.proof`` derivation: ``build_claims(budget=...)``
+puts its rewriting budget into that claim's params, and only that claim's
+report row lists a ``bounds`` entry.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ from .words import MAX_GENUS, abelianized, format_word, unpack
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """The rewriting budget of a run, the one bound a run sets."""
-
-    budget: int = DEFAULT_BUDGET
-
-    def as_dict(self) -> dict:
-        return {"budget": self.budget}
-
-
-@dataclass(frozen=True)
 class Claim:
     """One decidable statement; ``params`` holds what its kind's runner
     needs to decide it."""
@@ -103,17 +95,6 @@ class ClaimReport:
     witness: object
     millis: float
     bounds: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "expected": self.expected,
-            "observed": self.observed,
-            "witness": self.witness,
-            "millis": self.millis,
-            "bounds": self.bounds,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +354,12 @@ def _cor4_claims(ks):
     return claims
 
 
-def _lantern_claims():
+def _lantern_claims(budget):
     claims = [Claim(
         "lemma1.proof", "lantern",
         "the twist t_a1 is derivable from the relation and the hypotheses",
         "four-holed-sphere twist derivation",
-        "stated", True, {"ablate": None},
+        "stated", True, {"ablate": None, "budget": budget},
     )]
     ablations = [
         ("lemma1.ablate.f", "f ta3 f^-1"),
@@ -404,15 +385,16 @@ def _lantern_claims():
 
 
 def build_claims(genus_range=(3, 9), ks=range(2, 14), ps=(1, 2, 3), qs=(0, 1, 2),
-                 cor4_ks=(12, 14, 16)):
-    """The full built-in catalog for the given parameter ranges."""
+                 cor4_ks=(12, 14, 16), budget=DEFAULT_BUDGET):
+    """The full built-in catalog for the given parameter ranges; ``budget``
+    bounds the node expansions of the ``lemma1.proof`` derivation search."""
     claims = []
     lo, hi = genus_range
     for g in range(max(lo, 3), hi + 1):
         claims.extend(_genus_claims(g))
     claims.extend(_eg_claims(ks, ps, qs))
     claims.extend(_cor4_claims(cor4_ks))
-    claims.extend(_lantern_claims())
+    claims.extend(_lantern_claims(budget))
     claims.sort(key=lambda c: c.id)
     ids = [c.id for c in claims]
     if len(ids) != len(set(ids)):
@@ -470,7 +452,7 @@ def _family_word(claim):
     return genus, FAMILIES[claim.params["family"]].word(genus, index)
 
 
-def _run_order(claim, bounds):
+def _run_order(claim):
     """The order N the claim states, checked by ``order_of(word, N)``: the
     order if it divides N, else None."""
     genus, word = _family_word(claim)
@@ -479,14 +461,14 @@ def _run_order(claim, bounds):
     return _status(result == claim.expected), observed, format_mcg_word(word)
 
 
-def _run_identity(claim, bounds):
+def _run_identity(claim):
     genus, (lhs, rhs) = _family_word(claim)
     status = identity_status(get_catalog(genus), lhs, rhs)
     inner = isinstance(status, Inner)
     return _status(inner == claim.expected), inner, format_word(status.witness) if inner else None
 
 
-def _run_curve_image(claim, bounds):
+def _run_curve_image(claim):
     genus, factors = _family_word(claim)
     catalog = get_catalog(genus)
     start = curve_class(catalog, catalog.curves[claim.params["curve"]])
@@ -495,7 +477,7 @@ def _run_curve_image(claim, bounds):
     return _status(image == target), format_word(image.key), format_word(target.key)
 
 
-def _run_determinant(claim, bounds):
+def _run_determinant(claim):
     """The determinant of the homology matrix M of the claim's word, taken
     from its moved block: the rows and columns C, the indices j < g-1 whose
     packed image (:func:`~mcgverify.mcg.power_pairs`) is not the letter
@@ -512,20 +494,20 @@ def _run_determinant(claim, bounds):
     return _status(det == claim.expected), det, f"in_twist_subgroup={det == 1}"
 
 
-def _run_eg_det(claim, bounds):
+def _run_eg_det(claim):
     spec = EgRotationSpec(**claim.params)
     det = determinant(build_eg_rotation(spec))
     return _status(det == claim.expected), det, f"genus={spec.genus}"
 
 
-def _run_eg_power(claim, bounds):
+def _run_eg_power(claim):
     spec = EgRotationSpec(**claim.params)
     m = build_eg_rotation(spec)
     ok = matrix_power(m, spec.k) == matrix_identity(len(m))
     return _status(ok == claim.expected), ok, f"matrix size {len(m)}"
 
 
-def _run_decomposition(claim, bounds):
+def _run_decomposition(claim):
     g, k = claim.params["genus"], claim.params["k"]
     d = decompose_genus(g, k)
     total = d.p * k + 2 * d.q * (k - 1) + (1 if d.plus_one else 0)
@@ -534,13 +516,14 @@ def _run_decomposition(claim, bounds):
     return _status(ok == claim.expected), observed, f"n={d.n} m={d.m} r={d.r}"
 
 
-def _run_lantern(claim, bounds):
-    """The derivation of t_a1 by the bounded search when ``params["ablate"]``
-    is None; otherwise the shipped countermodel showing that the rules without
-    that hypothesis (``"relation"``: the relation reversed) never derive it."""
+def _run_lantern(claim):
+    """The derivation of t_a1 by the search bounded by ``params["budget"]``
+    when ``params["ablate"]`` is None; otherwise the shipped countermodel
+    showing that the rules without that hypothesis (``"relation"``: the
+    relation reversed) never derive it."""
     ablate = claim.params["ablate"]
     if ablate is None:
-        ok = verify_lemma1(canonical_rules(), budget=bounds.budget)
+        ok = verify_lemma1(canonical_rules(), budget=claim.params["budget"])
         return _status(ok == claim.expected), ok, "derivation chain verified"
     try:
         witness = check_countermodel(ablate)
@@ -561,10 +544,12 @@ RUNNERS = {
 }
 
 
-def run_claim(claim: Claim, bounds: Bounds) -> ClaimReport:
+def run_claim(claim: Claim) -> ClaimReport:
+    """Run one claim; its report's ``bounds`` holds the budget of the search
+    it ran, which only ``lemma1.proof`` has, and is empty otherwise."""
     start = time.perf_counter()
     try:
-        status, observed, witness = RUNNERS[claim.kind](claim, bounds)
+        status, observed, witness = RUNNERS[claim.kind](claim)
     except BudgetExceeded as exc:
         status, observed, witness = "inconclusive", str(exc), None
     millis = (time.perf_counter() - start) * 1000.0
@@ -575,13 +560,13 @@ def run_claim(claim: Claim, bounds: Bounds) -> ClaimReport:
         observed=observed,
         witness=witness,
         millis=round(millis, 3),
-        bounds=bounds.as_dict(),
+        bounds={"budget": claim.params["budget"]} if "budget" in claim.params else {},
     )
 
 
-def run_claims(claims, bounds: Bounds = Bounds()):
+def run_claims(claims):
     """Run the given claims in order of claim id."""
-    return [run_claim(c, bounds) for c in sorted(claims, key=lambda c: c.id)]
+    return [run_claim(c) for c in sorted(claims, key=lambda c: c.id)]
 
 
 def exit_code(reports) -> int:
@@ -595,8 +580,10 @@ def exit_code(reports) -> int:
 
 
 def report_json(reports) -> str:
-    """The JSON array of the reports, one claim per line."""
-    return "[\n" + ",\n".join("  " + json.dumps(r.as_dict()) for r in reports) + "\n]"
+    """The JSON array of the reports, one claim per line.  A report's
+    ``vars`` are its fields in declaration order, the keys of
+    ``dataclasses.asdict`` without its deep copy of every value."""
+    return "[\n" + ",\n".join("  " + json.dumps(vars(r)) for r in reports) + "\n]"
 
 
 def find_claim(claims, claim_id: str) -> Claim:

@@ -23,7 +23,6 @@ import argparse
 import sys
 
 from .claims import (
-    Bounds,
     build_claims,
     exit_code,
     filter_claims,
@@ -75,16 +74,15 @@ def _cmd_run(args) -> int:
         raise SystemExit(f"mcgverify: --{exc}") from None
     if args.budget < 0:
         raise SystemExit(f"mcgverify: --budget must be at least 0, got {args.budget}")
-    bounds = Bounds(budget=args.budget)
 
     claims = build_claims(
         genus_range=genus_range,
         ks=range(k_range[0], k_range[1] + 1),
         ps=range(p_range[0], p_range[1] + 1),
         qs=range(q_range[0], q_range[1] + 1),
+        budget=args.budget,
     )
-    selected = filter_claims(claims, args.filter)
-    reports = run_claims(selected, bounds=bounds)
+    reports = run_claims(filter_claims(claims, args.filter))
 
     if args.format == "json":
         print(report_json(reports))

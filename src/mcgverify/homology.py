@@ -201,74 +201,32 @@ def build_eg_rotation(spec: EgRotationSpec):
     b_i -> b_{i+1}, b_{k-1} -> -(b_1 + ... + b_{k-1}) on each orientable
     summand, cycles the c-classes of each nonorientable summand, and
     fixes d.
+
+    Column i maps the rows of the image of basis class i to their entries.
+    Orientable summand s starts at 2(k-1)s, its b-classes k-1 later;
+    nonorientable summand s starts at 2q(k-1) + ks; d is last.
     """
     k, p, q = spec.k, spec.p, spec.q
-    size = 2 * q * (k - 1) + p * k - 1 + (1 if spec.extra_crosscap else 0)
-    index = {}
-    pos = 0
-    for s in range(q):
-        for i in range(1, k):
-            index[("a", s, i)] = pos
-            pos += 1
-        for i in range(1, k):
-            index[("b", s, i)] = pos
-            pos += 1
-    for s in range(p):
-        top = k if s < p - 1 else k - 1  # last summand drops c_k
-        for i in range(1, top + 1):
-            index[("c", s, i)] = pos
-            pos += 1
-    if spec.extra_crosscap:
-        index[("d",)] = pos
-        pos += 1
-    if pos != size:
-        raise InvariantViolation(f"rotation basis has {pos} classes, expected {size}")
-
-    def dropped_c_expansion():
-        # c_k of the last summand = -(all other one-sided classes)
-        vec = [0] * size
-        for s in range(p):
-            top = k if s < p - 1 else k - 1
-            for i in range(1, top + 1):
-                vec[index[("c", s, i)]] -= 1
-        if spec.extra_crosscap:
-            vec[index[("d",)]] -= 1
-        return vec
-
+    h = k - 1
+    size = spec.genus - 1
+    one_sided = range(2 * q * h, size)  # the c-classes and d
     columns = []
-    for label, col in sorted(index.items(), key=lambda kv: kv[1]):
-        vec = [0] * size
-        if label[0] == "a":
-            _, s, i = label
-            if i <= k - 2:
-                vec[index[("a", s, i + 1)]] += 1
-            vec[index[("a", s, 1)]] -= 1
-        elif label[0] == "b":
-            _, s, i = label
-            if i <= k - 2:
-                vec[index[("b", s, i + 1)]] += 1
-            else:
-                for j in range(1, k):
-                    vec[index[("b", s, j)]] -= 1
-        elif label[0] == "c":
-            _, s, i = label
-            if s < p - 1:
-                if i <= k - 1:
-                    vec[index[("c", s, i + 1)]] += 1
-                else:
-                    vec[index[("c", s, 1)]] += 1
-            else:
-                if i <= k - 2:
-                    vec[index[("c", s, i + 1)]] += 1
-                else:
-                    # c_{k-1} -> c_k, which was eliminated
-                    vec = dropped_c_expansion()
-        else:
-            vec[index[("d",)]] += 1
-        columns.append(vec)
-
-    entries = tuple(tuple(columns[j][i] for j in range(size)) for i in range(size))
-    return entries
+    for s in range(q):
+        a, b = 2 * h * s, 2 * h * s + h
+        columns += [{a + i + 1: 1, a: -1} if i < h - 1 else {a: -1} for i in range(h)]
+        columns += [{b + i + 1: 1} if i < h - 1 else {b + j: -1 for j in range(h)}
+                    for i in range(h)]
+    for s in range(p):
+        c = one_sided.start + k * s
+        if s < p - 1:
+            columns += [{c + (i + 1) % k: 1} for i in range(k)]
+        else:  # c_{k-1} -> c_k, which was eliminated
+            columns += [{c + i + 1: 1} for i in range(h - 1)] + [{j: -1 for j in one_sided}]
+    if spec.extra_crosscap:
+        columns.append({size - 1: 1})
+    if len(columns) != size:
+        raise InvariantViolation(f"rotation basis has {len(columns)} classes, expected {size}")
+    return tuple(tuple(column.get(i, 0) for column in columns) for i in range(size))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import hashlib
 import json
 import random
 
-from mcgverify.claims import Bounds, build_claims, filter_claims, report_json, run_claims
+from mcgverify.claims import build_claims, filter_claims, report_json, run_claims
 from mcgverify.homology import (
     EgRotationSpec,
     abelianize,
@@ -264,9 +264,9 @@ def test_criterion_8_kernel_property_suites():
 # equal digests mean the same verdicts, observed values and witnesses.  A
 # change that means to move one of them updates the digest here.
 REPORT_DIGESTS = {
-    "default": "9fe6f1609991211efc37a1318294d3ea9e03eb3a279c47a7a09c3174c53168af",
-    "[mt]* genus 24..30": "56aaa2c7b2b740589513441b8e91c31b017d386ffca062ebe8223b288b911132",
-    "[mt]* genus 127..127": "7065648d9bdf6d11aaf042fcd69836a1f61b70eee122e93e4aaf17cd5dcc4452",
+    "default": "8f2467951e601cf432d52b276ff1c41893ca7ad25c0823d6218ba3c088b2fe98",
+    "[mt]* genus 24..30": "66783b1f162283f5f09e674c7cbd9a6e37d5e556bd7868826ca626701bc67e32",
+    "[mt]* genus 127..127": "e6355397b2e2cb3c8df13ca7f10d6a7cfa354971762961e9df115727c142e669",
 }
 
 
@@ -281,11 +281,11 @@ def report_digest(reports):
 
 
 def test_full_builtin_catalog_passes():
-    """Every claim in the built-in catalog passes at default bounds; the
+    """Every claim in the built-in catalog passes at the default budget; the
     catalog is the machine-checkable content of the verified statements.
     The report, timings aside, is the committed one."""
     claims = build_claims()
-    reports = run_claims(claims, Bounds())
+    reports = run_claims(claims)
     bad = [r for r in reports if r.status != "pass"]
     assert not bad, [(r.id, r.status, r.observed) for r in bad[:10]]
     assert len(reports) == 1270
@@ -298,7 +298,7 @@ def test_high_genus_reports_match_committed_digest():
     orbits and determinants at genera 24..30, report equal to the
     committed one apart from timings."""
     claims = filter_claims(build_claims(genus_range=(24, 30)), "[mt]*")
-    reports = run_claims(claims, Bounds())
+    reports = run_claims(claims)
     assert len(reports) == 847
     assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 24..30"]
 
@@ -308,6 +308,6 @@ def test_genus_cap_reports_match_committed_digest():
     genus cap, where the power tables are longest, report equal to the
     committed one apart from timings."""
     claims = filter_claims(build_claims(genus_range=(127, 127)), "[mt]*")
-    reports = run_claims(claims, Bounds())
+    reports = run_claims(claims)
     assert len(reports) == 521
     assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 127..127"]

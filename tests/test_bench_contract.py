@@ -1,10 +1,12 @@
 """The names the benchmark tracer (``bench/tracer.py``) and its sample runner
-(``bench/child.py``) look up in the package.
+(``bench/child.py``) look up in the package, and the command lines the
+bench driver (``bench/run.py``) passes to ``mcgverify run``.
 
 The tracer wraps functions by name; a deleted or renamed one would make the
 traced benchmark fail, so these tests read its target table and check every
 name still exists, and run one traced sample to check the call shapes its
-observers read.
+observers read.  A deleted option would make a workload exit 4, so its
+argv is parsed here too.
 """
 
 import ast
@@ -19,9 +21,11 @@ import pytest
 
 import mcgverify
 from mcgverify.claims import RUNNERS, build_claims
+from mcgverify.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
+RUN = ROOT / "bench" / "run.py"
 CHILD = ROOT / "bench" / "child.py"
 SRC = str(ROOT / "src")
 
@@ -34,6 +38,31 @@ def tracer_constant(name):
         ):
             return ast.literal_eval(node.value)
     raise LookupError(f"{name} not found in {TRACER}")
+
+
+def workload_argvs():
+    """Each ``WORKLOADS`` entry of the bench driver: its name and the
+    literal argv, the first argument of its ``Workload(...)``."""
+    for node in ast.parse(RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets
+        ):
+            return [(ast.literal_eval(key), ast.literal_eval(call.args[0]))
+                    for key, call in zip(node.value.keys, node.value.values)]
+    raise LookupError(f"WORKLOADS not found in {RUN}")
+
+
+def test_bench_workload_argv_parses():
+    """Every option a workload passes still exists: parsing its command
+    line does not exit 4."""
+    workloads = workload_argvs()
+    assert workloads
+    for name, argv in workloads:
+        try:
+            args = build_parser().parse_args(["run", "--format", "json", *argv])
+        except SystemExit as exc:
+            pytest.fail(f"{name}: {argv} exits {exc.code}")
+        assert args.command == "run"
 
 
 @pytest.mark.parametrize("layer,name,how", tracer_constant("TARGETS"))

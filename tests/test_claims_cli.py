@@ -16,7 +16,6 @@ import pytest
 import mcgverify.claims
 import mcgverify.cli
 from mcgverify.claims import (
-    Bounds,
     build_claims,
     exit_code,
     filter_claims,
@@ -28,7 +27,6 @@ from mcgverify.claims import (
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
 from mcgverify.homology import abelianize, determinant
-from mcgverify.lantern import DEFAULT_BUDGET
 from mcgverify.mcg import evaluate, get_catalog
 
 
@@ -89,7 +87,7 @@ def test_catalog_contains_expected_families():
 
 def test_duplicate_claim_ids_raise(monkeypatch):
     lantern = mcgverify.claims._lantern_claims
-    monkeypatch.setattr(mcgverify.claims, "_lantern_claims", lambda: lantern() * 2)
+    monkeypatch.setattr(mcgverify.claims, "_lantern_claims", lambda budget: lantern(budget) * 2)
     with pytest.raises(InvariantViolation):
         build_claims()
 
@@ -120,8 +118,8 @@ def test_find_claim_unknown():
 
 def test_run_claims_deterministic():
     claims = filter_claims(build_claims(), "thm1.*.g5")
-    first = run_claims(claims, Bounds())
-    second = run_claims(claims, Bounds())
+    first = run_claims(claims)
+    second = run_claims(claims)
     assert [r.id for r in first] == [r.id for r in second]
     assert [(r.status, r.observed) for r in first] == [
         (r.status, r.observed) for r in second
@@ -148,8 +146,8 @@ def test_build_claims_builds_no_words():
 ])
 def test_run_claim_compares_stated_expected(claim_id, wrong):
     claim = find_claim(build_claims(genus_range=(5, 5)), claim_id)
-    assert run_claim(claim, Bounds()).status == "pass"
-    assert run_claim(dataclasses.replace(claim, expected=wrong), Bounds()).status == "fail"
+    assert run_claim(claim).status == "pass"
+    assert run_claim(dataclasses.replace(claim, expected=wrong)).status == "fail"
 
 
 @pytest.mark.parametrize("wrong,observed", [
@@ -160,9 +158,9 @@ def test_order_claim_fails_on_a_wrong_order(wrong, observed):
     """r has order 6 at genus 6.  A claim stating another order is a failed
     row that shows what order_of found, and nothing raises."""
     (claim,) = mcgverify.claims.resolve_claims("thm1.order.r.g6")
-    report = run_claim(dataclasses.replace(claim, expected=wrong), Bounds())
+    report = run_claim(dataclasses.replace(claim, expected=wrong))
     assert (report.status, report.observed) == ("fail", observed)
-    assert report.witness == run_claim(claim, Bounds()).witness
+    assert report.witness == run_claim(claim).witness
 
 
 @pytest.mark.parametrize("det", [3, -1, 0])
@@ -172,7 +170,7 @@ def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys
     is a failed row that shows the determinant, and ``run`` exits 2."""
     monkeypatch.setattr(mcgverify.claims, "determinant", lambda matrix: det)
     claim = find_claim(build_claims(genus_range=(3, 3)), "twist.det.a1.g3")
-    report = run_claim(claim, Bounds())
+    report = run_claim(claim)
     assert (report.status, report.observed) == ("fail", det)
     args = ["run", "--filter", "twist.det.a1.g3", "--genus", "3..3", "--format", "json"]
     assert mcgverify.cli.main(args) == 2
@@ -199,7 +197,7 @@ def test_determinant_claims_read_the_moved_block(genus, monkeypatch):
     for claim in claims:
         _, word = mcgverify.claims._family_word(claim)
         det = determinant(abelianize(evaluate(catalog, word)))
-        assert run_claim(claim, Bounds()).observed == det, claim.id
+        assert run_claim(claim).observed == det, claim.id
         assert len(word) > 1 or sizes[-1] <= 4, claim.id
 
 
@@ -216,7 +214,7 @@ def test_decomposition_claim_fails_on_a_wrong_decomposition(p, q, monkeypatch):
     monkeypatch.setattr(mcgverify.claims, "decompose_genus",
                         lambda g, k: dataclasses.replace(decompose(g, k), p=p, q=q))
     claim = find_claim(build_claims(genus_range=(3, 3)), "cor4.decomp.g232.k12")
-    report = run_claim(claim, Bounds())
+    report = run_claim(claim)
     assert report.status == "fail"
     assert (report.observed["p"], report.observed["q"]) == (p, q)
 
@@ -256,7 +254,26 @@ def test_cli_run_json_validates_against_schema():
     rows = json.loads(proc.stdout)
     jsonschema.validate(rows, load_schema())
     assert all(row["status"] == "pass" for row in rows)
-    assert all(row["bounds"] == {"budget": DEFAULT_BUDGET} for row in rows)
+    assert all(row["bounds"] == {} for row in rows)
+
+
+def test_cli_budget_bounds_only_the_derivation_search():
+    """``--budget`` bounds the ``lemma1.proof`` search alone: at one
+    expansion that claim is inconclusive and its row names the budget,
+    while the ablations, which check shipped countermodels, pass with
+    empty bounds."""
+    proc = run_cli("run", "--format", "json", "--filter", "lemma1.*", "--budget", "1")
+    assert proc.returncode == 3, proc.stderr
+    rows = {row["id"]: (row["status"], row["bounds"]) for row in json.loads(proc.stdout)}
+    assert rows.pop("lemma1.proof") == ("inconclusive", {"budget": 1})
+    assert len(rows) == 6
+    assert all(row == ("pass", {}) for row in rows.values()), rows
+
+
+def test_cli_budget_leaves_other_claims_unbounded():
+    proc = run_cli("run", "--format", "json", "--filter", "thm1.order.r.g5", "--budget", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert [(row["status"], row["bounds"]) for row in json.loads(proc.stdout)] == [("pass", {})]
 
 
 def test_readme_library_example_runs():
@@ -311,7 +328,7 @@ def test_report_json_writes_one_claim_per_line():
     text = report_json(reports)
     lines = text.splitlines()
     assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(reports) + 2
-    assert json.loads(text) == [r.as_dict() for r in reports]
+    assert json.loads(text) == [dataclasses.asdict(r) for r in reports]
     assert json.loads(report_json([])) == []
 
 

@@ -1,5 +1,6 @@
 """Homology matrices, determinant criterion, rotation models, decomposition."""
 
+import hashlib
 import itertools
 import random
 
@@ -234,6 +235,19 @@ def test_eg_matrix_size():
     spec = EgRotationSpec(4, 2, 1)
     m = build_eg_rotation(spec)
     assert len(m) == spec.genus - 1
+
+
+# sha256 of the rotation matrices of the grid below, concatenated as reprs
+EG_ROTATION_DIGEST = "3682e283716604d3f409a3a68f7c6d512f0c779548c1a0f6ad8d3f4e71607f49"
+
+
+def test_eg_rotation_matrices_match_committed_digest():
+    """The matrices for k in 2..20, p in 1..4, q in 0..3, with and without
+    the fixed crosscap, are byte for byte the committed ones."""
+    digest = hashlib.sha256()
+    for k, p, q, extra in itertools.product(range(2, 21), range(1, 5), range(4), (False, True)):
+        digest.update(repr(build_eg_rotation(EgRotationSpec(k, p, q, extra))).encode())
+    assert digest.hexdigest() == EG_ROTATION_DIGEST
 
 
 def test_eg_k12_p1_q0_against_cofactor_oracle():

@@ -3,7 +3,14 @@
 import pytest
 
 import mcgverify.lantern
-from mcgverify.claims import Bounds, find_claim, resolve_claims, run_claim, run_claims
+from mcgverify.claims import (
+    build_claims,
+    filter_claims,
+    find_claim,
+    resolve_claims,
+    run_claim,
+    run_claims,
+)
 from mcgverify.errors import BudgetExceeded
 from mcgverify.lantern import (
     ATOMS,
@@ -218,12 +225,12 @@ def test_corrupted_countermodel_fails_claim(monkeypatch, claim_id, names, perm, 
         else:
             atoms[name] = perm
     monkeypatch.setattr(mcgverify.lantern, "load_countermodels", lambda: models)
-    report = run_claim(claim, Bounds())
+    report = run_claim(claim)
     assert (report.status, report.observed, report.witness) == ("fail", failure, None)
 
 
 def test_lemma1_ablations_do_not_rest_on_the_search_budget():
-    reports = run_claims(resolve_claims("lemma1.*"), Bounds(budget=1))
+    reports = run_claims(filter_claims(build_claims(budget=1), "lemma1.*"))
     status = {r.id: r.status for r in reports}
     assert status.pop("lemma1.proof") == "inconclusive"
     assert len(status) == 6 and set(status.values()) == {"pass"}
