@@ -19,13 +19,16 @@ The generator catalog covers the named elements used throughout:
 
 The pi_1 formulas are derived from the disk-with-crosscaps model and are
 certified, rather than proved here: ``build_catalog`` runs a validation
-suite (locality of supports and image letters, the relator on each
-generator's support, exact inverses, braid relations, and commutation of
-t_beta with the twists its support overlaps; distant twists commute by
-locality; y and t_eps are products of certified generators) and the claim
-catalog exercises the order, identity and curve-orbit facts that pin down
-every direction choice.  A wrong formula fails loudly with
-:class:`ValidationFailure`.
+suite at index 1 (locality of supports and image letters, the relator on
+each generator's support, exact inverses, the braid relation, and
+commutation of t_beta with the twists its support overlaps; distant twists
+commute by locality; y and t_eps are products of certified generators) and
+certifies every other index i by checking that its formulas give the
+crosscap shift x_k -> x_{k+i-1} of index 1's moves, which carries each of
+those facts along the chain, so the check costs the same number of
+products at every genus.  The claim catalog exercises the order, identity
+and curve-orbit facts that pin down every direction choice.  A wrong
+formula fails loudly with :class:`ValidationFailure`.
 
 Composition convention: products act right-to-left, ``(f g)(x) = f(g(x))``,
 matching the usual composition of homeomorphisms.
@@ -219,38 +222,26 @@ def is_inner(pres: SurfacePresentation, pairs):
 BETA_WORD = (1, 2, 2, 3, 3, 4, -3, -2)
 
 
-def _letter_images(genus: int) -> list:
-    return [(i,) for i in range(1, genus + 1)]
-
-
-def chain_twist_images(genus: int, i: int, sign: int = 1):
-    """Twist about alpha_i = x_i x_{i+1}.  The positive direction is the
-    one pinned by the braid/order/identity claims."""
-    ims = _letter_images(genus)
+def chain_twist_images(i: int, sign: int = 1) -> tuple:
+    """Twist about alpha_i = x_i x_{i+1}: the (index, image) pairs of the
+    two generator images it moves, indices counted from 0.  The positive
+    direction is the one pinned by the braid/order/identity claims."""
     if sign > 0:
-        ims[i - 1] = (i, i, i + 1)
-        ims[i] = (-(i + 1), -i, i + 1)
-    else:
-        ims[i - 1] = (i, -(i + 1), -i)
-        ims[i] = (i, i + 1, i + 1)
-    return ims
+        return ((i - 1, (i, i, i + 1)), (i, (-(i + 1), -i, i + 1)))
+    return ((i - 1, (i, -(i + 1), -i)), (i, (i, i + 1, i + 1)))
 
 
-def transposition_images(genus: int, i: int, sign: int = 1):
-    """Crosscap transposition u_i.  Fixes x_i^2 x_{i+1}^2 exactly; the
-    inverse direction swaps the roles of the two crosscaps."""
-    ims = _letter_images(genus)
+def transposition_images(i: int, sign: int = 1) -> tuple:
+    """Crosscap transposition u_i, as the (index, image) pairs it moves.
+    Fixes x_i^2 x_{i+1}^2 exactly; the inverse direction swaps the roles of
+    the two crosscaps."""
     if sign > 0:
-        ims[i - 1] = (i + 1,)
-        ims[i] = (-(i + 1), -(i + 1), i, i + 1, i + 1)
-    else:
-        ims[i - 1] = (i, i, i + 1, -i, -i)
-        ims[i] = (i,)
-    return ims
+        return ((i - 1, (i + 1,)), (i, (-(i + 1), -(i + 1), i, i + 1, i + 1)))
+    return ((i - 1, (i, i, i + 1, -i, -i)), (i, (i,)))
 
 
-def beta_twist_images(genus: int, sign: int = 1):
-    """Twist about beta.
+def beta_twist_images(sign: int = 1) -> tuple:
+    """Twist about beta, as the (index, image) pairs of x_1..x_4.
 
     The images insert conjugates of the beta word in the unique pattern
     that fixes both the subsurface boundary word x1^2..x4^2 and the beta
@@ -259,12 +250,12 @@ def beta_twist_images(genus: int, sign: int = 1):
     """
     B = BETA_WORD if sign > 0 else inverse(BETA_WORD)
     Bi = inverse(B)
-    ims = _letter_images(genus)
-    ims[0] = free_reduce((1,) + B)
-    ims[1] = free_reduce(Bi + (2,))
-    ims[2] = free_reduce((-2,) + B + (2, 3))
-    ims[3] = free_reduce((-3, -2) + Bi + (2, 3, 4))
-    return ims
+    return (
+        (0, free_reduce((1,) + B)),
+        (1, free_reduce(Bi + (2,))),
+        (2, free_reduce((-2,) + B + (2, 3))),
+        (3, free_reduce((-3, -2) + Bi + (2, 3, 4))),
+    )
 
 
 # Symbol encoding: (kind, index, sign); kind in {"a", "b", "e", "u", "y"}.
@@ -323,9 +314,11 @@ class GeneratorCatalog:
     directions of every generator, and the curve words for
     alpha_1..alpha_{g-1}, beta, eps.
 
-    The composite generators y and t_eps are entered by :func:`_append`
-    from the symbols already in the table.  Built by :func:`build_catalog`,
-    which also certifies the formulas.  Immutable but for its memo tables
+    t_alpha_i, u_i and t_beta are entered from their formulas, which give
+    only the images they move, each index on its own; the composite
+    generators y and t_eps are entered by :func:`_append` from the symbols
+    already in the table.  Built by :func:`build_catalog`, which also
+    certifies the formulas.  Immutable but for its memo tables
     of powers, squares and verdicts, which only ever gain entries.
     """
 
@@ -339,11 +332,11 @@ class GeneratorCatalog:
         self._moves = {}
         for i in range(1, g):
             for sign in (1, -1):
-                self._moves[talpha(i, sign)] = _moved(chain_twist_images(g, i, sign))
-                self._moves[transposition(i, sign)] = _moved(transposition_images(g, i, sign))
+                self._moves[talpha(i, sign)] = chain_twist_images(i, sign)
+                self._moves[transposition(i, sign)] = transposition_images(i, sign)
         if g >= 4:
             for sign in (1, -1):
-                self._moves[tbeta(sign)] = _moved(beta_twist_images(g, sign))
+                self._moves[tbeta(sign)] = beta_twist_images(sign)
         ident = self.presentation.letters_packed
         # y = t_alpha_{g-1} . u_{g-1}  (u applied first)
         slide = (talpha(g - 1), transposition(g - 1))
@@ -658,21 +651,35 @@ def order_of(catalog: GeneratorCatalog, word, n: int):
 # Catalog construction with validation
 
 
+def _crosscap_shift(moves, k: int) -> tuple:
+    """sigma^k of moves written in x_1..x_{g-k}: every index and every
+    letter raised by k, which on those letters is the cyclic shift."""
+    return tuple((j + k, tuple(x + k if x > 0 else x - k for x in im)) for j, im in moves)
+
+
 def build_catalog(genus: int) -> GeneratorCatalog:
     """Build and certify the generator catalog for one genus.
 
-    The validation suite rejects any wrongly derived formula.  It checks
-    locality and the relator first, for both directions of every t_alpha_i,
-    u_i and t_beta: each moves only x_i and x_{i+1} and writes its images
-    in those two letters alone (t_beta likewise in x_1..x_4), and its
-    images of the relator's letters over that support, x_i^2 x_{i+1}^2
-    (x_1^2..x_4^2), freely reduce back to those letters.  Then freely
-    reduced images (which :func:`substitute` relies on), exact stored
-    inverses, braid relations along the chain, commutation of t_beta with
-    t_alpha_1..3, and the homology class of the hand-written beta word,
-    that of x_1 x_2 x_3 x_4 (the alpha_i words x_i x_{i+1} are built in
-    the catalog's constructor, so they need no check).  Every
-    relation is checked on the catalog's one table, by comparing the
+    The validation suite rejects any wrongly derived formula.  Index 1 is
+    certified in full, every other index by one comparison, so the number
+    of relation products does not grow with the genus.  In order:
+
+    * locality and the relator, for both directions of t_alpha_1, u_1 and
+      t_beta: each moves only x_1 and x_2 and writes its images in those
+      two letters alone (t_beta likewise in x_1..x_4), and its images of
+      the relator's letters over that support, x_1^2 x_2^2 (x_1^2..x_4^2),
+      freely reduce back to those letters;
+    * the crosscap shift: for i = 2..g-1 and both directions, the moves
+      the formulas give t_alpha_i and u_i are sigma^(i-1) of those of
+      t_alpha_1 and u_1 (below);
+    * freely reduced images (which :func:`substitute` relies on) and exact
+      stored inverses of t_alpha_1, u_1, t_beta, t_eps and y; the braid
+      relation of t_alpha_1 and t_alpha_2; commutation of t_beta with
+      t_alpha_1..3; and the homology class of the hand-written beta word,
+      that of x_1 x_2 x_3 x_4 (the alpha_i words x_i x_{i+1} are built in
+      the catalog's constructor, so they need no check).
+
+    Every relation is checked on the catalog's one table, by comparing the
     packed :func:`_append` images of its two sides.  Raises
     ValidationFailure naming the first failed check.
 
@@ -684,6 +691,40 @@ def build_catalog(genus: int) -> GeneratorCatalog:
     their own: their images are Dehn-reduced products of certified
     generators' images, the same elements of pi_1, though at g = 3 and 4
     their free images of the relator are only conjugates of it.
+
+    Why index 1 certifies every index.  Let sigma be the letter
+    permutation x_k -> x_{k+1}, x_g -> x_1, x_k^-1 -> x_{k+1}^-1, applied
+    to words letter by letter and to tables by moving the image of x_k,
+    mapped by sigma, to position k+1.  It sends the relator x_1^2..x_g^2
+    to its rotation x_2^2..x_g^2 x_1^2, so it permutes the rotations of
+    the relator and of its inverse: ``rotations[sigma(w)]`` is sigma of
+    ``rotations[w]``, and one is missing exactly when the other is.  The
+    strict pass (:func:`~mcgverify.words._strict_pass`) reads letters only
+    through equality: ``_doubled`` matches doubled bytes,
+    :func:`~mcgverify.words._cancel` finds the longest common suffix, and
+    a window's lookup and extension compare with a rotation; it picks the
+    leftmost window by position.  sigma commutes with inversion.  So the
+    strict pass of sigma(w) replaces the windows of w at the same
+    positions, and returns sigma of the strict pass of w, whether or not
+    it acts (at g <= 6 it does, on some products below); so does
+    :func:`~mcgverify.words.reduce_image`, and so :func:`_append`: if each
+    symbol s of W has ``moves(sigma(s)) = sigma(moves(s))``, with
+    sigma(t_alpha_j) = t_alpha_{j+1} and sigma(u_j) = u_{j+1}, then
+    appending sigma(W) to the identity, which sigma fixes, gives sigma of
+    the table W gives.  sigma is a bijection, so two tables are equal
+    exactly when their images are.  The shift check gives
+    ``moves(t_alpha_i) = sigma^(i-1)(moves(t_alpha_1))``, and likewise for
+    u_i, at every index up to g-1.  Hence each relation product at index i
+    is sigma^(i-1) of the one at index 1 and holds exactly when it does:
+    the stored inverses of t_alpha_i and u_i, and the braid relation of
+    t_alpha_i and t_alpha_{i+1}, i <= g-2, from that of t_alpha_1 and
+    t_alpha_2.  Locality, free reduction and the relator certificate are
+    statements about letters, which sigma^(i-1) relabels: for i <= g-1 it
+    carries the support {x_1, x_2} to {x_i, x_{i+1}}, and x_1^2 x_2^2 to
+    x_i^2 x_{i+1}^2, with no wrap, so raising each index and letter by
+    i-1 (:func:`_crosscap_shift`) is sigma^(i-1) on those moves.  The
+    formulas build each index on their own, not as a shift of index 1, so
+    that the comparison checks them.
 
     Distant twists are not compared: locality implies that they commute.
     If two symbols move disjoint sets of generators and write their images
@@ -701,8 +742,7 @@ def build_catalog(genus: int) -> GeneratorCatalog:
 
     # the generators x_j each symbol may move, and the letters its images
     # may use
-    support = [(talpha(i, s), (i, i + 1)) for i in range(1, g) for s in (1, -1)]
-    support += [(transposition(i, s), (i, i + 1)) for i in range(1, g) for s in (1, -1)]
+    support = [(kind(1, s), (1, 2)) for kind in (talpha, transposition) for s in (1, -1)]
     if g >= 4:
         support += [(tbeta(s), (1, 2, 3, 4)) for s in (1, -1)]
     for symbol, allowed in support:
@@ -719,7 +759,19 @@ def build_catalog(genus: int) -> GeneratorCatalog:
         if mul(*(images.get(x - 1, (x,)) for x in letters)) != letters:
             raise ValidationFailure(f"relator certificate failed for {symbol}")
 
-    for symbol in catalog.symbols():
+    for i in range(2, g):
+        for kind in (talpha, transposition):
+            for s in (1, -1):
+                first = kind(1, s)
+                if catalog.moves(kind(i, s)) != _crosscap_shift(catalog.moves(first), i - 1):
+                    name, first_name = format_mcg_word((kind(i, s),)), format_mcg_word((first,))
+                    raise ValidationFailure(f"{name} is not the crosscap shift of {first_name}")
+
+    certified = [talpha(1), transposition(1)]
+    if g >= 4:
+        certified.append(tbeta())
+    certified += [teps(), crosscap_slide()]
+    for symbol in certified:
         kind, idx, _ = symbol
         inv = (kind, idx, -1)
         if any(free_reduce(im) != im for s in (symbol, inv) for _, im in catalog.moves(s)):
@@ -727,10 +779,9 @@ def build_catalog(genus: int) -> GeneratorCatalog:
         if product((symbol, inv)) != ident or product((inv, symbol)) != ident:
             raise ValidationFailure(f"stored inverse wrong for {symbol}")
 
-    for i in range(1, g - 1):
-        a, b = talpha(i), talpha(i + 1)
-        if product((a, b, a)) != product((b, a, b)):
-            raise ValidationFailure(f"braid relation failed for t_a{i}, t_a{i+1}")
+    a, b = talpha(1), talpha(2)
+    if product((a, b, a)) != product((b, a, b)):
+        raise ValidationFailure("braid relation failed for t_a1, t_a2")
     # t_b's support overlaps those of t_a1..t_a3; distant pairs commute by
     # locality
     if g >= 4:

@@ -5,10 +5,12 @@ import pytest
 
 from mcgverify.homology import abelianize, vector_period
 from mcgverify.mcg import (
+    BETA_WORD,
     Inner,
     NotInner,
     _common_power,
     _compose_pairs,
+    compose,
     evaluate,
     identity_status,
     inverse_word,
@@ -19,6 +21,7 @@ from mcgverify.words import (
     _cancel,
     abelianized,
     conjugator,
+    free_reduce,
     get_presentation,
     inverse,
     invert,
@@ -86,6 +89,82 @@ def generator_table(catalog, symbol):
     for j, im in catalog.moves(symbol):
         images[j] = im
     return packed_table(images)
+
+
+def _letter_images(genus):
+    return [(i,) for i in range(1, genus + 1)]
+
+
+def legacy_chain_twist_images(genus, i, sign=1):
+    """Reference for ``chain_twist_images``: all g images of t_alpha_i."""
+    ims = _letter_images(genus)
+    if sign > 0:
+        ims[i - 1] = (i, i, i + 1)
+        ims[i] = (-(i + 1), -i, i + 1)
+    else:
+        ims[i - 1] = (i, -(i + 1), -i)
+        ims[i] = (i, i + 1, i + 1)
+    return ims
+
+
+def legacy_transposition_images(genus, i, sign=1):
+    """Reference for ``transposition_images``: all g images of u_i."""
+    ims = _letter_images(genus)
+    if sign > 0:
+        ims[i - 1] = (i + 1,)
+        ims[i] = (-(i + 1), -(i + 1), i, i + 1, i + 1)
+    else:
+        ims[i - 1] = (i, i, i + 1, -i, -i)
+        ims[i] = (i,)
+    return ims
+
+
+def legacy_beta_twist_images(genus, sign=1):
+    """Reference for ``beta_twist_images``: all g images of t_beta."""
+    B = BETA_WORD if sign > 0 else inverse(BETA_WORD)
+    Bi = inverse(B)
+    ims = _letter_images(genus)
+    ims[0] = free_reduce((1,) + B)
+    ims[1] = free_reduce(Bi + (2,))
+    ims[2] = free_reduce((-2,) + B + (2, 3))
+    ims[3] = free_reduce((-3, -2) + Bi + (2, 3, 4))
+    return ims
+
+
+def legacy_moved(images):
+    """(index, image) of every image that differs from its generator."""
+    return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
+
+
+def legacy_catalog_moves(genus):
+    """Reference for every symbol's ``moves`` in ``build_catalog(genus)``:
+    each t_alpha_i, u_i and t_beta from its full list of g images with the
+    unmoved ones dropped, one formula per index, and y = t_alpha_{g-1} u_{g-1}
+    and t_eps = y^-1 t_alpha_{g-2} y by ``compose`` of those tables."""
+    g = genus
+    moves = {}
+    for i in range(1, g):
+        for s in (1, -1):
+            moves[("a", i, s)] = legacy_moved(legacy_chain_twist_images(g, i, s))
+            moves[("u", i, s)] = legacy_moved(legacy_transposition_images(g, i, s))
+    if g >= 4:
+        for s in (1, -1):
+            moves[("b", 0, s)] = legacy_moved(legacy_beta_twist_images(g, s))
+
+    def table(symbol):
+        images = _letter_images(g)
+        for j, im in moves[symbol]:
+            images[j] = im
+        return packed_table(images)
+
+    y = compose(table(("a", g - 1, 1)), table(("u", g - 1, 1)))
+    y_inv = compose(table(("u", g - 1, -1)), table(("a", g - 1, -1)))
+    moves[("y", 0, 1)] = legacy_moved(unpacked(y))
+    moves[("y", 0, -1)] = legacy_moved(unpacked(y_inv))
+    for s in (1, -1):
+        conj = compose(y_inv, compose(table(("a", g - 2, s)), y))
+        moves[("e", 0, s)] = legacy_moved(unpacked(conj))
+    return moves
 
 
 def tuple_abelianize(images):

@@ -74,6 +74,7 @@ from mcgverify.words import (
 
 from conftest import (
     generator_table,
+    legacy_catalog_moves,
     mcg_equal,
     packed_table,
     random_word,
@@ -106,9 +107,14 @@ def all_symbols(genus):
 # catalog construction
 
 
-@pytest.mark.parametrize("genus", range(3, 10))
+@pytest.mark.parametrize("genus", range(3, MAX_GENUS + 1))
 def test_build_catalog_validates(genus):
-    build_catalog(genus)
+    """Every genus certifies, and every symbol's moves are byte for byte
+    those of the full-list formulas, built one index at a time."""
+    cat = build_catalog(genus)
+    assert {symbol: cat.moves(symbol) for symbol in all_symbols(genus)} == (
+        legacy_catalog_moves(genus)
+    )
 
 
 @pytest.mark.parametrize("genus", [3, 4])
@@ -283,17 +289,19 @@ def test_get_catalog_above_genus_cap_raises():
 
 
 def test_build_catalog_rejects_unreduced_image(monkeypatch):
+    """Every chain twist's image of x_i is padded with x_i x_i^-1: local,
+    with the relator and a shift of index 1's, so the free-reduction check
+    rejects it at index 1."""
     original = mcgverify.mcg.chain_twist_images
 
-    def padded(genus, i, sign=1):
-        ims = original(genus, i, sign)
-        if i == 2 and sign > 0:
-            ims[1] = (3, -3) + ims[1]
-        return ims
+    def padded(i, sign=1):
+        (j, im), *rest = original(i, sign)
+        return ((j, (i, -i) + im), *rest)
 
     monkeypatch.setattr(mcgverify.mcg, "chain_twist_images", padded)
-    with pytest.raises(ValidationFailure, match="not freely reduced"):
+    with pytest.raises(ValidationFailure) as failure:
         build_catalog(5)
+    assert str(failure.value) == "image of ('a', 1, 1) or its inverse not freely reduced"
 
 
 def distant_chain_pairs(genus):
@@ -302,10 +310,12 @@ def distant_chain_pairs(genus):
 
 def certified_relation_words(catalog):
     """Relation words whose ``_append`` images the test checks against
-    ``compose``: both orders of each stored inverse pair, both sides of each
-    braid relation, and both orders of each t_b commuting pair, which
-    ``build_catalog`` compares, and of each distant chain pair, which it
-    leaves to its locality check."""
+    ``compose``, at every index: both orders of each stored inverse pair,
+    both sides of each braid relation, and both orders of each t_b
+    commuting pair and of each distant chain pair.  ``build_catalog``
+    compares the first three at index 1 only and carries them along the
+    chain by the crosscap shift; it leaves distant pairs to its locality
+    check."""
     g = catalog.genus
     words = []
     for kind, idx, _ in catalog.symbols():
@@ -327,7 +337,10 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
     """The catalog is built and certified without ``compose``, and its
     composite generators and certified relations agree image for image
     with the full ``compose`` route (the test's ``compose`` is bound at
-    import, so the monkeypatch does not reach it)."""
+    import, so the monkeypatch does not reach it).  ``build_catalog``
+    computes the relations at index 1 only and carries them to every other
+    index by the crosscap shift; this checks every index on the route that
+    shares no code with that argument."""
 
     def refuse(a, b):
         raise AssertionError("compose called")
@@ -367,9 +380,9 @@ def test_distant_chain_twists_commute_on_append(genus):
 
 
 @pytest.mark.parametrize("genus", [30, 60, 127])
-def test_build_catalog_append_calls_linear(genus, monkeypatch):
-    """Certifying a catalog costs O(g) products (6g + 8), not one pair per
-    distant chain pair."""
+def test_build_catalog_append_calls_constant(genus, monkeypatch):
+    """Certifying a catalog costs as many products at genus g as at 6:
+    the relations are checked at index 1 only."""
     append = mcgverify.mcg._append
     calls = []
 
@@ -378,66 +391,154 @@ def test_build_catalog_append_calls_linear(genus, monkeypatch):
         return append(catalog, pairs, word)
 
     monkeypatch.setattr(mcgverify.mcg, "_append", counted)
+    build_catalog(6)
+    at_six = len(calls)
+    calls.clear()
     build_catalog(genus)
-    assert len(calls) <= 8 * genus
+    assert len(calls) == at_six
+
+
+def crosscap_shift(images, k):
+    """sigma^k of a table of tuple images, sigma: x_m -> x_{m+1}, x_g -> x_1:
+    the image at position j moves to position j + k mod g, its letters
+    mapped by sigma^k."""
+    g = len(images)
+
+    def letter(x):
+        m = (abs(x) - 1 + k) % g + 1
+        return m if x > 0 else -m
+
+    shifted = [None] * g
+    for j, image in enumerate(images):
+        shifted[(j + k) % g] = tuple(map(letter, image))
+    return tuple(shifted)
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 8, 30])
+def test_append_commutes_with_crosscap_shift(genus):
+    """The argument ``build_catalog`` certifies every index by: appending
+    the shifted word sigma^k(w), every t_alpha_i and u_i index raised by
+    k, gives sigma^k of the table w gives, on seeded words whose indices
+    stay in 1..g-1 after the shift.  At g <= 5 some products hold letters
+    outside the support of their word, brought in by strict replacements,
+    which the shift moves cyclically."""
+    rng = random.Random(9100 + genus)
+    cat = get_catalog(genus)
+    ident = cat.presentation.letters_packed
+    wrapped = 0
+    for _ in range(250):
+        k = rng.randrange(1, genus - 1)
+        word = tuple(
+            (rng.choice("au"), rng.randrange(1, genus - k), rng.choice((1, -1)))
+            for _ in range(rng.randrange(1, 9))
+        )
+        shifted = tuple((kind, i + k, s) for kind, i, s in word)
+        table = unpacked(mcgverify.mcg._append(cat, ident, word))
+        assert unpacked(mcgverify.mcg._append(cat, ident, shifted)) == (
+            crosscap_shift(table, k)
+        ), (word, k)
+        support = {j for _, i, _ in word for j in (i, i + 1)}
+        wrapped += any(abs(x) not in support for j in support for x in table[j - 1])
+    if genus <= 5:
+        assert wrapped
 
 
 def mutated(monkeypatch, name, change):
-    """Replace an image formula by ``change(original, genus, *args)``, with
-    the formula's own arguments: ``i, sign``, or ``sign`` for t_beta."""
+    """Replace an image formula by ``change(original, *args)``, with the
+    formula's own arguments: ``i, sign``, or ``sign`` for t_beta; or the
+    beta word by ``change(original)``."""
     original = getattr(mcgverify.mcg, name)
-    monkeypatch.setattr(mcgverify.mcg, name,
-                        lambda genus, *args: change(original, genus, *args))
+    if callable(original):
+        monkeypatch.setattr(mcgverify.mcg, name, lambda *args: change(original, *args))
+    else:
+        monkeypatch.setattr(mcgverify.mcg, name, change(original))
 
 
-def u1_sends_x1_to_x2_inverse(original, genus, i, sign):
-    ims = original(genus, i, sign)
-    if i == 1 and sign > 0:
-        ims[0] = (-2,)
-    return ims
+def replaced(moves, j, image):
+    """``moves`` with the image of x_{j+1} set to ``image``."""
+    return tuple(sorted({**dict(moves), j: image}.items()))
 
 
-def u3_inverse_sends_x4_to_x3_inverse(original, genus, i, sign):
-    ims = original(genus, i, sign)
-    if i == 3 and sign < 0:
-        ims[3] = (-3,)
-    return ims
+def u1_sends_x1_to_x2_inverse(original, i, sign):
+    moves = original(i, sign)
+    return replaced(moves, 0, (-2,)) if i == 1 and sign > 0 else moves
 
 
-def t_b_inserts_beta_inverse_at_x3(original, genus, sign):
+def u3_inverse_sends_x4_to_x3_inverse(original, i, sign):
+    moves = original(i, sign)
+    return replaced(moves, 3, (-3,)) if i == 3 and sign < 0 else moves
+
+
+def t_b_inserts_beta_inverse_at_x3(original, sign):
     """The insertion at x3 takes beta's inverse where the formula has
     beta: local and freely reduced, but x1^2..x4^2 no longer comes back."""
-    ims = original(genus, sign)
+    moves = original(sign)
     if sign > 0:
-        ims[2] = free_reduce((-2,) + inverse(BETA_WORD) + (2, 3))
-    return ims
+        return replaced(moves, 2, free_reduce((-2,) + inverse(BETA_WORD) + (2, 3)))
+    return moves
 
 
-def t_a2_writes_x6_into_x2(original, genus, i, sign):
-    ims = original(genus, i, sign)
-    if i == 2 and sign > 0:
-        ims[1] = (6, 2, 2, 3, -6)
-    return ims
+def t_a2_writes_x6_into_x2(original, i, sign):
+    moves = original(i, sign)
+    return replaced(moves, 1, (6, 2, 2, 3, -6)) if i == 2 and sign > 0 else moves
+
+
+def t_a1_moves_x3(original, i, sign):
+    """t_a1 writes its image of x2 at x3, one position too far."""
+    moves = original(i, sign)
+    return tuple((j + (j == 1), im) for j, im in moves) if i == 1 else moves
+
+
+def t_a1_writes_x6_into_x1(original, i, sign):
+    moves = original(i, sign)
+    return replaced(moves, 0, (6, 1, 1, 2, -6)) if i == 1 and sign > 0 else moves
+
+
+def chain_twists_squared(original, i, sign):
+    """Every chain twist is given its square: local, fixing x_i^2 x_{i+1}^2,
+    freely reduced, exactly inverted and the shift of index 1's, but the
+    squares of t_a1 and t_a2 do not braid."""
+    images = dict(original(i, sign))
+
+    def image(x):
+        return images.get(x - 1, (x,)) if x > 0 else inverse(images.get(-x - 1, (-x,)))
+
+    return tuple((j, mul(*map(image, im))) for j, im in images.items())
 
 
 CATALOG_MUTANTS = [
-    pytest.param("transposition_images", lambda orig, g, i, s: orig(g, i, 1 if i == 2 else s),
-                 "stored inverse wrong for ('u', 2, 1)", id="u2-inverse-given-u2"),
-    # each of the swapped pair is still the other's inverse
-    pytest.param("chain_twist_images", lambda orig, g, i, s: orig(g, i, -s if i == 2 else s),
-                 "braid relation failed for t_a1, t_a2", id="t_a2-given-its-inverse"),
+    # A mistake at index 2 or 3 passes every index-1 check; the shift
+    # check names its index.
+    pytest.param("transposition_images", lambda orig, i, s: orig(i, 1 if i == 2 else s),
+                 "u2^-1 is not the crosscap shift of u1^-1", id="u2-inverse-given-u2"),
+    pytest.param("chain_twist_images", lambda orig, i, s: orig(i, -s if i == 2 else s),
+                 "t_a2 is not the crosscap shift of t_a1", id="t_a2-given-its-inverse"),
+    pytest.param("transposition_images", u3_inverse_sends_x4_to_x3_inverse,
+                 "u3^-1 is not the crosscap shift of u1^-1",
+                 id="u3-inverse-sends-x4-to-x3^-1"),
+    pytest.param("chain_twist_images", t_a2_writes_x6_into_x2,
+                 "t_a2 is not the crosscap shift of t_a1", id="t_a2-writes-x6-into-x2"),
+    # One mutant for each check left at index 1 and on t_b.
+    pytest.param("chain_twist_images", t_a1_moves_x3, "t_a1 moves x3", id="t_a1-moves-x3"),
+    # freely reduced, and only the letter x6 leaves the support {x1, x2}
+    pytest.param("chain_twist_images", t_a1_writes_x6_into_x1,
+                 "t_a1 writes x6 in the image of x1", id="t_a1-writes-x6-into-x1"),
     pytest.param("transposition_images", u1_sends_x1_to_x2_inverse,
                  "relator certificate failed for ('u', 1, 1)", id="u1-sends-x1-to-x2^-1"),
-    # only the inverse direction is wrong; a certificate of the positive
-    # direction alone leaves it to the stored-inverse check, on ('u', 3, 1)
-    pytest.param("transposition_images", u3_inverse_sends_x4_to_x3_inverse,
-                 "relator certificate failed for ('u', 3, -1)",
-                 id="u3-inverse-sends-x4-to-x3^-1"),
     pytest.param("beta_twist_images", t_b_inserts_beta_inverse_at_x3,
                  "relator certificate failed for ('b', 0, 1)", id="t_b-inserts-beta^-1-at-x3"),
-    # freely reduced, and only the letter x6 leaves the support {x2, x3}
-    pytest.param("chain_twist_images", t_a2_writes_x6_into_x2,
-                 "t_a2 writes x6 in the image of x2", id="t_a2-writes-x6-into-x2"),
+    # The next two change every index alike, so every shift matches; u_i
+    # is still local and fixes x_i^2 x_{i+1}^2.
+    pytest.param("transposition_images", lambda orig, i, s: orig(i, 1),
+                 "stored inverse wrong for ('u', 1, 1)", id="u_i-inverse-given-u_i"),
+    pytest.param("chain_twist_images", chain_twists_squared,
+                 "braid relation failed for t_a1, t_a2", id="t_a_i-given-its-square"),
+    # t_a2 is local to x1..x4 and fixes x1^2..x4^2, but braids with t_a1
+    pytest.param("beta_twist_images", lambda orig, s: mcgverify.mcg.chain_twist_images(2, s),
+                 "t_b and t_a1 do not commute", id="t_b-given-t_a2"),
+    # t_b and t_b^-1 swap, which every relation check accepts
+    pytest.param("BETA_WORD", inverse, "curve word for beta abelianizes wrongly",
+                 id="beta-word-inverted"),
 ]
 
 
@@ -451,12 +552,13 @@ def test_build_catalog_rejects_mutant(monkeypatch, name, change, message):
 
 def test_build_catalog_rejects_mutant_under_python_O():
     """Certification does not rest on ``assert``: under -O, which strips
-    the script's own ``assert False``, the stored-inverse mutant still fails."""
+    the script's own ``assert False``, the u2^-1 mutant still fails the
+    shift check."""
     script = (
         "assert False\n"
         "import mcgverify.mcg as mcg\n"
         "original = mcg.transposition_images\n"
-        "mcg.transposition_images = lambda g, i, s=1: original(g, i, 1 if i == 2 else s)\n"
+        "mcg.transposition_images = lambda i, s=1: original(i, 1 if i == 2 else s)\n"
         "mcg.build_catalog(6)\n"
     )
     path = os.environ.get("PYTHONPATH")
@@ -464,7 +566,7 @@ def test_build_catalog_rejects_mutant_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
-    assert "ValidationFailure: stored inverse wrong for ('u', 2, 1)" in proc.stderr
+    assert "ValidationFailure: u2^-1 is not the crosscap shift of u1^-1" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
