@@ -81,9 +81,11 @@ from .homology import abelianize, vector_period
 from .words import (
     SurfacePresentation,
     _cancel,
+    _component,
+    _least_rotation,
     _strict_pass,
     abelianized,
-    cyclic_canonical,
+    cyclic_core,
     format_word,
     free_reduce,
     get_presentation,
@@ -361,15 +363,6 @@ class GeneratorCatalog:
         self._squares: dict = {}
         self._verdicts: dict = {}
 
-    def symbols(self):
-        """All positive-direction generator symbols in this genus."""
-        out = [("a", i, 1) for i in range(1, self.genus)]
-        out += [("u", i, 1) for i in range(1, self.genus)]
-        if self.genus >= 4:
-            out.append(("b", 0, 1))
-        out += [("e", 0, 1), ("y", 0, 1)]
-        return out
-
     def moves(self, symbol) -> tuple:
         """(index, image) pairs of the generator images ``symbol`` moves,
         indices counted from 0.
@@ -551,14 +544,49 @@ def evaluate(catalog: GeneratorCatalog, word) -> tuple:
 class CurveClass:
     """Unoriented isotopy-class of a curve: the cyclic word up to
     conjugacy and inversion.  Comparing unoriented absorbs the sign
-    ambiguity of conjugating a twist."""
+    ambiguity of conjugating a twist.
 
-    __slots__ = ("genus", "key")
+    ``members`` holds the least rotations of the closures
+    (:func:`~mcgverify.words._component`) of the word's cyclic core and of
+    the core's inverse, and ``key`` is the least of them, the canonical
+    form of the class.  All members have one length, and none holds a
+    strict window."""
+
+    __slots__ = ("genus", "members", "key")
 
     def __init__(self, pres: SurfacePresentation, word):
-        word = tuple(word)
+        core = unpack(cyclic_core(pres, pack(free_reduce(word)))[0])
         self.genus = pres.genus
-        self.key = min(cyclic_canonical(pres, word), cyclic_canonical(pres, inverse(word)))
+        self.members = frozenset(_component(pres, core)).union(_component(pres, inverse(core)))
+        self.key = min(self.members)
+
+    def contains(self, key) -> bool:
+        """True iff the curve whose core key (:func:`product_curve_key`) is
+        ``key`` lies in this class.  The key is closed only if it is no
+        member and at most 2 floor(n / (g-2)) letters longer than the
+        n-letter members.
+
+        A member is conjugate to the class's word or its inverse.
+        Conversely, let the key, a cyclic core, be conjugate to a member m.
+        Neither cyclic word holds a strict window, so a reduced annular
+        diagram between them has one layer (Lyndon-Schupp, ch. V sec. 5;
+        see ``words.letter_conjugator``): each region reads a rotation, 2g
+        letters, as an arc on the key, an arc on m and at most two
+        one-letter pieces shared with its neighbours.  The arc on the key
+        has at most g letters, so the arc on m has at least g - 2, and at
+        most 2 fewer than the arc on the key.  The arcs on m are disjoint,
+        so there are at most floor(n / (g-2)) regions, and the key is at
+        most twice that longer than m.  Without regions the key is a
+        rotation of m, so m itself.  With pieces on both sides a region is
+        no half exchange: the core ``x1 x1 x2 x2 x3^-1 x2^-1 x2^-1 x1^-1
+        x3^-1`` at genus 4 is conjugate to a core two letters shorter.
+        """
+        if key in self.members:
+            return True
+        n = len(self.key)
+        if len(key) > n + 2 * (n // (self.genus - 2)):
+            return False
+        return CurveClass(get_presentation(self.genus), key) == self
 
     def __eq__(self, other):
         return (
@@ -583,14 +611,22 @@ def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     return product_curve_image(catalog, ((word, 1),), curve)
 
 
-def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass:
-    """Image of a curve class under the product of ``(word, exponent)``
-    factors (:func:`product_pairs`).  The class is canonical, so a product
-    and its flat word give the same class however the two routes spell the
-    image."""
+def product_curve_key(catalog: GeneratorCatalog, factors, curve) -> tuple:
+    """The core key of the image of a curve class under the product of
+    ``(word, exponent)`` factors (:func:`product_pairs`): the lesser of
+    the least rotations of the image's cyclic core and of its inverse,
+    found without closing the image under exchanges."""
     pres = catalog.presentation
     image = reduce_image(pres, product_pairs(catalog, factors), curve.key)
-    return CurveClass(pres, unpack(image))
+    core = unpack(cyclic_core(pres, image)[0])
+    return min(_least_rotation(core)[0], _least_rotation(inverse(core))[0])
+
+
+def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass:
+    """Image of a curve class under the product of ``(word, exponent)``
+    factors.  The class is canonical, so a product and its flat word give
+    the same class however the two routes spell the image."""
+    return CurveClass(catalog.presentation, product_curve_key(catalog, factors, curve))
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,24 @@ single letters:
   negative); three rotations cancelling pairwise around a triangle would
   alternate sign around an odd cycle, which is impossible.
 
-Conjugacy works on cyclic words: the closure of the cyclically reduced word
-under half-for-half exchange keeps each member as its least rotation, and
-the canonical form of the conjugacy class is the least of these
-(:func:`_component`).  The windows are the length-g slices of the cyclic
-word, so one route serves every length; a word shorter than g has none.
-Matching two canonical forms gives one conjugator, verified before it is
-returned (:func:`conjugator`).  Closing under exchanges matters at every
-genus: for example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1`` in genus 4, and
-the two sides are not rotations of each other.  The canonical forms serve
-curve classes (``mcg.CurveClass``).  Whether a word is conjugate to one
-letter x_i needs no class listing: a one-letter word has no exchange
-site, and one cyclic strict reduction decides it and gives the conjugator
-(:func:`letter_conjugator`, which ``mcg.is_inner`` calls).
+Conjugacy works on cyclic words.  One cyclic strict reduction
+(:func:`cyclic_core`) strips the letters that cancel cyclically and
+replaces strict windows of the cyclic word until none is left, carrying
+the conjugator; ``letter_conjugator``, canonical forms and curve classes
+all start from it.  The closure of such a core under half-for-half
+exchange keeps each member as its least rotation, and the canonical form
+of the conjugacy class is the least of these (:func:`_component`).  The
+windows are the length-g slices of the cyclic word, so one route serves
+every length; a word shorter than g has none.  Matching two canonical
+forms gives one conjugator, verified before it is returned
+(:func:`conjugator`).  Closing under exchanges matters at every genus: for
+example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1`` in genus 4, and the two
+sides are not rotations of each other.  Whether a word is conjugate to one
+letter x_i needs no closure: a one-letter word has no exchange site, and
+the core decides it (:func:`letter_conjugator`, which ``mcg.is_inner``
+calls).  A curve class (``mcg.CurveClass``) keeps the closures of its
+core and of the core's inverse, and decides a curve by its core, mostly
+without closing it (``CurveClass.contains``).
 
 Dehn reduction has one kernel, over packed words: a ``bytes`` object with
 one signed byte per letter (``pack``/``unpack``), whose inverse is the
@@ -61,10 +66,8 @@ resumes g letters before the first letter that changed.  Public
 functions take and return tuples and pack at their boundary.  A signed
 byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
-All functions are pure.  ``SurfacePresentation`` carries immutable data
-plus one memo table, ``_canonical_cache``, which maps a word to its
-canonical cyclic form and the conjugator that reaches it.  It is unbounded,
-and only curve classes and the tests fill it.
+All functions are pure, and ``SurfacePresentation`` carries immutable data
+only.
 """
 
 from __future__ import annotations
@@ -75,13 +78,9 @@ from array import array
 from collections import deque
 from operator import neg
 
-from .errors import BudgetExceeded, ConjugacyMismatch, InvariantViolation, OutOfRange
+from .errors import ConjugacyMismatch, InvariantViolation, OutOfRange
 
 Word = tuple  # tuple of nonzero ints
-
-# Component searches are tiny in practice; the cap only guards against a
-# pathological input locking up a batch run.  Only curve classes reach it.
-SATURATION_CAP = 200_000
 
 # find_conjugators lists the powers z^k, |k| <= CONJ_BOUND, of the
 # centralizer root by default.  No verdict reads it: mcg.is_inner computes
@@ -232,8 +231,6 @@ class SurfacePresentation:
         self._doubled = re.compile(doubled, re.S).search
         self.letters_packed = tuple((pack((i,)), pack((-i,))) for i in range(1, g + 1))
 
-        self._canonical_cache: dict = {}
-
     def __repr__(self):
         return f"SurfacePresentation(genus={self.genus})"
 
@@ -381,49 +378,87 @@ def is_trivial(pres: SurfacePresentation, word) -> bool:
 # Cyclic words and conjugacy
 
 
-def _cyclic_free_reduce(word: Word) -> tuple:
-    """Freely and cyclically reduce: returns (core, pre) with
-    word = pre core pre^-1 and core cyclically reduced."""
-    w = free_reduce(word)
-    k = 0
-    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
-        k += 1
-    return w[k : len(w) - k], w[:k]
+def cyclic_core(pres: SurfacePresentation, packed) -> tuple:
+    """(core, conj), packed, with w = conj core conj^-1 for the freely
+    reduced packed word ``packed`` = w: the core is cyclically reduced and
+    its cyclic word holds no strict window.
+
+    One cyclic strict reduction, carrying the conjugator: the letters that
+    cancel cyclically move into conj; a strict window of the cyclic word,
+    found among the n length-g slices of the word written twice as in
+    :func:`_component`, is rotated to the front, the rotated prefix joins
+    conj, and the strict pass shortens the word.  Each strict replacement
+    shortens the word, so the loop ends.
+
+    >>> p = get_presentation(4)
+    >>> core, conj = cyclic_core(p, pack((2, 1, 1, 2, 2, 3, -2)))
+    >>> unpack(core), unpack(conj)
+    ((-4, -4, -3), (2,))
+    """
+    g = pres.genus
+    rotations = pres._rotations
+    w = packed
+    conj = bytearray()
+    while True:
+        n = len(w)
+        k = 0
+        while 2 * k + 1 < n and w[k] == NEG[w[n - 1 - k]]:
+            k += 1
+        _cancel(conj, w[:k], invert(w[:k]))
+        w = w[k : n - k]
+        n -= 2 * k
+        if n <= g:
+            return w, bytes(conj)
+        twice = w + w
+        for j in range(n):
+            rotation = rotations.get(twice[j : j + g])
+            if rotation is not None and twice[j + g] == rotation[g]:
+                break
+        else:
+            return w, bytes(conj)
+        _cancel(conj, w[:j], invert(w[:j]))
+        w = _strict_pass(pres, w[j:] + w[:j])
 
 
 def _least_rotation(word: Word) -> tuple:
-    """(rotation, k): the least rotation word[k:] + word[:k] of a nonempty
-    word, at the least such k.  It starts with the word's least letter."""
+    """(rotation, k): the least rotation word[k:] + word[:k] of a word, at
+    the least such k.  It starts with the word's least letter."""
+    if not word:
+        return (), 0
     lo = min(word)
     return min((word[k:] + word[:k], k) for k, letter in enumerate(word) if letter == lo)
 
 
-def _component(pres: SurfacePresentation, start: Word):
-    """Closure of a cyclically reduced cyclic word under half-exchange.
-    Returns ('done', members, None), where ``members`` maps the least
-    rotation of each member to its conjugator c (start = c member c^-1),
-    unless an exchange shortens the word, in which case it returns
-    ('shrunk', word, conjugator).
+def _component(pres: SurfacePresentation, core: Word) -> dict:
+    """Closure of a cyclic core (:func:`cyclic_core`) under
+    half-exchange: a dict that maps the least rotation of each member to
+    its conjugator c (core = c member c^-1).
 
     The windows of a cyclic word of length n >= g are the slices of
     length g that start at its n positions, read from the word written
     twice.  An exchange at position i replaces the window, half a relator
     rotation, by the inverse of the other half, in front of the rest of
-    the rotation that starts at i, and cyclically free-reduces.  A strict
-    window, one letter longer, cancels at the end of its own exchange, so
-    every member that a strict pass would shorten shrinks here too.  A
-    word shorter than g has no window, and its closure is itself.
+    the rotation that starts at i.  The new half cancels against the
+    letter after it only if that letter continues the window's rotation,
+    and against the letter before it only if that letter precedes it in
+    the rotation: either way a strict window.  So an exchange never
+    shortens a core, and every member is cyclically reduced of length n.
+    A member may still hold a strict window that the exchange closed with
+    a letter next to the new half: in genus 4, exchanging x1 x1 x2 x2 in
+    the core ``x1 x1 x2 x2 x3^-1 x2^-1 x2^-1 x1^-1 x3^-1`` gives
+    ``x4^-1 x4^-1 x3^-1 x3^-1 x3^-1 x2^-1 x2^-1 x1^-1 x3^-1``.  Then the
+    closure restarts from that member's shorter core; each restart
+    shortens the word, so the search ends.  A word shorter than g has no
+    window, and its closure is itself.
     """
     g = pres.genus
     rotations = pres._rotations
-    n = len(start)
+    n = len(core)
     sites = range(n) if n >= g else ()
-    key, k = _least_rotation(start)
-    members = {key: start[:k]}
+    key, k = _least_rotation(core)
+    members = {key: core[:k]}
     queue = deque([key])
     while queue:
-        if len(members) > SATURATION_CAP:
-            raise BudgetExceeded(f"cyclic component exceeded {SATURATION_CAP} words")
         current = queue.popleft()
         twice = current + current
         packed = pack(twice)
@@ -431,41 +466,26 @@ def _component(pres: SurfacePresentation, start: Word):
             rotation = rotations.get(packed[i : i + g])
             if rotation is None:
                 continue
-            swapped, pre = _cyclic_free_reduce(unpack(invert(rotation[g:])) + twice[i + g : i + n])
-            if len(swapped) < n:
-                return ("shrunk", swapped, mul(members[current], current[:i], pre))
+            if packed[i + g] == rotation[g]:
+                shorter, conj = cyclic_core(pres, pack(current))
+                pre = mul(members[current], unpack(conj))
+                return {m: mul(pre, c) for m, c in _component(pres, unpack(shorter)).items()}
+            swapped = unpack(invert(rotation[g:])) + twice[i + g : i + n]
             key, k = _least_rotation(swapped)
             if key not in members:
-                members[key] = mul(members[current], current[:i], pre, swapped[:k])
+                members[key] = mul(members[current], current[:i], swapped[:k])
                 queue.append(key)
-    return ("done", members, None)
+    return members
 
 
 def _canonical_with_conj(pres: SurfacePresentation, word) -> tuple:
     """Canonical cyclic form K and conjugator c with word = c K c^-1 in the
-    group.  Conjugate words share the same K.
-
-    The Dehn-reduced word is cyclically reduced and its component searched;
-    an exchange that shortens a member restarts the search from that
-    shorter word.  A strict window cancels at the end of its exchange, so
-    the final component is one of cyclic words that hold no strict
-    window, and K is the least of its members' least rotations.  The pair
-    is memoized per word in ``pres._canonical_cache``.
-    """
-    word = tuple(word)
-    cached = pres._canonical_cache.get(word)
-    if cached is not None:
-        return cached
-    w, conj = _cyclic_free_reduce(dehn_reduce(pres, word))
-    while w:
-        outcome, payload, extra = _component(pres, w)
-        if outcome == "done":
-            w = min(payload)
-            conj = mul(conj, payload[w])
-            break
-        w, conj = payload, mul(conj, extra)
-    pres._canonical_cache[word] = (w, conj)
-    return w, conj
+    group: the least member of the closure of the word's cyclic core.
+    Conjugate words share the same K."""
+    core, conj = cyclic_core(pres, pack(free_reduce(word)))
+    members = _component(pres, unpack(core))
+    canon = min(members)
+    return canon, mul(unpack(conj), members[canon])
 
 
 def cyclic_canonical(pres: SurfacePresentation, word) -> Word:
@@ -525,14 +545,8 @@ def letter_conjugator(pres: SurfacePresentation, packed, i: int):
     """The packed b with b x_i b^-1 = w for the freely reduced packed word
     ``packed`` = w, if w is conjugate to the letter x_i, and None otherwise.
 
-    One cyclic strict reduction, carrying the conjugator c with
-    w = c core c^-1: the letters that cancel cyclically move into c; a
-    strict window of the cyclic word, found among the n length-g slices of
-    the word written twice as in :func:`_component`, is rotated to the
-    front, the rotated prefix joins c, and the strict pass shortens the
-    word.  When neither applies, the core is cyclically reduced and holds
-    no strict window in its cyclic word, and w is conjugate to x_i exactly
-    when the core is x_i:
+    w is conjugate to x_i exactly when its cyclic core
+    (:func:`cyclic_core`) is x_i:
 
     *Claim.* A cyclically reduced word v, conjugate to x_i, whose cyclic
     word holds no subword longer than half a relator rotation, is x_i.
@@ -555,33 +569,9 @@ def letter_conjugator(pres: SurfacePresentation, packed, i: int):
     they are read consecutively: v's cyclic word holds 2g - 1 >= g + 1
     letters of a rotation, a strict window.  This contradicts the
     hypothesis, so the second case cannot occur.
-
-    Each strict replacement shortens the word, so the loop ends.
     """
-    g = pres.genus
-    rotations = pres._rotations
-    w = packed
-    conj = bytearray()
-    while True:
-        n = len(w)
-        k = 0
-        while 2 * k + 1 < n and w[k] == NEG[w[n - 1 - k]]:
-            k += 1
-        _cancel(conj, w[:k], invert(w[:k]))
-        w = w[k : n - k]
-        n -= 2 * k
-        if n <= g:
-            break
-        twice = w + w
-        for j in range(n):
-            rotation = rotations.get(twice[j : j + g])
-            if rotation is not None and twice[j + g] == rotation[g]:
-                break
-        else:
-            break
-        _cancel(conj, w[:j], invert(w[:j]))
-        w = _strict_pass(pres, w[j:] + w[:j])
-    return bytes(conj) if w == pres.letters_packed[i - 1][0] else None
+    core, conj = cyclic_core(pres, packed)
+    return conj if core == pres.letters_packed[i - 1][0] else None
 
 
 def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:

@@ -58,6 +58,17 @@ def random_word(rng, genus, max_len, min_len=0):
     return tuple(rng.choice(letters) for _ in range(rng.randrange(min_len, max_len + 1)))
 
 
+def catalog_symbols(catalog):
+    """All positive-direction generator symbols of the catalog's genus."""
+    g = catalog.genus
+    out = [("a", i, 1) for i in range(1, g)]
+    out += [("u", i, 1) for i in range(1, g)]
+    if g >= 4:
+        out.append(("b", 0, 1))
+    out += [("e", 0, 1), ("y", 0, 1)]
+    return out
+
+
 def word_power(word, n):
     """The flat mapping-class word of ``word^n``; n < 0 repeats the inverse."""
     if n < 0:

@@ -24,10 +24,12 @@ from mcgverify.claims import (
     resolve_claims,
     run_claim,
     run_claims,
+    word_s,
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
 from mcgverify.homology import abelianize, determinant
-from mcgverify.mcg import evaluate, get_catalog
+from mcgverify.mcg import curve_class, evaluate, get_catalog, tbeta
+from mcgverify.words import format_word
 
 
 def load_schema():
@@ -148,6 +150,58 @@ def test_run_claim_compares_stated_expected(claim_id, wrong):
     claim = find_claim(build_claims(genus_range=(5, 5)), claim_id)
     assert run_claim(claim).status == "pass"
     assert run_claim(dataclasses.replace(claim, expected=wrong)).status == "fail"
+
+
+def spy_component(monkeypatch):
+    """The lengths of the words that curve classes close, in call order."""
+    seen = []
+    component = mcgverify.mcg._component
+
+    def spy(pres, core):
+        seen.append(len(core))
+        return component(pres, core)
+
+    monkeypatch.setattr(mcgverify.mcg, "_component", spy)
+    return seen
+
+
+def test_curve_claims_fail_on_every_wrong_target(monkeypatch):
+    """Every curve_image claim at g = 3..30, run again with each catalog
+    curve of another class as its target, is a failed row, never
+    inconclusive.  Its observed is the image's core key, a member of the
+    true target's class, and no word longer than 8 letters, the longest
+    catalog curve, is closed."""
+    seen = spy_component(monkeypatch)
+    claims = [c for c in build_claims(genus_range=(3, 30)) if c.kind == "curve_image"]
+    mutants = 0
+    for claim in claims:
+        catalog = get_catalog(claim.params["genus"])
+        right = curve_class(catalog, catalog.curves[claim.expected])
+        for name, curve in catalog.curves.items():
+            if curve_class(catalog, curve) == right:
+                continue
+            report = run_claim(dataclasses.replace(claim, expected=name))
+            assert report.status == "fail", (claim.id, name)
+            assert report.observed in {format_word(m) for m in right.members}
+            mutants += 1
+    assert len(claims) > 500 and mutants > 10 * len(claims), mutants
+    assert max(seen) <= 8
+
+
+def test_long_curve_image_fails_without_closing_it(monkeypatch):
+    """(s t_b)^16 sends a1 at genus 30 to a curve whose cyclic core has 898
+    letters.  A claim that names a2 as that image is a failed row that
+    shows the core, and only the two catalog curves are closed."""
+    seen = spy_component(monkeypatch)
+    claim = find_claim(build_claims(genus_range=(30, 30)), "thm1.orbit.s.a1.g30")
+    family = dataclasses.replace(mcgverify.claims.FAMILIES[claim.params["family"]],
+                                 id="long-image",
+                                 word=lambda g, i: ((word_s(g) + (tbeta(),), 16),))
+    monkeypatch.setitem(mcgverify.claims.FAMILIES, family.id, family)
+    report = run_claim(dataclasses.replace(claim, params={**claim.params, "family": family.id}))
+    assert report.status == "fail"
+    assert len(report.observed.split()) == 898
+    assert seen and max(seen) <= 8
 
 
 @pytest.mark.parametrize("wrong,observed", [

@@ -31,7 +31,7 @@ from mcgverify.mcg import (
 )
 from mcgverify.words import get_presentation
 
-from conftest import tuple_abelianize, unpacked
+from conftest import catalog_symbols, tuple_abelianize, unpacked
 
 
 def cofactor_det(m):
@@ -140,7 +140,7 @@ def test_abelianize_matches_tuple_oracle(genus):
     x_g, so that x_g^-1 occurs in the images (byte 0x81 at genus 127)."""
     rng = random.Random(5300 + genus)
     cat = get_catalog(genus)
-    syms = [(kind, idx, sign) for kind, idx, _ in cat.symbols() for sign in (1, -1)]
+    syms = [(kind, idx, sign) for kind, idx, _ in catalog_symbols(cat) for sign in (1, -1)]
     top = [sym for sym in syms if any(j == genus - 1 for j, _ in cat.moves(sym))]
     letters = set()
     for _ in range(40):

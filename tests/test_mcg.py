@@ -73,6 +73,7 @@ from mcgverify.words import (
 )
 
 from conftest import (
+    catalog_symbols,
     generator_table,
     legacy_catalog_moves,
     mcg_equal,
@@ -84,7 +85,7 @@ from conftest import (
     unpacked,
     word_power,
 )
-from test_words import kernel_cases, tuple_reduce_image
+from test_words import kernel_cases, least_rotation, tuple_reduce_image
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -140,7 +141,7 @@ def test_composites_fix_relator_only_up_to_conjugacy(genus):
 
 def test_generator_inverses_exact(catalog):
     ident = catalog.presentation.letters_packed
-    for sym in catalog.symbols():
+    for sym in catalog_symbols(catalog):
         kind, idx, _ = sym
         a = generator_table(catalog, sym)
         b = generator_table(catalog, (kind, idx, -1))
@@ -318,7 +319,7 @@ def certified_relation_words(catalog):
     check."""
     g = catalog.genus
     words = []
-    for kind, idx, _ in catalog.symbols():
+    for kind, idx, _ in catalog_symbols(catalog):
         sym, inv = (kind, idx, 1), (kind, idx, -1)
         words += [(sym, inv), (inv, sym)]
     for i in range(1, g - 1):
@@ -1089,7 +1090,7 @@ def seeded_products(genus, seed, count):
     genus 4 to 6 every outcome of ``is_inner`` occurs among them."""
     cat = get_catalog(genus)
     rng = random.Random(seed)
-    symbols = [(kind, idx, sign) for kind, idx, _ in cat.symbols() for sign in (1, -1)]
+    symbols = [(kind, idx, sign) for kind, idx, _ in catalog_symbols(cat) for sign in (1, -1)]
     powers = [word_power(word_r(genus), genus), word_power(word_r(genus), genus - 1),
               (transposition(1),) * 2, (crosscap_slide(),) * 2, ()]
     words = []
@@ -1479,8 +1480,33 @@ def test_curves_equal_unoriented(catalog):
     assert a == b
 
 
+def test_trivial_curve_class(catalog):
+    """The trivial word and its images form the class of the empty key."""
+    trivial = curve_class(catalog, (1, -1))
+    assert trivial.key == () and trivial.members == {()}
+    assert curve_image(catalog, (talpha(1),), trivial) == trivial
+
+
 def test_curves_distinct(catalog):
     assert curve_class(catalog, (1, 2)) != curve_class(catalog, (2, 3))
+
+
+def test_curve_class_contains_a_longer_core():
+    """At genus 4 the cyclic core x1 x1 x2 x2 x3^-1 x2^-1 x2^-1 x1^-1 x3^-1
+    is conjugate to a core two letters shorter, so its key is no member of
+    its class: ``contains`` closes it, as 9 <= 7 + 2 floor(7/2) allows,
+    and finds the class.  Keys of other classes are not contained."""
+    cat = get_catalog(4)
+    pres = cat.presentation
+    word = (1, 1, 2, 2, -3, -2, -2, -1, -3)
+    cls = curve_class(cat, word)
+    key = min(least_rotation(word), least_rotation(inverse(word)))
+    assert len(cls.key) == 7 and key not in cls.members
+    assert cls.contains(key)
+    assert not curve_class(cat, (1, 2)).contains(key)
+    for other in [(1, 1, 2, 2, -3, -2, -2, -1, -4), (1, 2, 3, -1, -2, -3, 1, 2, 4)]:
+        same = is_conjugate(pres, word, other) or is_conjugate(pres, word, inverse(other))
+        assert cls.contains(min(least_rotation(other), least_rotation(inverse(other)))) == same
 
 
 def test_s_and_r_shift_chain_curves():

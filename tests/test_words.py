@@ -25,6 +25,7 @@ from mcgverify.words import (
     abelianized,
     conjugator,
     cyclic_canonical,
+    cyclic_core,
     dehn_reduce,
     find_conjugators,
     format_word,
@@ -751,21 +752,6 @@ def spliced_word(rng, pres):
     return u + core + inverse(u)
 
 
-@pytest.mark.parametrize("genus", range(3, 8))
-def test_canonical_form_conjugator_verifies(genus):
-    """(K, c) = _canonical_with_conj(w) has c K c^-1 = w in the group, and a
-    fresh presentation, whose memo is empty, returns the pair of the shared
-    one."""
-    rng = random.Random(genus)
-    pres = get_presentation(genus)
-    for _ in range(150):
-        w = spliced_word(rng, pres)
-        canon, conj = _canonical_with_conj(pres, w)
-        assert is_trivial(pres, mul(conj, canon, inverse(conj), inverse(w))), w
-        assert _canonical_with_conj(SurfacePresentation(genus), w) == (canon, conj), w
-        assert cyclic_canonical(pres, w) == canon
-
-
 def cyclic_free_reduce(word, conj):
     """Strip matching first/last letters: returns (core, conj') with
     word = conj' core conj'^-1 modulo the tracked outer conjugator."""
@@ -802,12 +788,49 @@ def bfs_component(pres, start):
     return ("done", members, None)
 
 
+def bfs_closure(pres, word):
+    """Oracle for the closure of a word's shortest cyclic forms, with no
+    call to ``cyclic_core``: ``bfs_component`` of the Dehn-reduced,
+    cyclically reduced word, restarted from the shorter word on
+    'shrunk'.  Returns the members, every rotation of each, as a dict
+    word -> conjugator c with word = c member c^-1."""
+    w, conj = cyclic_free_reduce(dehn_reduce(pres, word), ())
+    while True:
+        outcome, payload, extra = bfs_component(pres, w)
+        if outcome == "done":
+            return {m: mul(conj, c) for m, c in payload.items()}
+        w, conj = payload, mul(conj, extra)
+
+
+def bfs_canonical(pres, word):
+    """Oracle canonical form (K, c), word = c K c^-1: the least member of
+    :func:`bfs_closure`."""
+    members = bfs_closure(pres, word)
+    canon = min(members)
+    return canon, members[canon]
+
+
+@pytest.mark.parametrize("genus", range(3, 8))
+def test_canonical_form_conjugator_verifies(genus):
+    """(K, c) = _canonical_with_conj(w) has c K c^-1 = w in the group, K
+    is the oracle's canonical form, and two calls return one pair."""
+    rng = random.Random(genus)
+    pres = get_presentation(genus)
+    for _ in range(150):
+        w = spliced_word(rng, pres)
+        canon, conj = _canonical_with_conj(pres, w)
+        assert is_trivial(pres, mul(conj, canon, inverse(conj), inverse(w))), w
+        assert canon == bfs_canonical(pres, w)[0], w
+        assert _canonical_with_conj(pres, w) == (canon, conj), w
+        assert cyclic_canonical(pres, w) == canon
+
+
 def cyclically_reduced(word):
     return word == free_reduce(word) and not (word and word[0] == -word[-1])
 
 
 def least_rotation(word):
-    return min(word[k:] + word[:k] for k in range(len(word)))
+    return min((word[k:] + word[:k] for k in range(len(word))), default=())
 
 
 def short_cyclic_words(genus):
@@ -846,36 +869,60 @@ def long_cyclic_words(genus, count):
     return [s[:genus] for s in relator_rotations(genus)[::genus]] + words
 
 
+def cyclic_strict_windows(genus, word):
+    """Oracle: the positions j of the cyclic word at which g+1 letters,
+    read from the word written twice, are a prefix of a relator
+    rotation."""
+    if len(word) <= genus:
+        return []
+    prefixes = {r[: genus + 1] for r in relator_rotations(genus)}
+    twice = word + word
+    return [j for j in range(len(word)) if twice[j : j + genus + 1] in prefixes]
+
+
 @pytest.mark.parametrize("genus", [3, 4, 5, 8, 12, 30])
-def test_component_matches_breadth_first_search(genus, monkeypatch):
-    """The closure of cyclic words under exchange agrees with the
-    breadth-first closure of linear words under rotation and exchange, on
-    starts shorter than g and of length g..3g: the same outcome, and on
-    'done' the least rotations of the oracle's members as its keys.  The
-    two routes reach members by different paths, so the canonical pair
-    agrees in K, and its conjugator verifies.  Each route reads a fresh
-    presentation, so neither reads the other's memo."""
+def test_component_matches_breadth_first_search(genus):
+    """On the cyclic cores of seeded words shorter than g and of length
+    g..3g: each core holds no cyclic strict window and its conjugator
+    verifies, and the closure of the core under exchange has the least
+    rotations of the oracle's members as its keys, each with a verified
+    conjugator.  A few cores at genus 3 to 5 are not the shortest of their
+    class: the oracle's closure of the core shrinks, and both routes close
+    the shorter word instead."""
     count = {3: 600, 4: 600, 5: 400, 8: 200, 12: 100, 30: 6}[genus]
     words = short_cyclic_words(genus) + long_cyclic_words(genus, count)
     pres = get_presentation(genus)
-    outcomes = {"done": 0, "shrunk": 0}
-    long_done = 0
+    long_done = shrunk = 0
     for w in words:
-        outcome, payload, _ = _component(pres, w)
-        want, want_payload, _ = bfs_component(pres, w)
-        assert outcome == want, w
-        outcomes[outcome] += 1
-        if outcome == "done":
-            assert set(payload) == {least_rotation(m) for m in want_payload}, w
-            long_done += len(w) >= genus
-    assert outcomes["shrunk"] > count // 10 and long_done > count // 10, outcomes
-    fast = SurfacePresentation(genus)
-    canonical = [_canonical_with_conj(fast, w) for w in words]
-    monkeypatch.setattr(mcgverify.words, "_component", bfs_component)
-    slow = SurfacePresentation(genus)
-    for w, (canon, conj) in zip(words, canonical):
-        assert _canonical_with_conj(slow, w)[0] == canon, w
-        assert is_trivial(fast, mul(conj, canon, inverse(conj), inverse(w))), w
+        core, conj = map(unpack, cyclic_core(pres, pack(w)))
+        assert not cyclic_strict_windows(genus, core), w
+        assert is_trivial(pres, mul(conj, core, inverse(conj), inverse(w))), w
+        members = _component(pres, core)
+        outcome = bfs_component(pres, core)[0]
+        shrunk += outcome == "shrunk"
+        long_done += outcome == "done" and len(core) >= genus
+        assert set(members) == {least_rotation(m) for m in bfs_closure(pres, core)}, w
+        for m, c in members.items():
+            assert is_trivial(pres, mul(c, m, inverse(c), inverse(core))), w
+    assert long_done > count // 10, long_done
+    assert shrunk <= len(words) // 100, shrunk
+
+
+def test_component_restarts_from_a_shorter_core(pres4):
+    """A cyclic word with a strict window, and a cyclic core whose
+    closure reaches one after an exchange, both close the shortest core
+    of their class."""
+    core = (1, 1, 2, 2, -3, -2, -2, -1, -3)
+    assert not cyclic_strict_windows(4, core)
+    exchanged = (-4, -4, -3, -3, -3, -2, -2, -1, -3)
+    assert cyclic_strict_windows(4, exchanged)
+    shortest = {least_rotation(m) for m in bfs_closure(pres4, core)}
+    assert {len(m) for m in shortest} == {7}
+    for w in (core, exchanged):
+        members = _component(pres4, w)
+        assert set(members) == shortest
+        for m, c in members.items():
+            assert is_trivial(pres4, mul(c, m, inverse(c), inverse(w))), w
 
 
 def letter_cases(rng, genus, count):
@@ -917,28 +964,30 @@ def letter_cases(rng, genus, count):
 
 @pytest.mark.parametrize("genus", [3, 4, 5, 6, 8, 12, 30])
 def test_letter_conjugator_matches_canonical_forms(genus):
-    """letter_conjugator agrees with the canonical-form oracle on seeded
-    conjugates of x_1 and x_2 and near misses, and, at genus 3 and 4, on
-    every freely reduced word of length <= 6 and <= 5: it returns None
-    exactly when ``is_conjugate`` says no.  Each b it returns has
-    b x_i b^-1 = w by ``is_trivial``, and differs from ``conjugator``'s by
-    a power of x_i.  Both outcomes make up more than a tenth of the seeded
-    cases."""
+    """letter_conjugator agrees with the oracle canonical forms of
+    ``bfs_canonical`` on seeded conjugates of x_1 and x_2 and near misses,
+    and, at genus 3 and 4, on every freely reduced word of length <= 6 and
+    <= 5: it returns None exactly when the oracle's form is not x_i.  Each
+    b it returns has b x_i b^-1 = w by ``is_trivial``, and differs from the
+    oracle's conjugator by a power of x_i.  Both outcomes make up more than
+    a tenth of the seeded cases."""
     pres = get_presentation(genus)
     seeded = letter_cases(random.Random(genus), genus, {30: 200}.get(genus, 400))
     longest = {3: 6, 4: 5}.get(genus, -1)
     words = itertools.chain.from_iterable(all_words(genus, n) for n in range(longest + 1))
     exhaustive = [(w, i) for w in words for i in (1, 2)]
+    oracle = functools.lru_cache(maxsize=None)(lambda w: bfs_canonical(pres, w))
     found = 0
     for n, (w, i) in enumerate(seeded + exhaustive):
         b = letter_conjugator(pres, pack(w), i)
-        assert (b is not None) == is_conjugate(pres, w, (i,)), (w, i)
+        canon, conj = oracle(w)
+        assert (b is not None) == (canon == (i,)), (w, i)
         if b is None:
             continue
         found += n < len(seeded)
         b = unpack(b)
         assert is_trivial(pres, mul(b, (i,), inverse(b), inverse(w))), (w, i)
-        d = mul(inverse(b), conjugator(pres, (i,), w))
+        d = mul(inverse(b), conj)
         assert is_trivial(pres, mul(d, (i,), inverse(d), (-i,))), (w, i)
     assert len(seeded) // 10 < found < len(seeded) - len(seeded) // 10, found
 
