@@ -484,15 +484,17 @@ def _run_curve_image(claim):
 def _run_determinant(claim):
     """The determinant of the homology matrix M of the claim's word, taken
     from its moved block: the rows and columns C, the indices j < g-1 whose
-    packed image (:func:`~mcgverify.mcg.power_pairs`) is not the letter
-    x_{j+1}.  That byte comparison checks, rather than assumes, that every
+    packed image (:func:`~mcgverify.mcg.power_pairs`) is not the packed
+    letter x_{j+1}.  That comparison checks, rather than assumes, that every
     other column is the unit column e_j, so expanding det M along those
     columns leaves det M = det of the C x C block.  A generator moves at
     most four columns; a composite word may move them all, and then the
     block is M."""
     genus, word = _family_word(claim)
-    pairs = power_pairs(get_catalog(genus), word, 1)
-    moved = [j for j in range(genus - 1) if pairs[j][0] != bytes((j + 1,))]
+    catalog = get_catalog(genus)
+    pairs = power_pairs(catalog, word, 1)
+    letters = catalog.presentation.letters_packed
+    moved = [j for j in range(genus - 1) if pairs[j][0] != letters[j][0]]
     columns = [abelianized(genus, unpack(pairs[j][0])) for j in moved]
     det = determinant(tuple(tuple(column[i] for column in columns) for i in moved))
     return _status(det == claim.expected), det, f"in_twist_subgroup={det == 1}"

@@ -159,7 +159,8 @@ def check_countermodel(ablate: str) -> str:
             raise ValueError(f"atom {atom} is not a list of points")
     n = len(atoms[ATOMS[0]])
     for atom in ATOMS:
-        if sorted(x for x in atoms[atom] if type(x) is int) != list(range(n)):
+        perm = atoms[atom]
+        if any(type(x) is not int for x in perm) or sorted(perm) != list(range(n)):
             raise ValueError(f"atom {atom} is not a permutation of the {n} points")
 
     def value(expr):

@@ -43,20 +43,19 @@ are unpacked to tuples only for their homology classes and to store the
 moves of y and t_eps.  :func:`compose`, which recomputes every image, is
 kept as the tests' reference route.
 
-The catalog has three memo tables.  The power table (:func:`power_pairs`)
+The catalog has two memo tables.  The power table (:func:`power_pairs`)
 maps ``(word, n)`` to the packed images of ``word^n``, built by appending
 and squaring.  ``evaluate`` is its n = 1 entry, ``order_of`` reads each
 ``T^m`` it tests from it, and :func:`identity_status` compares the two
 sides of an identity entry by entry, so the orders of s and s' reuse the
-chain-power identity's powers.  The other two are keyed by a table's
-content: its square, and its :func:`is_inner` status
-(:func:`_inner_status`).  The chain-power identity makes s^g and
-(s')^(g-1) one table, so it is squared and decided once for both orders.
-A curve-orbit map is a product of such entries (:func:`product_pairs`), so
-``x r^k x^-1`` costs the ladder of ``r^k`` and two compositions.  Squaring
-and composing run through :func:`_compose_pairs`, which substitutes runs
-``x_i..x_j`` (or their inverses) rather than letters: a power's images are
-mostly such runs, and few distinct ones, and a run's image under ``a`` is
+chain-power identity's powers.  The other maps a table, by content, to
+its square.  The chain-power identity makes s^g and (s')^(g-1) one
+table, so it is squared once for both orders.  A curve-orbit map is a
+product of such entries (:func:`product_pairs`), so ``x r^k x^-1`` costs
+the ladder of ``r^k`` and two compositions.  Squaring and composing run
+through :func:`_compose_pairs`, which substitutes runs ``x_i..x_j`` (or
+their inverses) rather than letters: a power's images are mostly such
+runs, and few distinct ones, and a run's image under ``a`` is
 ``a(P_{i-1})^-1 a(P_j)`` for the prefixes ``P_j = x_1..x_j``.  Free
 reduction is unique, so the tables are the ones a per-letter substitution
 gives.
@@ -72,6 +71,7 @@ generator decides.  It takes the packed pairs of a table, as
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
@@ -144,10 +144,12 @@ class NotInner:
 
 
 def _common_power(pres: SurfacePresentation, b1, b2):
-    """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist:
-    read off the homology vector h of b_2^-1 b_1 (see :func:`is_inner`),
+    """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist,
+    for words b_1, b_2 given as tuples or packed: read off the homology
+    vector h of b_2^-1 b_1, which is h(b_1) - h(b_2) (see :func:`is_inner`),
     it is -h_1 when h_i = 0 for every i >= 3, and None otherwise."""
-    h = abelianized(pres.genus, mul(inverse(b2), b1))
+    g = pres.genus
+    h = [x - y for x, y in zip(abelianized(g, array("b", b1)), abelianized(g, array("b", b2)))]
     return None if any(h[2:]) else -h[0]
 
 
@@ -170,8 +172,7 @@ def is_inner(pres: SurfacePresentation, pairs):
     w x_i w^-1 = a(x_i) for every i, or NotInner.  No bound: one candidate
     conjugator decides.
 
-    After the homology check (an inner automorphism fixes homology), a(x_1)
-    must be conjugate to x_1 and a(x_2) to x_2: one cyclic strict
+    a(x_1) must be conjugate to x_1 and a(x_2) to x_2: one cyclic strict
     reduction of each image decides this and gives conjugators b_1, b_2 of
     x_1, x_2 onto their images (:func:`~mcgverify.words.letter_conjugator`),
     each verified by :func:`_conjugates`.  Suppose conjugation by c is
@@ -190,10 +191,6 @@ def is_inner(pres: SurfacePresentation, pairs):
 
     Raises InvariantViolation if b_1 or b_2 fails to verify.
     """
-    g = pres.genus
-    for i, (image, _) in enumerate(pairs, 1):
-        if abelianized(g, unpack(image)) != abelianized(g, (i,)):
-            return NotInner(f"homology class of image of x{i} moved")
     b = []
     for i in (1, 2):
         packed_b = letter_conjugator(pres, pairs[i - 1][0], i)
@@ -203,16 +200,17 @@ def is_inner(pres: SurfacePresentation, pairs):
     for i, packed_b in enumerate(b, 1):
         if not _conjugates(pres, packed_b, i, pairs[i - 1]):
             raise InvariantViolation(f"the conjugator of x{i} onto its image fails to verify")
-    b1, b2 = map(unpack, b)
-    k = _common_power(pres, b1, b2)
+    k = _common_power(pres, *b)
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
-    c = mul(b1, (1 if k > 0 else -1,) * abs(k))
-    packed_c = pack(c)
-    for i in range(2, g + 1):
+    x1, x1_inv = pres.letters_packed[0] if k > 0 else pres.letters_packed[0][::-1]
+    out = bytearray(b[0])
+    _cancel(out, x1 * abs(k), x1_inv * abs(k))
+    packed_c = bytes(out)
+    for i in range(2, pres.genus + 1):
         if not _conjugates(pres, packed_c, i, pairs[i - 1]):
             return NotInner(f"the one candidate conjugator fails on x{i}")
-    return Inner(c)
+    return Inner(unpack(packed_c))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +319,10 @@ class GeneratorCatalog:
     generators y and t_eps are entered by :func:`_append` from the symbols
     already in the table.  Built by :func:`build_catalog`, which also
     certifies the formulas.  Immutable but for its memo tables
-    of powers, squares and verdicts, which only ever gain entries.
+    of powers and squares, which only ever gain entries.
     """
 
     def __init__(self, genus: int):
-        if genus < 3:
-            raise ValueError("genus must be at least 3")
         self.genus = genus
         self.presentation = get_presentation(genus)
         g = genus
@@ -357,11 +353,10 @@ class GeneratorCatalog:
         self.curves["e"] = unpack(reduce_image(self.presentation, y_inv, (g - 2, g - 1)))
 
         # (word, n) -> packed image pairs of word^n, filled by power_pairs;
-        # a table -> its square, and a table -> its is_inner status, keyed
-        # by content, so that the powers of two words that meet are shared
+        # a table -> its square, keyed by content, so that the powers of
+        # two words that meet are squared once
         self._powers: dict = {}
         self._squares: dict = {}
-        self._verdicts: dict = {}
 
     def moves(self, symbol) -> tuple:
         """(index, image) pairs of the generator images ``symbol`` moves,
@@ -506,16 +501,6 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
                 )
         pairs = catalog._powers[key] = tuple(pairs)
     return pairs
-
-
-def _inner_status(catalog: GeneratorCatalog, pairs):
-    """:func:`is_inner` of a table of ``catalog``'s, memoized by the
-    table's content (``catalog._verdicts``), so a table that two words'
-    powers share is decided once."""
-    status = catalog._verdicts.get(pairs)
-    if status is None:
-        status = catalog._verdicts[pairs] = is_inner(catalog.presentation, pairs)
-    return status
 
 
 def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
@@ -666,10 +651,9 @@ def order_of(catalog: GeneratorCatalog, word, n: int):
       divide n, or T has infinite order, no candidate is inner.
 
     The probe decides only the cost, never the verdict: a candidate m with
-    M^m != I moves some generator's homology class, and the homology check
-    :func:`is_inner` runs first refutes T^m.  Each T^m is read from the
-    catalog's table (:func:`power_pairs`), and its status from the memo of
-    verdicts (:func:`_inner_status`); no power above n is built.
+    M^m != I is not inner, and the pi_1 check of :func:`is_inner` refutes
+    T^m.  Each T^m is read from the catalog's table (:func:`power_pairs`)
+    and decided by :func:`is_inner`; no power above n is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -677,8 +661,9 @@ def order_of(catalog: GeneratorCatalog, word, n: int):
     period = vector_period(abelianize(evaluate(catalog, word)), range(1, catalog.genus), n)
     if period is None:
         return None
+    pres = catalog.presentation
     for m in range(period, n + 1, period):
-        if n % m == 0 and isinstance(_inner_status(catalog, power_pairs(catalog, word, m)), Inner):
+        if n % m == 0 and isinstance(is_inner(pres, power_pairs(catalog, word, m)), Inner):
             return m
     return None
 

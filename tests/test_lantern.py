@@ -208,6 +208,8 @@ IDENTITY_7 = list(range(7))
     ("lemma1.ablate.f", ("h",), 5, "atom h is not a list of points"),
     ("lemma1.ablate.g-d1", ("atoms",), IDENTITY_7, "the model's atoms are not a table"),
     ("lemma1.reversed", ("model",), "Q8", "the model for 'relation' is not a table"),
+    ("lemma1.ablate.f", ("f",), [5, 6, 0, 1, 2, 3, 4, "junk", 3.5, True],
+     "atom f is not a permutation of the 7 points"),
 ])
 def test_corrupted_countermodel_fails_claim(monkeypatch, claim_id, names, perm, failure):
     claim = find_claim(resolve_claims(claim_id), claim_id)
