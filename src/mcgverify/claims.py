@@ -39,8 +39,7 @@ import itertools
 import json
 import re
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
 from .homology import (
@@ -72,29 +71,18 @@ from .mcg import (
 from .words import MAX_GENUS, abelianized, format_word, unpack
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(namedtuple("Claim", "id kind description source provenance expected params")):
     """One decidable statement; ``params`` holds what its kind's runner
     needs to decide it."""
 
-    id: str
-    kind: str
-    description: str
-    source: str
-    provenance: str
-    expected: object
-    params: dict
+    __slots__ = ()
 
 
-@dataclass
-class ClaimReport:
-    id: str
-    status: str  # pass | fail | inconclusive
-    expected: object
-    observed: object
-    witness: object
-    millis: float
-    bounds: dict
+class ClaimReport(namedtuple("ClaimReport",
+                             "id status expected observed witness millis bounds")):
+    """One claim's verdict; ``status`` is pass, fail or inconclusive."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +137,9 @@ def _stb():
 # The families of claims about one genus
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "id kind when description source expected word "
+                                  "provenance indices curve",
+                        defaults=("stated", None, None))):
     """The claims ``id`` names about the genus-g surface: one for each g with
     ``when(g)``, times each index i in ``indices(g)`` when that is given.
 
@@ -164,18 +153,10 @@ class Family:
     such factors, applied rightmost first: one factor for most maps, and
     ``(x, 1), (r, k), (x^-1, 1)`` for ``x r^k x^-1``, whose power costs a
     ladder of squarings instead of (g-1)k appended symbols.
+    ``provenance`` defaults to "stated", ``indices`` and ``curve`` to None.
     """
 
-    id: str
-    kind: str
-    when: Callable
-    description: str
-    source: str
-    expected: object
-    word: Callable
-    provenance: object = "stated"
-    indices: Callable = None
-    curve: str = None
+    __slots__ = ()
 
 
 ROTATION_ORDERS = "theorem-1 proof: orders of the crosscap rotations"
@@ -586,10 +567,9 @@ def exit_code(reports) -> int:
 
 
 def report_json(reports) -> str:
-    """The JSON array of the reports, one claim per line.  A report's
-    ``vars`` are its fields in declaration order, the keys of
-    ``dataclasses.asdict`` without its deep copy of every value."""
-    return "[\n" + ",\n".join("  " + json.dumps(vars(r)) for r in reports) + "\n]"
+    """The JSON array of the reports, one claim per line: each report an
+    object of its fields in declaration order."""
+    return "[\n" + ",\n".join("  " + json.dumps(r._asdict()) for r in reports) + "\n]"
 
 
 def find_claim(claims, claim_id: str) -> Claim:

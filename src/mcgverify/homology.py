@@ -25,7 +25,7 @@ order are tested in pi_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import InvariantViolation, OutOfRange
@@ -167,22 +167,26 @@ def abelianize(pairs) -> tuple:
 MODEL_LEAST = {"k": 2, "p": 1, "q": 0}
 
 
-@dataclass(frozen=True)
-class EgRotationSpec:
+class EgRotationSpec(namedtuple("EgRotationSpec", "k p q extra_crosscap")):
     """Parameters of the order-k rotation model: p nonorientable genus-k
     summands, q orientable genus-(k-1) summands, optionally one extra
-    crosscap fixed by the rotation (odd total genus)."""
+    crosscap fixed by the rotation (odd total genus).  Every construction,
+    ``_make`` and ``_replace`` included, checks each parameter against its
+    least value."""
 
-    k: int
-    p: int
-    q: int
-    extra_crosscap: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, k, p, q, extra_crosscap=False):
+        spec = super().__new__(cls, k, p, q, extra_crosscap)
         for name, least in MODEL_LEAST.items():
-            value = getattr(self, name)
+            value = getattr(spec, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def genus(self) -> int:
@@ -233,16 +237,10 @@ def build_eg_rotation(spec: EgRotationSpec):
 # Genus decomposition arithmetic
 
 
-@dataclass(frozen=True)
-class GenusDecomposition:
+class GenusDecomposition(namedtuple("GenusDecomposition", "p q plus_one n m r")):
     """g = p*k + 2*q*(k-1) + (1 if plus_one else 0) with p odd, q >= 0."""
 
-    p: int
-    q: int
-    plus_one: bool
-    n: int
-    m: int
-    r: int
+    __slots__ = ()
 
 
 def decompose_genus(g: int, k: int) -> GenusDecomposition:

@@ -72,7 +72,7 @@ generator decides.  It takes the packed pairs of a table, as
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 from operator import ne
 
@@ -129,18 +129,16 @@ def compose(a, b) -> tuple:
 # Inner-automorphism status
 
 
-@dataclass(frozen=True)
-class Inner:
+class Inner(namedtuple("Inner", "witness")):
     """The automorphism is conjugation by ``witness``."""
 
-    witness: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotInner:
+class NotInner(namedtuple("NotInner", "reason", defaults=("",))):
     """Certified not inner (a conjugacy-invariant rules it out)."""
 
-    reason: str = ""
+    __slots__ = ()
 
 
 def _common_power(pres: SurfacePresentation, b1, b2):

@@ -1,6 +1,5 @@
 """Claim catalog integrity and the command-line interface."""
 
-import dataclasses
 import json
 import os
 import re
@@ -40,16 +39,15 @@ def load_schema():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, interpreter_flags=()):
+def run_python(*argv):
     # the child does not get pytest's pythonpath, so it is given the checkout's src
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    return subprocess.run(
-        [sys.executable, *interpreter_flags, "-m", "mcgverify.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args, interpreter_flags=()):
+    return run_python(*interpreter_flags, "-m", "mcgverify.cli", *args)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ def test_build_claims_builds_no_words():
 def test_run_claim_compares_stated_expected(claim_id, wrong):
     claim = find_claim(build_claims(genus_range=(5, 5)), claim_id)
     assert run_claim(claim).status == "pass"
-    assert run_claim(dataclasses.replace(claim, expected=wrong)).status == "fail"
+    assert run_claim(claim._replace(expected=wrong)).status == "fail"
 
 
 def spy_component(monkeypatch):
@@ -180,7 +178,7 @@ def test_curve_claims_fail_on_every_wrong_target(monkeypatch):
         for name, curve in catalog.curves.items():
             if curve_class(catalog, curve) == right:
                 continue
-            report = run_claim(dataclasses.replace(claim, expected=name))
+            report = run_claim(claim._replace(expected=name))
             assert report.status == "fail", (claim.id, name)
             assert report.observed in {format_word(m) for m in right.members}
             mutants += 1
@@ -194,11 +192,10 @@ def test_long_curve_image_fails_without_closing_it(monkeypatch):
     shows the core, and only the two catalog curves are closed."""
     seen = spy_component(monkeypatch)
     claim = find_claim(build_claims(genus_range=(30, 30)), "thm1.orbit.s.a1.g30")
-    family = dataclasses.replace(mcgverify.claims.FAMILIES[claim.params["family"]],
-                                 id="long-image",
-                                 word=lambda g, i: ((word_s(g) + (tbeta(),), 16),))
+    family = mcgverify.claims.FAMILIES[claim.params["family"]]._replace(
+        id="long-image", word=lambda g, i: ((word_s(g) + (tbeta(),), 16),))
     monkeypatch.setitem(mcgverify.claims.FAMILIES, family.id, family)
-    report = run_claim(dataclasses.replace(claim, params={**claim.params, "family": family.id}))
+    report = run_claim(claim._replace(params={**claim.params, "family": family.id}))
     assert report.status == "fail"
     assert len(report.observed.split()) == 898
     assert seen and max(seen) <= 8
@@ -212,7 +209,7 @@ def test_order_claim_fails_on_a_wrong_order(wrong, observed):
     """r has order 6 at genus 6.  A claim stating another order is a failed
     row that shows what order_of found, and nothing raises."""
     (claim,) = mcgverify.claims.resolve_claims("thm1.order.r.g6")
-    report = run_claim(dataclasses.replace(claim, expected=wrong))
+    report = run_claim(claim._replace(expected=wrong))
     assert (report.status, report.observed) == ("fail", observed)
     assert report.witness == run_claim(claim).witness
 
@@ -266,7 +263,7 @@ def test_decomposition_claim_fails_on_a_wrong_decomposition(p, q, monkeypatch):
     breaks one of the three."""
     decompose = mcgverify.claims.decompose_genus
     monkeypatch.setattr(mcgverify.claims, "decompose_genus",
-                        lambda g, k: dataclasses.replace(decompose(g, k), p=p, q=q))
+                        lambda g, k: decompose(g, k)._replace(p=p, q=q))
     claim = find_claim(build_claims(genus_range=(3, 3)), "cor4.decomp.g232.k12")
     report = run_claim(claim)
     assert report.status == "fail"
@@ -377,13 +374,31 @@ def test_cli_report_same_under_python_O():
 
 def test_report_json_writes_one_claim_per_line():
     """The report is a JSON array with one compactly encoded claim per line;
-    it parses to the rows themselves."""
+    it parses to the rows themselves, each with the schema's properties as
+    its keys, in the schema's order."""
+    fields = list(load_schema()["items"]["properties"])
     reports = run_claims(resolve_claims("thm1.*.g5"))
     text = report_json(reports)
     lines = text.splitlines()
     assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(reports) + 2
-    assert json.loads(text) == [dataclasses.asdict(r) for r in reports]
+    rows = json.loads(text)
+    assert rows == [{name: getattr(r, name) for name in fields} for r in reports]
+    assert all(list(row) == fields for row in rows)
     assert json.loads(report_json([])) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every run starts with ``import mcgverify.cli``; in a fresh
+    interpreter it loads neither ``dataclasses`` nor the ``inspect`` that
+    it pulls in.  The modules are compared before and after the import,
+    whatever ``site`` preloads; pytest itself has loaded ``inspect``, so
+    the check needs its own interpreter."""
+    proc = run_python("-c", "import sys; before = set(sys.modules); import mcgverify.cli; "
+                            "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mcgverify.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 def test_order_claims_alone_match_the_full_run():

@@ -225,10 +225,17 @@ def test_eg_spec_genus():
 
 
 def test_eg_spec_validation():
+    """Positional, keyword and ``_replace`` construction all check each
+    parameter against its least value."""
     with pytest.raises(ValueError):
         EgRotationSpec(1, 1, 0)
     with pytest.raises(ValueError):
         EgRotationSpec(12, 0, 0)
+    assert EgRotationSpec(k=12, p=1, q=0, extra_crosscap=True) == EgRotationSpec(12, 1, 0, True)
+    for make in (lambda: EgRotationSpec(12, 1, -1), lambda: EgRotationSpec(k=12, p=1, q=-1),
+                 lambda: EgRotationSpec(12, 1, 0)._replace(q=-1)):
+        with pytest.raises(ValueError, match="^q must be at least 0, got -1$"):
+            make()
 
 
 def test_eg_matrix_size():
