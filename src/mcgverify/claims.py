@@ -53,9 +53,9 @@ from .homology import (
 )
 from .lantern import DEFAULT_BUDGET, canonical_rules, check_countermodel, verify_lemma1
 from .mcg import (
+    CurveClass,
     Inner,
     crosscap_slide,
-    curve_class,
     format_mcg_word,
     get_catalog,
     identity_status,
@@ -428,23 +428,24 @@ def _status(ok: bool) -> str:
 
 
 def _family_word(claim):
-    """The genus of a family claim and its word, built now."""
+    """The catalog of a family claim's genus and the claim's word, built
+    now."""
     genus, index = claim.params["genus"], claim.params["index"]
-    return genus, FAMILIES[claim.params["family"]].word(genus, index)
+    return get_catalog(genus), FAMILIES[claim.params["family"]].word(genus, index)
 
 
 def _run_order(claim):
     """The order N the claim states, checked by ``order_of(word, N)``: the
     order if it divides N, else None."""
-    genus, word = _family_word(claim)
-    result = order_of(get_catalog(genus), word, claim.expected)
+    catalog, word = _family_word(claim)
+    result = order_of(catalog, word, claim.expected)
     observed = f"no order dividing {claim.expected}" if result is None else result
     return _status(result == claim.expected), observed, format_mcg_word(word)
 
 
 def _run_identity(claim):
-    genus, (lhs, rhs) = _family_word(claim)
-    status = identity_status(get_catalog(genus), lhs, rhs)
+    catalog, (lhs, rhs) = _family_word(claim)
+    status = identity_status(catalog, lhs, rhs)
     inner = isinstance(status, Inner)
     return _status(inner == claim.expected), inner, format_word(status.witness) if inner else None
 
@@ -453,10 +454,9 @@ def _run_curve_image(claim):
     """Passes iff the target's class contains the image of the start
     curve, taken as its core key (:func:`~mcgverify.mcg.product_curve_key`).
     A pass observes the target's key, a fail the image's core key."""
-    genus, factors = _family_word(claim)
-    catalog = get_catalog(genus)
-    start = curve_class(catalog, catalog.curves[claim.params["curve"]])
-    target = curve_class(catalog, catalog.curves[claim.expected])
+    catalog, factors = _family_word(claim)
+    start = CurveClass(catalog.presentation, catalog.curves[claim.params["curve"]])
+    target = CurveClass(catalog.presentation, catalog.curves[claim.expected])
     image = product_curve_key(catalog, factors, start)
     ok = target.contains(image)
     return _status(ok), format_word(target.key if ok else image), format_word(target.key)
@@ -471,8 +471,8 @@ def _run_determinant(claim):
     columns leaves det M = det of the C x C block.  A generator moves at
     most four columns; a composite word may move them all, and then the
     block is M."""
-    genus, word = _family_word(claim)
-    catalog = get_catalog(genus)
+    catalog, word = _family_word(claim)
+    genus = catalog.genus
     pairs = power_pairs(catalog, word, 1)
     letters = catalog.presentation.letters_packed
     moved = [j for j in range(genus - 1) if pairs[j][0] != letters[j][0]]

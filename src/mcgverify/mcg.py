@@ -88,7 +88,6 @@ from .words import (
     cyclic_core,
     format_word,
     free_reduce,
-    get_presentation,
     invert,
     inverse,
     letter_conjugator,
@@ -120,7 +119,7 @@ def compose(a, b) -> tuple:
     :func:`_compose_pairs`.  Raises ValueError on tables of unequal length."""
     if len(a) != len(b):
         raise ValueError(f"genus {len(a)} vs {len(b)}")
-    pres = get_presentation(len(a))
+    pres = SurfacePresentation(len(a))
     images = (reduce_image(pres, a, unpack(image)) for image, _ in b)
     return tuple((w, invert(w)) for w in images)
 
@@ -322,7 +321,7 @@ class GeneratorCatalog:
 
     def __init__(self, genus: int):
         self.genus = genus
-        self.presentation = get_presentation(genus)
+        self.presentation = SurfacePresentation(genus)
         g = genus
 
         self._moves = {}
@@ -533,13 +532,14 @@ class CurveClass:
     (:func:`~mcgverify.words._component`) of the word's cyclic core and of
     the core's inverse, and ``key`` is the least of them, the canonical
     form of the class.  All members have one length, and none holds a
-    strict window."""
+    strict window.  ``pres`` is the presentation the class was built on,
+    its catalog's, and :meth:`contains` closes keys on it."""
 
-    __slots__ = ("genus", "members", "key")
+    __slots__ = ("pres", "members", "key")
 
     def __init__(self, pres: SurfacePresentation, word):
         core = unpack(cyclic_core(pres, pack(free_reduce(word)))[0])
-        self.genus = pres.genus
+        self.pres = pres
         self.members = frozenset(_component(pres, core)).union(_component(pres, inverse(core)))
         self.key = min(self.members)
 
@@ -567,31 +567,27 @@ class CurveClass:
         if key in self.members:
             return True
         n = len(self.key)
-        if len(key) > n + 2 * (n // (self.genus - 2)):
+        if len(key) > n + 2 * (n // (self.pres.genus - 2)):
             return False
-        return CurveClass(get_presentation(self.genus), key) == self
+        return CurveClass(self.pres, key) == self
 
     def __eq__(self, other):
         return (
             isinstance(other, CurveClass)
-            and self.genus == other.genus
+            and self.pres.genus == other.pres.genus
             and self.key == other.key
         )
 
     def __hash__(self):
-        return hash((self.genus, self.key))
+        return hash((self.pres.genus, self.key))
 
     def __repr__(self):
         return f"CurveClass({format_word(self.key)})"
 
 
-def curve_class(catalog: GeneratorCatalog, word) -> CurveClass:
-    return CurveClass(catalog.presentation, word)
-
-
 def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     """Image of a curve class under a mapping-class word."""
-    return product_curve_image(catalog, ((word, 1),), curve)
+    return CurveClass(catalog.presentation, product_curve_key(catalog, ((word, 1),), curve))
 
 
 def product_curve_key(catalog: GeneratorCatalog, factors, curve) -> tuple:
@@ -603,13 +599,6 @@ def product_curve_key(catalog: GeneratorCatalog, factors, curve) -> tuple:
     image = reduce_image(pres, product_pairs(catalog, factors), curve.key)
     core = unpack(cyclic_core(pres, image)[0])
     return min(_least_rotation(core)[0], _least_rotation(inverse(core))[0])
-
-
-def product_curve_image(catalog: GeneratorCatalog, factors, curve) -> CurveClass:
-    """Image of a curve class under the product of ``(word, exponent)``
-    factors.  The class is canonical, so a product and its flat word give
-    the same class however the two routes spell the image."""
-    return CurveClass(catalog.presentation, product_curve_key(catalog, factors, curve))
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +680,9 @@ def build_catalog(genus: int) -> GeneratorCatalog:
     * the crosscap shift: for i = 2..g-1 and both directions, the moves
       the formulas give t_alpha_i and u_i are sigma^(i-1) of those of
       t_alpha_1 and u_1 (below);
-    * freely reduced images (which :func:`substitute` relies on) and exact
-      stored inverses of t_alpha_1, u_1, t_beta, t_eps and y; the braid
+    * freely reduced images (which :func:`~mcgverify.words.reduce_image`
+      relies on when :func:`_append` applies them) and exact stored
+      inverses of t_alpha_1, u_1, t_beta, t_eps and y; the braid
       relation of t_alpha_1 and t_alpha_2; commutation of t_beta with
       t_alpha_1..3; and the homology class of the hand-written beta word,
       that of x_1 x_2 x_3 x_4 (the alpha_i words x_i x_{i+1} are built in
@@ -818,7 +808,8 @@ _CATALOGS: dict = {}
 
 
 def get_catalog(genus: int) -> GeneratorCatalog:
-    """Shared certified catalog per genus."""
+    """Shared certified catalog per genus: the one owner of a genus's
+    state, its presentation and its memo tables."""
     cat = _CATALOGS.get(genus)
     if cat is None:
         cat = _CATALOGS[genus] = build_catalog(genus)

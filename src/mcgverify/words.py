@@ -63,7 +63,10 @@ searches the word for floor(g/2) doubled letters in a row, which every
 strict window holds, and returns at once if there are none.  Its scan
 starts one letter before the first such run and, after a replacement,
 resumes g letters before the first letter that changed.  Public
-functions take and return tuples and pack at their boundary.  A signed
+functions take and return tuples and pack at their boundary, except four
+that work on packed words: :func:`invert`, :func:`cyclic_core` and
+:func:`letter_conjugator` take them, and :func:`reduce_image` takes a
+packed image table and returns a packed word.  A signed
 byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
 All functions are pure, and ``SurfacePresentation`` carries immutable data
@@ -235,17 +238,6 @@ class SurfacePresentation:
         return f"SurfacePresentation(genus={self.genus})"
 
 
-_PRESENTATIONS: dict = {}
-
-
-def get_presentation(genus: int) -> SurfacePresentation:
-    """Shared per-genus presentation instance (immutable, memoized)."""
-    pres = _PRESENTATIONS.get(genus)
-    if pres is None:
-        pres = _PRESENTATIONS[genus] = SurfacePresentation(genus)
-    return pres
-
-
 def _cancel(out: bytearray, piece, inv) -> int:
     """Append the packed ``piece`` to ``out``, cancel at the junction and
     return the number k of letters of ``out`` that cancelled.
@@ -330,7 +322,7 @@ def dehn_reduce(pres: SurfacePresentation, word) -> Word:
     empty if and only if the word represents the identity (Greendlinger's
     lemma; see the module docstring).
 
-    >>> p = get_presentation(4)
+    >>> p = SurfacePresentation(4)
     >>> dehn_reduce(p, (1, 1, 2, 2, 3))
     (-4, -4, -3)
     >>> dehn_reduce(p, (1, 2, 2, 2, 3))
@@ -390,7 +382,7 @@ def cyclic_core(pres: SurfacePresentation, packed) -> tuple:
     conj, and the strict pass shortens the word.  Each strict replacement
     shortens the word, so the loop ends.
 
-    >>> p = get_presentation(4)
+    >>> p = SurfacePresentation(4)
     >>> core, conj = cyclic_core(p, pack((2, 1, 1, 2, 2, 3, -2)))
     >>> unpack(core), unpack(conj)
     ((-4, -4, -3), (2,))

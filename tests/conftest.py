@@ -18,10 +18,10 @@ from mcgverify.mcg import (
     power_pairs,
 )
 from mcgverify.words import (
+    SurfacePresentation,
     _cancel,
     conjugator,
     free_reduce,
-    get_presentation,
     inverse,
     invert,
     is_conjugate,
@@ -34,17 +34,17 @@ from mcgverify.words import (
 
 @pytest.fixture(scope="session")
 def pres3():
-    return get_presentation(3)
+    return SurfacePresentation(3)
 
 
 @pytest.fixture(scope="session")
 def pres4():
-    return get_presentation(4)
+    return SurfacePresentation(4)
 
 
 @pytest.fixture(scope="session")
 def pres5():
-    return get_presentation(5)
+    return SurfacePresentation(5)
 
 
 @pytest.fixture()
@@ -194,7 +194,7 @@ def tuple_abelianize(images):
 def relator_rotations(genus):
     """The 2g rotations of the relator, then the 2g of its inverse, as
     tuples: the oracle for ``SurfacePresentation._rotations``."""
-    relator = get_presentation(genus).relator
+    relator = SurfacePresentation(genus).relator
     rotations = []
     for base in (relator, inverse(relator)):
         rotations += [base[k:] + base[:k] for k in range(len(base))]

@@ -22,8 +22,8 @@ from mcgverify.homology import (
 )
 from mcgverify.lantern import canonical_rules, check_countermodel, verify_lemma1
 from mcgverify.mcg import (
+    CurveClass,
     crosscap_slide,
-    curve_class,
     curve_image,
     evaluate,
     get_catalog,
@@ -34,10 +34,10 @@ from mcgverify.mcg import (
     transposition,
 )
 from mcgverify.words import (
+    SurfacePresentation,
     abelianized,
     dehn_reduce,
     free_reduce,
-    get_presentation,
     inverse,
     is_trivial,
     mul,
@@ -105,30 +105,30 @@ def test_criterion_3_curve_orbits():
     for g in (5, 6, 7, 8):
         cat = get_catalog(g)
         for i in range(1, g - 1):
-            a_i = curve_class(cat, cat.curves[f"a{i}"])
-            a_next = curve_class(cat, cat.curves[f"a{i+1}"])
+            a_i = CurveClass(cat.presentation, cat.curves[f"a{i}"])
+            a_next = CurveClass(cat.presentation, cat.curves[f"a{i+1}"])
             assert curve_image(cat, _s(g), a_i) == a_next, (g, i, "s")
             assert curve_image(cat, _r(g), a_i) == a_next, (g, i, "r")
     cat = get_catalog(5)
     w = (crosscap_slide(-1),) + _rp(5) + (crosscap_slide(),)
-    assert curve_image(cat, w, curve_class(cat, cat.curves["a2"])) == curve_class(
-        cat, cat.curves["e"]
+    assert curve_image(cat, w, CurveClass(cat.presentation, cat.curves["a2"])) == CurveClass(
+        cat.presentation, cat.curves["e"]
     )
     for g in (6, 7, 8):
         cat = get_catalog(g)
         x = _x(g)
-        beta = curve_class(cat, cat.curves["b"])
-        eps = curve_class(cat, cat.curves["e"])
-        a2 = curve_class(cat, cat.curves["a2"])
-        a3 = curve_class(cat, cat.curves["a3"])
-        a4 = curve_class(cat, cat.curves["a4"])
+        beta = CurveClass(cat.presentation, cat.curves["b"])
+        eps = CurveClass(cat.presentation, cat.curves["e"])
+        a2 = CurveClass(cat.presentation, cat.curves["a2"])
+        a3 = CurveClass(cat.presentation, cat.curves["a3"])
+        a4 = CurveClass(cat.presentation, cat.curves["a4"])
         assert curve_image(cat, x, a4) == beta, g
         assert curve_image(cat, x, a2) == a3, g
         if g == 6:
             assert curve_image(cat, x, a3) == eps
             assert curve_image(cat, x + _r(g) + inverse_word(x), a3) == eps
         else:
-            alast = curve_class(cat, cat.curves[f"a{g-1}"])
+            alast = CurveClass(cat.presentation, cat.curves[f"a{g-1}"])
             assert curve_image(cat, x, alast) == eps, g
             xrkx = x + word_power(_r(g), g - 3) + inverse_word(x)
             assert curve_image(cat, xrkx, a3) == eps, g
@@ -202,7 +202,7 @@ def test_criterion_8_kernel_property_suites():
     # 10^4 random words: reduction idempotence and length monotonicity
     count = 0
     for genus in (3, 4, 5, 6):
-        pres = get_presentation(genus)
+        pres = SurfacePresentation(genus)
         for _ in range(2500):
             w = random_word(rng, genus, 40)
             f = free_reduce(w)
@@ -215,7 +215,7 @@ def test_criterion_8_kernel_property_suites():
     # 10^4 random words: no false trivials against the homology oracle
     count = 0
     for genus in (3, 4, 5, 6):
-        pres = get_presentation(genus)
+        pres = SurfacePresentation(genus)
         for _ in range(2500):
             w = random_word(rng, genus, 30)
             if is_trivial(pres, w):
@@ -226,7 +226,7 @@ def test_criterion_8_kernel_property_suites():
     # genus-3 conjugacy against the brute-force conjugator oracle:
     # exhaustive on all pairs of words of length <= 2, randomized up to
     # length 8 (the full length-8 pair grid is astronomically large)
-    pres3 = get_presentation(3)
+    pres3 = SurfacePresentation(3)
     from mcgverify.words import is_conjugate
 
     short = [()] + all_words(3, 1) + all_words(3, 2)

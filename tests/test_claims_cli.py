@@ -1,5 +1,6 @@
 """Claim catalog integrity and the command-line interface."""
 
+import ast
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from mcgverify.claims import (
 )
 from mcgverify.errors import InvariantViolation, UnknownClaim
 from mcgverify.homology import abelianize, determinant
-from mcgverify.mcg import curve_class, evaluate, get_catalog, tbeta
+from mcgverify.mcg import CurveClass, evaluate, get_catalog, tbeta
 from mcgverify.words import format_word
 
 
@@ -174,9 +175,9 @@ def test_curve_claims_fail_on_every_wrong_target(monkeypatch):
     mutants = 0
     for claim in claims:
         catalog = get_catalog(claim.params["genus"])
-        right = curve_class(catalog, catalog.curves[claim.expected])
+        right = CurveClass(catalog.presentation, catalog.curves[claim.expected])
         for name, curve in catalog.curves.items():
-            if curve_class(catalog, curve) == right:
+            if CurveClass(catalog.presentation, curve) == right:
                 continue
             report = run_claim(claim._replace(expected=name))
             assert report.status == "fail", (claim.id, name)
@@ -399,6 +400,36 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "mcgverify.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def _is_empty_container(node) -> bool:
+    """True for ``{}``, ``[]``, ``dict()``, ``list()`` and ``set()``."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
+def test_catalog_memo_is_the_only_module_level_empty_table():
+    """Per-genus state has one owner, ``mcg._CATALOGS``: no other module of
+    the package binds a name to an empty container at import, the shape a
+    memo table starts from.  Constant tables such as ``FAMILIES``,
+    ``RUNNERS`` and ``MODEL_LEAST`` are non-empty displays and do not
+    count."""
+    found = set()
+    for path in sorted((Path(SRC) / "mcgverify").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_container(node.value):
+                found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
+    assert found == {"mcg._CATALOGS"}
 
 
 def test_order_claims_alone_match_the_full_run():

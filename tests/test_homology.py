@@ -29,7 +29,7 @@ from mcgverify.mcg import (
     teps,
     transposition,
 )
-from mcgverify.words import get_presentation
+from mcgverify.words import SurfacePresentation
 
 from conftest import catalog_symbols, tuple_abelianize, unpacked
 
@@ -130,7 +130,7 @@ def test_matrix_order_against_dense_powers(genus):
 
 
 def test_identity_abelianizes_to_identity():
-    assert abelianize(get_presentation(5).letters_packed) == matrix_identity(4)
+    assert abelianize(SurfacePresentation(5).letters_packed) == matrix_identity(4)
 
 
 @pytest.mark.parametrize("genus", [3, 5, 30, 127])

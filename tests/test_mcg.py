@@ -12,6 +12,8 @@ import pytest
 import mcgverify.mcg
 from mcgverify.claims import (
     FAMILIES,
+    build_claims,
+    filter_claims,
     resolve_claims,
     run_claims,
     word_r,
@@ -30,12 +32,12 @@ from mcgverify.homology import (
 )
 from mcgverify.mcg import (
     BETA_WORD,
+    CurveClass,
     Inner,
     NotInner,
     build_catalog,
     compose,
     crosscap_slide,
-    curve_class,
     curve_image,
     evaluate,
     get_catalog,
@@ -44,7 +46,7 @@ from mcgverify.mcg import (
     is_inner,
     order_of,
     power_pairs,
-    product_curve_image,
+    product_curve_key,
     product_pairs,
     substitute,
     talpha,
@@ -55,6 +57,7 @@ from mcgverify.mcg import (
 from mcgverify.words import (
     CONJ_BOUND,
     MAX_GENUS,
+    SurfacePresentation,
     _canonical_with_conj,
     _primitive_root,
     _strict_pass,
@@ -62,7 +65,6 @@ from mcgverify.words import (
     conjugator,
     dehn_reduce,
     free_reduce,
-    get_presentation,
     inverse,
     invert,
     is_conjugate,
@@ -163,7 +165,7 @@ def test_distant_twists_commute():
 
 def test_locality_disjoint_support():
     cat = get_catalog(5)
-    a3 = curve_class(cat, cat.curves["a3"])
+    a3 = CurveClass(cat.presentation, cat.curves["a3"])
     assert curve_image(cat, (transposition(1),), a3) == a3
 
 
@@ -180,7 +182,7 @@ def test_compose_identity(catalog):
 
 def test_compose_genus_mismatch():
     """Tables of two genera do not compose, either way round."""
-    a, b = get_presentation(3).letters_packed, get_presentation(4).letters_packed
+    a, b = SurfacePresentation(3).letters_packed, SurfacePresentation(4).letters_packed
     for first, second in [(a, b), (b, a)]:
         with pytest.raises(ValueError, match="genus"):
             compose(first, second)
@@ -201,7 +203,7 @@ def test_evaluate_group_level_homomorphism(rng):
     surface-group element are not unique.)"""
     for genus in (3, 5):
         cat = get_catalog(genus)
-        pres = get_presentation(genus)
+        pres = SurfacePresentation(genus)
         syms = all_symbols(genus)
         for _ in range(120):
             w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 5)))
@@ -214,7 +216,7 @@ def test_evaluate_group_level_homomorphism(rng):
 
 def test_compose_associative_at_group_level(rng):
     cat = get_catalog(4)
-    pres = get_presentation(4)
+    pres = SurfacePresentation(4)
     syms = all_symbols(4)
     for _ in range(80):
         a, b, c = (evaluate(cat, (rng.choice(syms),)) for _ in range(3))
@@ -268,7 +270,7 @@ def test_substitute_matches_dehn_reduce_of_concatenation(genus):
     """Junction-only cancellation gives the same word as reducing the plain
     concatenation, for any table of freely reduced images."""
     rng = random.Random(7100 + genus)
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     shifts = relator_rotations(genus)
     for _ in range(200):
         images = []
@@ -360,7 +362,7 @@ def test_catalog_matches_compose_route(genus, monkeypatch):
     for sign in (1, -1):
         assert auto(teps(sign)) == compose(y_inv, compose(auto(talpha(g - 2, sign)), y))
 
-    ident = get_presentation(g).letters_packed
+    ident = SurfacePresentation(g).letters_packed
     for word in certified_relation_words(cat):
         want = unpacked(evaluate_by_compose(cat, word))
         pairs = mcgverify.mcg._append(cat, ident, word)
@@ -575,7 +577,7 @@ def test_build_catalog_rejects_mutant_under_python_O():
 
 
 def test_is_inner_conjugation_by_construction(rng):
-    pres = get_presentation(4)
+    pres = SurfacePresentation(4)
     for _ in range(40):
         w = random_word(rng, 4, 6)
         images = [mul(w, (i,), inverse(w)) for i in range(1, 5)]
@@ -589,13 +591,13 @@ def test_is_inner_conjugation_by_construction(rng):
 
 def test_is_inner_rejects_twist():
     cat = get_catalog(4)
-    pres = get_presentation(4)
+    pres = SurfacePresentation(4)
     assert isinstance(is_inner(pres, generator_table(cat, talpha(1))), NotInner)
 
 
 def test_u2_squared_inner_in_genus3():
     cat = get_catalog(3)
-    pres = get_presentation(3)
+    pres = SurfacePresentation(3)
     u2 = generator_table(cat, transposition(2))
     assert isinstance(is_inner(pres, u2), NotInner)
     assert isinstance(is_inner(pres, compose(u2, u2)), Inner)
@@ -603,7 +605,7 @@ def test_u2_squared_inner_in_genus3():
 
 def test_rotation_powers_genus6():
     cat = get_catalog(6)
-    pres = get_presentation(6)
+    pres = SurfacePresentation(6)
     r = evaluate(cat, tuple(transposition(i) for i in range(1, 6)))
     power = pres.letters_packed
     for n in range(1, 6):
@@ -707,7 +709,7 @@ def run_cases(rng, genus):
     at x_1 or x_g, seeded runs of both signs back to back, and a run whose
     image is empty (a sends x_{i+1} to the inverse of a(x_i)), alone,
     between single letters of either sign and inside a longer run."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     g = genus
 
     def run(i, j):
@@ -741,7 +743,7 @@ def squaring_cases(rng, genus):
     runs of ``run_cases``, and every square the power table's ladder takes
     towards the orders of s, s', r and r', with one product P^h P^1 per
     word, on a fresh catalog."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     rest = [(i,) for i in range(2, genus + 1)]
     for images, word in kernel_cases(rng, pres, 20):
         yield images, [word] + rest
@@ -777,7 +779,7 @@ def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
     because ``re.S`` is set.  At genus 127 the oracle, which pops one
     letter per cancelled letter, reads the first image and six seeded
     others of each table; ``compose`` reads them all."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     rng = random.Random(9300 + genus)
     seen = set()
     for a_images, b_images in squaring_cases(rng, genus):
@@ -1084,7 +1086,7 @@ def named_inner_cases():
     ]:
         cat = get_catalog(genus)
         cases.append((cat.presentation, evaluate(cat, word)))
-    pres = get_presentation(5)
+    pres = SurfacePresentation(5)
     for x2 in [(2, 3, 4, -3, -4), (3, 2, -3)]:
         cases.append((pres, packed_table([(1,), x2, (3,), (4,), (5,)])))
     return cases
@@ -1188,7 +1190,7 @@ def seeded_conjugations(genus, seed, count):
 
 @pytest.mark.parametrize("genus", [3, 4, 5, 7])
 def test_is_inner_matches_eager_on_seeded_conjugations(genus):
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     for pairs in seeded_conjugations(genus, 9400 + genus, 30):
         assert isinstance(matches_eager(pres, pairs), Inner)
 
@@ -1198,7 +1200,7 @@ def test_is_inner_rejects_a_shifted_centralizer_power(monkeypatch):
     some x_i, so every Inner case turns NotInner: the check of the candidate,
     not the computed k, certifies an Inner verdict."""
     cases = [case for case in named_inner_cases() if isinstance(is_inner(*case), Inner)]
-    cases += [(get_presentation(5), pairs) for pairs in seeded_conjugations(5, 9600, 10)]
+    cases += [(SurfacePresentation(5), pairs) for pairs in seeded_conjugations(5, 9600, 10)]
     for genus in (5, 6, 7):
         cat = get_catalog(genus)
         cases.append((cat.presentation, power_pairs(cat, word_r_prime(genus), genus - 1)))
@@ -1218,7 +1220,7 @@ def test_is_inner_raises_when_no_candidate_verifies(monkeypatch):
     x2's images pass, is_inner raises InvariantViolation.
     Refutations before the matching stand."""
     cases = named_inner_cases()
-    cases += [(get_presentation(5), pairs) for pairs in seeded_conjugations(5, 9500, 5)]
+    cases += [(SurfacePresentation(5), pairs) for pairs in seeded_conjugations(5, 9500, 5)]
     want = [is_inner(*case) for case in cases]
     found = mcgverify.mcg.letter_conjugator
 
@@ -1485,20 +1487,20 @@ def test_mcg_equal_metamorphic_all_generators(genus):
 
 def test_curves_equal_unoriented(catalog):
     pres = catalog.presentation
-    a = curve_class(catalog, (1, 2))
-    b = curve_class(catalog, inverse((1, 2)))
+    a = CurveClass(catalog.presentation, (1, 2))
+    b = CurveClass(catalog.presentation, inverse((1, 2)))
     assert a == b
 
 
 def test_trivial_curve_class(catalog):
     """The trivial word and its images form the class of the empty key."""
-    trivial = curve_class(catalog, (1, -1))
+    trivial = CurveClass(catalog.presentation, (1, -1))
     assert trivial.key == () and trivial.members == {()}
     assert curve_image(catalog, (talpha(1),), trivial) == trivial
 
 
 def test_curves_distinct(catalog):
-    assert curve_class(catalog, (1, 2)) != curve_class(catalog, (2, 3))
+    assert CurveClass(catalog.presentation, (1, 2)) != CurveClass(catalog.presentation, (2, 3))
 
 
 def test_curve_class_contains_a_longer_core():
@@ -1509,14 +1511,37 @@ def test_curve_class_contains_a_longer_core():
     cat = get_catalog(4)
     pres = cat.presentation
     word = (1, 1, 2, 2, -3, -2, -2, -1, -3)
-    cls = curve_class(cat, word)
+    cls = CurveClass(cat.presentation, word)
     key = min(least_rotation(word), least_rotation(inverse(word)))
     assert len(cls.key) == 7 and key not in cls.members
     assert cls.contains(key)
-    assert not curve_class(cat, (1, 2)).contains(key)
+    assert not CurveClass(cat.presentation, (1, 2)).contains(key)
     for other in [(1, 1, 2, 2, -3, -2, -2, -1, -4), (1, 2, 3, -1, -2, -3, 1, 2, 4)]:
         same = is_conjugate(pres, word, other) or is_conjugate(pres, word, inverse(other))
         assert cls.contains(min(least_rotation(other), least_rotation(inverse(other)))) == same
+
+
+def test_one_presentation_per_genus(monkeypatch):
+    """A run builds each genus's presentation once, in its catalog: the
+    claim runners and the closing fallback of ``CurveClass.contains`` reuse
+    ``catalog.presentation`` rather than building their own."""
+    monkeypatch.setattr(mcgverify.mcg, "_CATALOGS", {})
+    built = []
+    init = SurfacePresentation.__init__
+
+    def counting_init(self, genus):
+        built.append(genus)
+        init(self, genus)
+
+    monkeypatch.setattr(SurfacePresentation, "__init__", counting_init)
+    claims = filter_claims(build_claims(genus_range=(5, 6)), "[mt]*")
+    assert claims and all(r.status == "pass" for r in run_claims(claims))
+    cat = get_catalog(4)
+    word = (1, 1, 2, 2, -3, -2, -2, -1, -3)
+    cls = CurveClass(cat.presentation, word)
+    key = min(least_rotation(word), least_rotation(inverse(word)))
+    assert key not in cls.members and cls.contains(key)
+    assert sorted(built) == sorted(mcgverify.mcg._CATALOGS) == [4, 5, 6]
 
 
 def test_s_and_r_shift_chain_curves():
@@ -1525,8 +1550,8 @@ def test_s_and_r_shift_chain_curves():
         s = tuple(talpha(i) for i in range(1, g))
         r = tuple(transposition(i) for i in range(1, g))
         for i in range(1, g - 1):
-            start = curve_class(cat, cat.curves[f"a{i}"])
-            target = curve_class(cat, cat.curves[f"a{i+1}"])
+            start = CurveClass(cat.presentation, cat.curves[f"a{i}"])
+            target = CurveClass(cat.presentation, cat.curves[f"a{i+1}"])
             assert curve_image(cat, s, start) == target
             assert curve_image(cat, r, start) == target
 
@@ -1534,19 +1559,19 @@ def test_s_and_r_shift_chain_curves():
 def test_x_claims_genus6():
     cat = get_catalog(6)
     x = (crosscap_slide(-1), talpha(2), talpha(3), talpha(4), tbeta())
-    a4 = curve_class(cat, cat.curves["a4"])
-    assert curve_image(cat, x, a4) == curve_class(cat, cat.curves["b"])
-    a2 = curve_class(cat, cat.curves["a2"])
-    assert curve_image(cat, x, a2) == curve_class(cat, cat.curves["a3"])
-    a3 = curve_class(cat, cat.curves["a3"])
-    assert curve_image(cat, x, a3) == curve_class(cat, cat.curves["e"])
+    a4 = CurveClass(cat.presentation, cat.curves["a4"])
+    assert curve_image(cat, x, a4) == CurveClass(cat.presentation, cat.curves["b"])
+    a2 = CurveClass(cat.presentation, cat.curves["a2"])
+    assert curve_image(cat, x, a2) == CurveClass(cat.presentation, cat.curves["a3"])
+    a3 = CurveClass(cat.presentation, cat.curves["a3"])
+    assert curve_image(cat, x, a3) == CurveClass(cat.presentation, cat.curves["e"])
 
 
 def test_epsilon_claim_genus5():
     cat = get_catalog(5)
     w = (crosscap_slide(-1),) + tuple(transposition(i) for i in range(2, 5)) + (crosscap_slide(),)
-    a2 = curve_class(cat, cat.curves["a2"])
-    assert curve_image(cat, w, a2) == curve_class(cat, cat.curves["e"])
+    a2 = CurveClass(cat.presentation, cat.curves["a2"])
+    assert curve_image(cat, w, a2) == CurveClass(cat.presentation, cat.curves["e"])
 
 
 def test_curve_image_respects_composition(rng):
@@ -1555,7 +1580,7 @@ def test_curve_image_respects_composition(rng):
     for _ in range(60):
         w1 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 4)))
         w2 = tuple(rng.choice(syms) for _ in range(rng.randrange(0, 4)))
-        curve = curve_class(cat, cat.curves[f"a{rng.randrange(1, 5)}"])
+        curve = CurveClass(cat.presentation, cat.curves[f"a{rng.randrange(1, 5)}"])
         assert curve_image(cat, w1 + w2, curve) == curve_image(
             cat, w1, curve_image(cat, w2, curve)
         )
@@ -1563,7 +1588,7 @@ def test_curve_image_respects_composition(rng):
 
 def test_identity_word_fixes_curves(catalog):
     for name in catalog.curves:
-        c = curve_class(catalog, catalog.curves[name])
+        c = CurveClass(catalog.presentation, catalog.curves[name])
         assert curve_image(catalog, (), c) == c
 
 
@@ -1577,7 +1602,7 @@ def test_factored_orbit_maps_match_flat_words(genus):
     cat = get_catalog(genus)
     pres = cat.presentation
     x, r = word_x(genus), word_r(genus)
-    a3 = curve_class(cat, cat.curves["a3"])
+    a3 = CurveClass(cat.presentation, cat.curves["a3"])
     maps = [("thm1.orbit.xr2x.g{g}", 2, "b")]
     if genus >= 7:
         maps.append(("thm1.orbit.xrkx.g{g}", genus - 3, "e"))
@@ -1585,8 +1610,8 @@ def test_factored_orbit_maps_match_flat_words(genus):
         factors = FAMILIES[family].word(genus, None)
         assert factors == ((x, 1), (r, k), (inverse_word(x), 1))
         flat = x + word_power(r, k) + inverse_word(x)
-        image = product_curve_image(cat, factors, a3)
-        assert image == curve_image(cat, flat, a3) == curve_class(cat, cat.curves[target])
+        image = CurveClass(pres, product_curve_key(cat, factors, a3))
+        assert image == curve_image(cat, flat, a3) == CurveClass(pres, cat.curves[target])
         product = product_pairs(cat, factors)
         for got, want in zip(unpacked(product), unpacked(evaluate(cat, flat))):
             assert is_trivial(pres, mul(got, inverse(want)))

@@ -30,7 +30,6 @@ from mcgverify.words import (
     find_conjugators,
     format_word,
     free_reduce,
-    get_presentation,
     invert,
     inverse,
     is_conjugate,
@@ -123,7 +122,7 @@ def test_rotation_table_matches_tuple_rotations(genus):
     """``_rotations`` holds the 4g packed rotations of the relator and of
     its inverse, each keyed by its first g letters, and nothing more: its
     keys and values hold 12g^2 bytes."""
-    table = get_presentation(genus)._rotations
+    table = SurfacePresentation(genus)._rotations
     assert len(table) == 4 * genus
     assert sorted(table.values()) == sorted(map(pack, relator_rotations(genus)))
     assert all(key == rotation[:genus] for key, rotation in table.items())
@@ -253,7 +252,7 @@ def test_prefiltered_scans_match_full_scans(genus):
     """The prefiltered strict pass equals the full scan, on words that the
     ``_doubled`` prefilter rejects and on words it passes, with or without
     a strict window."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     rng = random.Random(genus)
     # windows whose end letters are those of a strict window, and which
     # are no relator piece, must occur
@@ -318,7 +317,7 @@ def test_strict_pass_matches_rescanning_pass(genus):
     every replacement gives (``rescan_strict_pass``).  The words are those
     of the window scans, runs of strict pieces back to back, and whole
     relators whose removal cancels back into the kept prefix."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     rng = random.Random(5200 + genus)
     words = [free_reduce(w) for w in scan_words(rng, pres)]
     for _ in range(60):
@@ -350,7 +349,7 @@ def test_doubled_prefilter_matches_every_strict_window():
     letter more would miss a window of length g+1 that starts in the
     middle of a pair."""
     for g in range(3, MAX_GENUS + 1):
-        pres = get_presentation(g)
+        pres = SurfacePresentation(g)
         doubled = pres._doubled
         packed = [pack(s) for s in relator_rotations(g)]
         for p in packed:
@@ -375,7 +374,7 @@ def test_doubled_prefilter_matches_repeated_group_pattern(genus):
     the pattern with one repeated group, ``(?:(.)\\1){floor(g/2)}``: on
     every relator window of length g, g+1 and 2g, and on random words
     biased toward doubled letters, with a doubled run spliced in or not."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     repeated = re.compile(rb"(?:(.)\1){%d}" % (genus // 2), re.S).search
     rng = random.Random(4400 + genus)
     words = [pack(s)[:n] for s in relator_rotations(genus)
@@ -464,7 +463,7 @@ def kernel_cases(rng, pres, count):
 
 @pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
 def test_packed_kernel_matches_tuple_oracles(genus):
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     rng = random.Random(9100 + genus)
     seen = set()
     for images, word in kernel_cases(rng, pres, 60):
@@ -503,7 +502,7 @@ def test_genus_cap():
     """Letters up to MAX_GENUS pack and unpack exactly; one more is refused."""
     with pytest.raises(OutOfRange, match="127"):
         SurfacePresentation(MAX_GENUS + 1)
-    pres = get_presentation(MAX_GENUS)
+    pres = SurfacePresentation(MAX_GENUS)
     assert pres.letters_packed[-1] == (b"\x7f", b"\x81")
     word = (MAX_GENUS, -MAX_GENUS, 1, -1, -MAX_GENUS)
     assert unpack(pack(word)) == word
@@ -526,7 +525,7 @@ def test_trivial_on_relator_conjugates(pres4, rng):
 def test_trivial_on_consequence_products(rng):
     # products of several relator conjugates must always reduce to empty
     for genus in (3, 4, 5):
-        pres = get_presentation(genus)
+        pres = SurfacePresentation(genus)
         rel = pres.relator
         for _ in range(300):
             parts = []
@@ -555,7 +554,7 @@ def test_genus3_relator_insertions_reduce_to_empty(pres3):
 def test_no_false_trivials_abelianization(rng):
     # one-sided oracle: anything declared trivial must die in homology
     for genus in (3, 4, 5, 6):
-        pres = get_presentation(genus)
+        pres = SurfacePresentation(genus)
         for _ in range(500):
             w = random_word(rng, genus, 24)
             if is_trivial(pres, w):
@@ -815,7 +814,7 @@ def test_canonical_form_conjugator_verifies(genus):
     """(K, c) = _canonical_with_conj(w) has c K c^-1 = w in the group, K
     is the oracle's canonical form, and two calls return one pair."""
     rng = random.Random(genus)
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     for _ in range(150):
         w = spliced_word(rng, pres)
         canon, conj = _canonical_with_conj(pres, w)
@@ -891,7 +890,7 @@ def test_component_matches_breadth_first_search(genus):
     the shorter word instead."""
     count = {3: 600, 4: 600, 5: 400, 8: 200, 12: 100, 30: 6}[genus]
     words = short_cyclic_words(genus) + long_cyclic_words(genus, count)
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     long_done = shrunk = 0
     for w in words:
         core, conj = map(unpack, cyclic_core(pres, pack(w)))
@@ -971,7 +970,7 @@ def test_letter_conjugator_matches_canonical_forms(genus):
     b it returns has b x_i b^-1 = w by ``is_trivial``, and differs from the
     oracle's conjugator by a power of x_i.  Both outcomes make up more than
     a tenth of the seeded cases."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     seeded = letter_cases(random.Random(genus), genus, {30: 200}.get(genus, 400))
     longest = {3: 6, 4: 5}.get(genus, -1)
     words = itertools.chain.from_iterable(all_words(genus, n) for n in range(longest + 1))
@@ -1084,7 +1083,7 @@ def test_genus3_conjugacy_exhaustive_short(pres3):
 def test_conjugacy_oracle_randomized(genus, rng):
     """Constructed conjugate pairs up to length 12 and random pairs up to
     length 8, cross-checked against the conjugator-enumeration oracle."""
-    pres = get_presentation(genus)
+    pres = SurfacePresentation(genus)
     for _ in range(150):
         a = random_word(rng, genus, 4)
         c = random_word(rng, genus, 4)
