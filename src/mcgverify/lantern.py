@@ -203,10 +203,7 @@ def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
     # the replayed derivation never overshoots its endpoints by more than
     # one insertion; slack 4 keeps failing searches exhaustible
     max_len = max(len(start), len(goal)) + 4
-    sides = [
-        ({start: None}, deque([start])),
-        ({goal: None}, deque([goal])),
-    ]
+    sides = [({start}, deque([start])), ({goal}, deque([goal]))]
     expansions = 0
     while sides[0][1] or sides[1][1]:
         # expand the smaller active frontier first
@@ -221,7 +218,7 @@ def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
             if new in other_seen:
                 return True
             if new not in seen:
-                seen[new] = current
+                seen.add(new)
                 queue.append(new)
     return False
 

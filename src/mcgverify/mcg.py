@@ -38,10 +38,10 @@ one primitive, :func:`_append`, which applies a word by appending its
 generators on the right, left to right: ``(acc . gen)(x_j) = acc(gen(x_j))``.
 Each generator moves only two to four of the g generator images, so only
 those are recomputed.  Each image carries its packed inverse, so a
-negative letter costs no inversion and every junction cancels in C; images
-are unpacked to tuples only for their homology classes and to store the
-moves of y and t_eps.  :func:`compose`, which recomputes every image, is
-kept as the tests' reference route.
+negative letter costs no inversion; images are unpacked to tuples only for
+their homology classes and to store the moves of y and t_eps.
+:func:`compose`, which recomputes every image, is kept as the tests'
+reference route.
 
 The catalog has two memo tables.  The power table (:func:`power_pairs`)
 maps ``(word, n)`` to the packed images of ``word^n``, built by appending
@@ -53,12 +53,7 @@ its square.  The chain-power identity makes s^g and (s')^(g-1) one
 table, so it is squared once for both orders.  A curve-orbit map is a
 product of such entries (:func:`product_pairs`), so ``x r^k x^-1`` costs
 the ladder of ``r^k`` and two compositions.  Squaring and composing run
-through :func:`_compose_pairs`, which substitutes runs ``x_i..x_j`` (or
-their inverses) rather than letters: a power's images are mostly such
-runs, and few distinct ones, and a run's image under ``a`` is
-``a(P_{i-1})^-1 a(P_j)`` for the prefixes ``P_j = x_1..x_j``.  Free
-reduction is unique, so the tables are the ones a per-letter substitution
-gives.
+through :func:`~mcgverify.words.compose_pairs`, which describes its kernel.
 
 :func:`is_inner` decides exactly, with no bound: one cyclic strict
 reduction of each of the images of x_1 and x_2 decides whether it is
@@ -71,25 +66,22 @@ generator decides.  It takes the packed pairs of a table, as
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
-from itertools import compress, count
-from operator import ne
 
 from .errors import InvariantViolation, ValidationFailure
 from .homology import abelianize, vector_period
 from .words import (
+    CurveClass,
     SurfacePresentation,
-    _cancel,
-    _component,
-    _least_rotation,
-    _strict_pass,
     abelianized,
-    cyclic_core,
-    format_word,
+    common_power,
+    compose_pairs,
+    conjugates,
+    core_key,
     free_reduce,
     invert,
     inverse,
+    join,
     letter_conjugator,
     mul,
     pack,
@@ -116,7 +108,7 @@ def compose(a, b) -> tuple:
     """a after b, for packed tables: the image of x_i is a(b(x_i)), each
     image of ``b`` substituted letter by letter under ``a``.  Every image is
     recomputed: the tests' reference route for :func:`_append` and
-    :func:`_compose_pairs`.  Raises ValueError on tables of unequal length."""
+    :func:`compose_pairs`.  Raises ValueError on tables of unequal length."""
     if len(a) != len(b):
         raise ValueError(f"genus {len(a)} vs {len(b)}")
     pres = SurfacePresentation(len(a))
@@ -140,29 +132,6 @@ class NotInner(namedtuple("NotInner", "reason", defaults=("",))):
     __slots__ = ()
 
 
-def _common_power(pres: SurfacePresentation, b1, b2):
-    """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist,
-    for words b_1, b_2 given as tuples or packed: read off the homology
-    vector h of b_2^-1 b_1, which is h(b_1) - h(b_2) (see :func:`is_inner`),
-    it is -h_1 when h_i = 0 for every i >= 3, and None otherwise."""
-    g = pres.genus
-    h = [x - y for x, y in zip(abelianized(g, array("b", b1)), abelianized(g, array("b", b2)))]
-    return None if any(h[2:]) else -h[0]
-
-
-def _conjugates(pres: SurfacePresentation, packed_c, i, pair) -> bool:
-    """True iff c x_i c^-1 = a(x_i) for the packed c and the packed image
-    pair ``(a(x_i), a(x_i)^-1)``: the packed ``c x_i c^-1 a(x_i)^-1`` is
-    joined at its junctions (:func:`~mcgverify.words._cancel`) and the
-    strict pass must empty it, which is ``is_trivial`` of that word."""
-    out = bytearray(packed_c)
-    _cancel(out, *pres.letters_packed[i - 1])
-    _cancel(out, invert(packed_c), packed_c)
-    image, inv = pair
-    _cancel(out, inv, image)
-    return not _strict_pass(pres, bytes(out))
-
-
 def is_inner(pres: SurfacePresentation, pairs):
     """Decide whether the automorphism with the packed image pairs ``pairs``
     (as :func:`power_pairs` returns them) is inner: Inner(witness), with
@@ -172,7 +141,7 @@ def is_inner(pres: SurfacePresentation, pairs):
     a(x_1) must be conjugate to x_1 and a(x_2) to x_2: one cyclic strict
     reduction of each image decides this and gives conjugators b_1, b_2 of
     x_1, x_2 onto their images (:func:`~mcgverify.words.letter_conjugator`),
-    each verified by :func:`_conjugates`.  Suppose conjugation by c is
+    each verified by :func:`conjugates`.  Suppose conjugation by c is
     ``a``.  Then b_1^-1 c centralizes x_1.  pi_1(N_g), g >= 3, is
     torsion-free hyperbolic, so the centralizer of a nontrivial element is
     cyclic (Bridson-Haefliger, Metric Spaces of Non-positive Curvature,
@@ -181,10 +150,10 @@ def is_inner(pres: SurfacePresentation, pairs):
     c = b_2 x_2^m.  Then b_2^-1 b_1 = x_2^m x_1^-k, whose homology vector h
     (exponent sums less that of x_g, which the relator leaves unchanged) is
     (-k, m, 0, ..., 0).  So c exists only if h_i = 0 for every i >= 3, and
-    then k = -h_1 (:func:`_common_power`).  The one candidate c = b_1 x_1^k
-    is checked on x_2..x_g by :func:`_conjugates`; it sends x_1 onto a(x_1)
-    already.  The center is trivial, so an inner automorphism has one
-    conjugator, and the witness is this word.
+    then k = -h_1 (:func:`common_power`).  The one candidate c = b_1 x_1^k
+    (:func:`join`) is checked on x_2..x_g by :func:`conjugates`; it sends
+    x_1 onto a(x_1) already.  The center is trivial, so an inner
+    automorphism has one conjugator, and the witness is this word.
 
     Raises InvariantViolation if b_1 or b_2 fails to verify.
     """
@@ -195,17 +164,14 @@ def is_inner(pres: SurfacePresentation, pairs):
             return NotInner(f"image of x{i} not conjugate to x{i}")
         b.append(packed_b)
     for i, packed_b in enumerate(b, 1):
-        if not _conjugates(pres, packed_b, i, pairs[i - 1]):
+        if not conjugates(pres, packed_b, i, pairs[i - 1]):
             raise InvariantViolation(f"the conjugator of x{i} onto its image fails to verify")
-    k = _common_power(pres, *b)
+    k = common_power(pres, *b)
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
-    x1, x1_inv = pres.letters_packed[0] if k > 0 else pres.letters_packed[0][::-1]
-    out = bytearray(b[0])
-    _cancel(out, x1 * abs(k), x1_inv * abs(k))
-    packed_c = bytes(out)
+    packed_c = join(b[0], pack((1 if k > 0 else -1,) * abs(k)))
     for i in range(2, pres.genus + 1):
-        if not _conjugates(pres, packed_c, i, pairs[i - 1]):
+        if not conjugates(pres, packed_c, i, pairs[i - 1]):
             return NotInner(f"the one candidate conjugator fails on x{i}")
     return Inner(unpack(packed_c))
 
@@ -295,12 +261,6 @@ def format_mcg_word(word) -> str:
     return " ".join(parts)
 
 
-# _NEXT[b] is the byte of the letter after that of byte b in a run.  The
-# bytes after x_127 and x_1^-1 (0x80 and 0x00) are no letters, so no run
-# changes sign.
-_NEXT = bytes(b + 1 & 0xFF for b in range(256))
-
-
 def _moved(images) -> tuple:
     """(index, image) of every image that differs from its generator."""
     return tuple((j, im) for j, im in enumerate(images) if im != (j + 1,))
@@ -388,96 +348,12 @@ def _append(catalog: GeneratorCatalog, pairs, word) -> list:
     return pairs
 
 
-def _run_pair(a, run, prefixes) -> tuple:
-    """Packed image under ``a`` of a run of b's image, with its inverse.
-
-    A run is ``x_i..x_j`` or ``x_j^-1..x_i^-1``.  A single letter takes its
-    pair from ``a``; a longer run takes ``a(P_{i-1})^-1 a(P_j)``, freely
-    reduced, where ``P_j = x_1..x_j``.  ``prefixes`` holds the packed pairs
-    of ``a(P_0), a(P_1), ...``, freely reduced, and is filled on the first
-    longer run.
-    """
-    first = run[0]
-    if len(run) == 1:
-        return a[first - 1] if first < 0x80 else a[(-first & 0xFF) - 1][::-1]
-    if not prefixes:
-        prefixes.append((b"", b""))
-        for piece, inv in a:
-            out = bytearray(prefixes[-1][0])
-            _cancel(out, piece, inv)
-            w = bytes(out)
-            prefixes.append((w, invert(w)))
-    low, high = (first, run[-1]) if first < 0x80 else (-run[-1] & 0xFF, -first & 0xFF)
-    out = bytearray(prefixes[low - 1][1])
-    _cancel(out, *prefixes[high])
-    w = bytes(out)
-    return (w, invert(w)) if first < 0x80 else (invert(w), w)
-
-
-def _compose_pairs(pres: SurfacePresentation, a, b) -> list:
-    """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
-    image of x_j is ``a`` applied to the image of x_j under ``b``.
-
-    Each image of ``b`` is split into maximal runs whose signed letters
-    rise by one, ``x_i x_{i+1} .. x_j`` or its inverse: a letter starts a
-    run unless its byte is the previous byte plus one, found by comparing
-    the image in C with its bytes raised by one (``_NEXT``) and shifted by
-    one letter.  A run's piece is its image under ``a`` freely
-    reduced (:func:`_run_pair`), memoized per call by the run's bytes with
-    the last byte of its inverse, that inverse read as one little-endian
-    integer, and its length n.  Squared power tables are mostly such runs,
-    and few distinct ones, so the pieces are far fewer than the letters.
-    The pieces are joined by the junction cancellation of
-    :func:`~mcgverify.words._cancel`: at a junction whose last bytes
-    agree, the tail of the product is XORed with the stored integer,
-    shifted right by the bytes the product lacks when it is shorter than n.
-    An empty piece has no last byte, so it stores -1 and appends nothing.
-
-    The result is exact: each piece is the free reduction of the images
-    of its letters, and joining freely reduced pieces with junction
-    cancellation freely reduces the whole product, which is unique in the
-    free group, so it is the word a letter-by-letter substitution gives.
-    The strict pass follows, as in ``reduce_image``, and each result
-    carries its inverse.
-    """
-    entries = {}
-    prefixes = []
-    pairs = []
-    for image, _ in b:
-        out = bytearray()
-        starts = [*compress(count(), map(ne, image, b"\0" + image.translate(_NEXT)))]
-        for s, e in zip(starts, starts[1:] + [len(image)]):
-            run = image[s:e]
-            entry = entries.get(run)
-            if entry is None:
-                piece, inv = _run_pair(a, run, prefixes)
-                entry = entries[run] = (
-                    piece, inv[-1] if inv else -1, int.from_bytes(inv, "little"), len(piece)
-                )
-            piece, last, key, n = entry
-            if out and out[-1] == last:
-                m = len(out)
-                if m >= n:
-                    x = int.from_bytes(out[-n:], "little") ^ key
-                    k = n - (x.bit_length() + 7 >> 3)
-                else:
-                    x = int.from_bytes(out, "little") ^ (key >> 8 * (n - m))
-                    k = m - (x.bit_length() + 7 >> 3)
-                del out[-k:]
-                out += piece[k:]
-            else:
-                out += piece
-        w = _strict_pass(pres, bytes(out))
-        pairs.append((w, invert(w)))
-    return pairs
-
-
 def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
     """Packed image pairs of ``T^n``, n >= 1, for the mapping class T of
     ``word``, from the catalog's table; :func:`evaluate` is the n = 1
     entry.  A missing entry is built and stored by a ladder:
     n = 1 appends ``word`` to the identity, an even n squares the n/2 entry
-    (:func:`_compose_pairs`), an odd n appends ``word`` to the n-1 entry.
+    (:func:`compose_pairs`), an odd n appends ``word`` to the n-1 entry.
     A square is memoized by the content of the table squared
     (``catalog._squares``), so two words whose powers meet in one table,
     as s^g and (s')^(g-1) do, square it once.  Each entry is what the
@@ -494,7 +370,7 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
             pairs = catalog._squares.get(half)
             if pairs is None:
                 pairs = catalog._squares[half] = tuple(
-                    _compose_pairs(catalog.presentation, half, half)
+                    compose_pairs(catalog.presentation, half, half)
                 )
         pairs = catalog._powers[key] = tuple(pairs)
     return pairs
@@ -505,11 +381,11 @@ def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
     more ``(word, exponent)`` factors, exponents >= 1, rightmost factor
     applied first, as for a word.  Each factor is its :func:`power_pairs`
     entry, so a power costs a ladder of squarings, not n copies of its
-    word; the entries are composed left to right by :func:`_compose_pairs`."""
+    word; the entries are composed left to right by :func:`compose_pairs`."""
     (word, n), *rest = factors
     pairs = power_pairs(catalog, tuple(word), n)
     for word, n in rest:
-        pairs = _compose_pairs(catalog.presentation, pairs, power_pairs(catalog, tuple(word), n))
+        pairs = compose_pairs(catalog.presentation, pairs, power_pairs(catalog, tuple(word), n))
     return pairs
 
 
@@ -523,82 +399,17 @@ def evaluate(catalog: GeneratorCatalog, word) -> tuple:
 # Curves
 
 
-class CurveClass:
-    """Unoriented isotopy-class of a curve: the cyclic word up to
-    conjugacy and inversion.  Comparing unoriented absorbs the sign
-    ambiguity of conjugating a twist.
-
-    ``members`` holds the least rotations of the closures
-    (:func:`~mcgverify.words._component`) of the word's cyclic core and of
-    the core's inverse, and ``key`` is the least of them, the canonical
-    form of the class.  All members have one length, and none holds a
-    strict window.  ``pres`` is the presentation the class was built on,
-    its catalog's, and :meth:`contains` closes keys on it."""
-
-    __slots__ = ("pres", "members", "key")
-
-    def __init__(self, pres: SurfacePresentation, word):
-        core = unpack(cyclic_core(pres, pack(free_reduce(word)))[0])
-        self.pres = pres
-        self.members = frozenset(_component(pres, core)).union(_component(pres, inverse(core)))
-        self.key = min(self.members)
-
-    def contains(self, key) -> bool:
-        """True iff the curve whose core key (:func:`product_curve_key`) is
-        ``key`` lies in this class.  The key is closed only if it is no
-        member and at most 2 floor(n / (g-2)) letters longer than the
-        n-letter members.
-
-        A member is conjugate to the class's word or its inverse.
-        Conversely, let the key, a cyclic core, be conjugate to a member m.
-        Neither cyclic word holds a strict window, so a reduced annular
-        diagram between them has one layer (Lyndon-Schupp, ch. V sec. 5;
-        see ``words.letter_conjugator``): each region reads a rotation, 2g
-        letters, as an arc on the key, an arc on m and at most two
-        one-letter pieces shared with its neighbours.  The arc on the key
-        has at most g letters, so the arc on m has at least g - 2, and at
-        most 2 fewer than the arc on the key.  The arcs on m are disjoint,
-        so there are at most floor(n / (g-2)) regions, and the key is at
-        most twice that longer than m.  Without regions the key is a
-        rotation of m, so m itself.  With pieces on both sides a region is
-        no half exchange: the core ``x1 x1 x2 x2 x3^-1 x2^-1 x2^-1 x1^-1
-        x3^-1`` at genus 4 is conjugate to a core two letters shorter.
-        """
-        if key in self.members:
-            return True
-        n = len(self.key)
-        if len(key) > n + 2 * (n // (self.pres.genus - 2)):
-            return False
-        return CurveClass(self.pres, key) == self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CurveClass)
-            and self.pres.genus == other.pres.genus
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash((self.pres.genus, self.key))
-
-    def __repr__(self):
-        return f"CurveClass({format_word(self.key)})"
-
-
 def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     """Image of a curve class under a mapping-class word."""
     return CurveClass(catalog.presentation, product_curve_key(catalog, ((word, 1),), curve))
 
 
 def product_curve_key(catalog: GeneratorCatalog, factors, curve) -> tuple:
-    """The core key of the image of a curve class under the product of
-    ``(word, exponent)`` factors (:func:`product_pairs`): the lesser of
-    the least rotations of the image's cyclic core and of its inverse,
+    """The core key (:func:`core_key`) of the image of a curve class under
+    the product of ``(word, exponent)`` factors (:func:`product_pairs`),
     found without closing the image under exchanges."""
     pres = catalog.presentation
-    image = reduce_image(pres, product_pairs(catalog, factors), curve.key)
-    core = unpack(cyclic_core(pres, image)[0])
-    return min(_least_rotation(core)[0], _least_rotation(inverse(core))[0])
+    return core_key(pres, reduce_image(pres, product_pairs(catalog, factors), curve.key))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +428,7 @@ def identity_status(catalog: GeneratorCatalog, lhs, rhs):
     if left == power_pairs(catalog, rword, rn):
         return Inner(())
     right_inv = power_pairs(catalog, inverse_word(rword), rn)
-    return is_inner(catalog.presentation, _compose_pairs(catalog.presentation, left, right_inv))
+    return is_inner(catalog.presentation, compose_pairs(catalog.presentation, left, right_inv))
 
 
 def order_of(catalog: GeneratorCatalog, word, n: int):

@@ -40,34 +40,31 @@ example ``x1^2 x2^2`` equals ``(x3^2 x4^2)^-1`` in genus 4, and the two
 sides are not rotations of each other.  Whether a word is conjugate to one
 letter x_i needs no closure: a one-letter word has no exchange site, and
 the core decides it (:func:`letter_conjugator`, which ``mcg.is_inner``
-calls).  A curve class (``mcg.CurveClass``) keeps the closures of its
-core and of the core's inverse, and decides a curve by its core, mostly
-without closing it (``CurveClass.contains``).
+calls).  A curve class (:class:`CurveClass`) keeps the closures of its
+core and of the core's inverse, and decides a curve by its core key
+(:func:`core_key`), mostly without closing it (``CurveClass.contains``).
 
 Dehn reduction has one kernel, over packed words: a ``bytes`` object with
 one signed byte per letter (``pack``/``unpack``), whose inverse is the
 bytes negated through the 256-byte table ``NEG`` and reversed
-(``invert``).  Where a freely reduced word meets a freely reduced piece,
-the letters that cancel are the longest common suffix of the word and the
-piece's inverse; ``_cancel`` reads its length off the highest differing
-byte of the XOR of the two tails, as integers, so the comparison runs in C.
-Cancellation runs in two places: ``_cancel``, which the strict pass,
-:func:`reduce_image`, :func:`letter_conjugator` and ``mcg.is_inner`` call
-at every junction, and
-``mcg._compose_pairs``, which squares power tables by substituting runs
-``x_i..x_j`` of letters,
-each piece memoized per call with its inverse as one integer, and ends in
-the same strict pass, which looks windows up in the one table of relator
-rotations, ``SurfacePresentation._rotations``.  It has one prefilter: it
-searches the word for floor(g/2) doubled letters in a row, which every
-strict window holds, and returns at once if there are none.  Its scan
-starts one letter before the first such run and, after a replacement,
-resumes g letters before the first letter that changed.  Public
-functions take and return tuples and pack at their boundary, except four
-that work on packed words: :func:`invert`, :func:`cyclic_core` and
-:func:`letter_conjugator` take them, and :func:`reduce_image` takes a
-packed image table and returns a packed word.  A signed
-byte holds letters up to 127, so the genus is capped at ``MAX_GENUS``.
+(``invert``).  No other module reads the bytes.  Where a freely reduced
+word meets a freely reduced piece, the letters that cancel are the longest
+common suffix of the word and the piece's inverse; ``_cancel`` reads its
+length off the highest differing byte of the XOR of the two tails, as
+integers, so the comparison runs in C.  Cancellation runs in two places:
+``_cancel``, at every junction of the strict pass and of the functions
+that join words, and :func:`compose_pairs`, which composes image tables
+by substituting runs ``x_i..x_j`` of letters, each piece memoized per call
+with its inverse as one integer.  Both end in the strict pass, which looks
+windows up in the one table of relator rotations,
+``SurfacePresentation._rotations``.  It has one prefilter: it searches the
+word for floor(g/2) doubled letters in a row, which every strict window
+holds, and returns at once if there are none.  Its scan starts one letter
+before the first such run and, after a replacement, resumes g letters
+before the first letter that changed.  The word calculus (free and Dehn
+reduction, triviality, conjugacy) takes and returns tuples; the functions
+``mcg`` calls on image tables take packed words.  A signed byte holds
+letters up to 127, so the genus is capped at ``MAX_GENUS``.
 
 All functions are pure, and ``SurfacePresentation`` carries immutable data
 only.
@@ -75,11 +72,11 @@ only.
 
 from __future__ import annotations
 
-import itertools
 import re
 from array import array
 from collections import deque
-from operator import neg
+from itertools import chain, compress, count
+from operator import ne, neg
 
 from .errors import ConjugacyMismatch, InvariantViolation, OutOfRange
 
@@ -95,6 +92,11 @@ MAX_GENUS = 127
 
 # NEG[b] is the byte of the negated letter of byte b.
 NEG = bytes(-b & 0xFF for b in range(256))
+
+# _NEXT[b] is the byte of the letter after that of byte b in a run.  The
+# bytes after x_127 and x_1^-1 (0x80 and 0x00) are no letters, so no run
+# changes sign.
+_NEXT = bytes(b + 1 & 0xFF for b in range(256))
 
 
 def free_reduce(word) -> Word:
@@ -131,7 +133,7 @@ def mul(*words) -> Word:
     >>> mul((1, 2), (-2, 3))
     (1, 3)
     """
-    return free_reduce(itertools.chain.from_iterable(words))
+    return free_reduce(chain.from_iterable(words))
 
 
 def pack(word) -> bytes:
@@ -262,6 +264,18 @@ def _cancel(out: bytearray, piece, inv) -> int:
     return 0
 
 
+def join(w, piece) -> bytes:
+    """Packed free reduction of ``w piece``, for freely reduced packed
+    words: one junction (:func:`_cancel`).
+
+    >>> unpack(join(pack((1, 2)), pack((-2, 3))))
+    (1, 3)
+    """
+    out = bytearray(w)
+    _cancel(out, piece, invert(piece))
+    return bytes(out)
+
+
 def _strict_pass(pres: SurfacePresentation, w: bytes) -> bytes:
     """Strict Dehn reduction of a freely reduced packed word: replace the
     leftmost subword longer than half a rotation and freely reduce, until
@@ -351,6 +365,87 @@ def reduce_image(pres: SurfacePresentation, pairs, word) -> bytes:
             inv, piece = pairs[-letter - 1]
         _cancel(out, piece, inv)
     return _strict_pass(pres, bytes(out))
+
+
+def _run_pair(a, run, prefixes) -> tuple:
+    """Packed image under ``a`` of a run of b's image, with its inverse.
+
+    A run is ``x_i..x_j`` or ``x_j^-1..x_i^-1``.  A single letter takes its
+    pair from ``a``; a longer run takes ``a(P_{i-1})^-1 a(P_j)``, freely
+    reduced, where ``P_j = x_1..x_j``.  ``prefixes`` holds the packed pairs
+    of ``a(P_0), a(P_1), ...``, freely reduced, and is filled on the first
+    longer run.
+    """
+    first = run[0]
+    if len(run) == 1:
+        return a[first - 1] if first < 0x80 else a[(-first & 0xFF) - 1][::-1]
+    if not prefixes:
+        prefixes.append((b"", b""))
+        for piece, _ in a:
+            w = join(prefixes[-1][0], piece)
+            prefixes.append((w, invert(w)))
+    low, high = (first, run[-1]) if first < 0x80 else (-run[-1] & 0xFF, -first & 0xFF)
+    out = bytearray(prefixes[low - 1][1])
+    _cancel(out, *prefixes[high])
+    w = bytes(out)
+    return (w, invert(w)) if first < 0x80 else (invert(w), w)
+
+
+def compose_pairs(pres: SurfacePresentation, a, b) -> list:
+    """Packed image pairs of ``a . b`` from those of ``a`` and ``b``: the
+    image of x_j is ``a`` applied to the image of x_j under ``b``.
+
+    Each image of ``b`` is split into maximal runs whose signed letters
+    rise by one, ``x_i x_{i+1} .. x_j`` or its inverse: a letter starts a
+    run unless its byte is the previous byte plus one, found by comparing
+    the image in C with its bytes raised by one (``_NEXT``) and shifted by
+    one letter.  A run's piece is its image under ``a`` freely reduced
+    (:func:`_run_pair`), memoized per call by the run's bytes with the last
+    byte of its inverse, that inverse read as one little-endian integer,
+    and its length n.  Power tables are mostly such runs, and few distinct
+    ones, so the pieces are far fewer than the letters.  The pieces are
+    joined by the junction rule of :func:`_cancel`: at a junction whose
+    last bytes agree, the tail of the product is XORed with the stored
+    integer, shifted right by the bytes the product lacks when it is
+    shorter than n.  An empty piece stores -1 and appends nothing.
+
+    The result is exact: each piece is the free reduction of the images
+    of its letters, and joining freely reduced pieces with junction
+    cancellation freely reduces the whole product, which is unique in the
+    free group, so it is the word a letter-by-letter substitution gives.
+    The strict pass follows, as in :func:`reduce_image`, and each result
+    carries its inverse.
+    """
+    entries = {}
+    prefixes = []
+    pairs = []
+    for image, _ in b:
+        out = bytearray()
+        starts = [*compress(count(), map(ne, image, b"\0" + image.translate(_NEXT)))]
+        for s, e in zip(starts, starts[1:] + [len(image)]):
+            run = image[s:e]
+            entry = entries.get(run)
+            if entry is None:
+                piece, inv = _run_pair(a, run, prefixes)
+                entry = entries[run] = (
+                    piece, inv[-1] if inv else -1, int.from_bytes(inv, "little"), len(piece)
+                )
+            piece, last, key, n = entry
+            if out and out[-1] == last:
+                m = len(out)
+                if m >= n:
+                    x = int.from_bytes(out[-n:], "little") ^ key
+                    k = n - (x.bit_length() + 7 >> 3)
+                else:
+                    x = int.from_bytes(out, "little") ^ (key >> 8 * (n - m))
+                    k = m - (x.bit_length() + 7 >> 3)
+                del out[-k:]
+                out += piece[k:]
+            else:
+                out += piece
+        w = _strict_pass(pres, bytes(out))
+        pairs.append((w, invert(w)))
+    return pairs
 
 
 def is_trivial(pres: SurfacePresentation, word) -> bool:
@@ -566,6 +661,29 @@ def letter_conjugator(pres: SurfacePresentation, packed, i: int):
     return conj if core == pres.letters_packed[i - 1][0] else None
 
 
+def conjugates(pres: SurfacePresentation, packed_c, i: int, pair) -> bool:
+    """True iff c x_i c^-1 = a(x_i) for the packed c and the packed image
+    pair ``(a(x_i), a(x_i)^-1)``: the packed ``c x_i c^-1 a(x_i)^-1`` is
+    joined at its junctions (:func:`_cancel`) and the strict pass must
+    empty it, which is ``is_trivial`` of that word."""
+    out = bytearray(packed_c)
+    _cancel(out, *pres.letters_packed[i - 1])
+    _cancel(out, invert(packed_c), packed_c)
+    image, inv = pair
+    _cancel(out, inv, image)
+    return not _strict_pass(pres, bytes(out))
+
+
+def common_power(pres: SurfacePresentation, b1, b2):
+    """The k with b_1 x_1^k = b_2 x_2^m for some m, if such k can exist,
+    for packed words b_1, b_2: read off the homology vector h of
+    b_2^-1 b_1, which is h(b_1) - h(b_2) (see ``mcg.is_inner``), it is
+    -h_1 when h_i = 0 for every i >= 3, and None otherwise."""
+    g = pres.genus
+    h = [x - y for x, y in zip(abelianized(g, unpack(b1)), abelianized(g, unpack(b2)))]
+    return None if any(h[2:]) else -h[0]
+
+
 def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -> list:
     """The verified conjugators c with c a c^-1 = b among base z^k,
     |k| <= bound, in the order base, base z, base z^-1, base z^2, ...:
@@ -591,3 +709,77 @@ def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -
             if is_trivial(pres, mul(c, a, inverse(c), b_inv)):
                 found.append(c)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Curve classes
+
+
+def core_key(pres: SurfacePresentation, packed) -> Word:
+    """The lesser of the least rotations of the cyclic core
+    (:func:`cyclic_core`) of the freely reduced packed word ``packed`` and
+    of the core's inverse."""
+    core = unpack(cyclic_core(pres, packed)[0])
+    return min(_least_rotation(core)[0], _least_rotation(inverse(core))[0])
+
+
+class CurveClass:
+    """Unoriented isotopy-class of a curve: the cyclic word up to
+    conjugacy and inversion.  Comparing unoriented absorbs the sign
+    ambiguity of conjugating a twist.
+
+    ``members`` holds the least rotations of the closures
+    (:func:`_component`) of the word's cyclic core and of the core's
+    inverse, and ``key`` is the least of them, the canonical form of the
+    class.  All members have one length, and none holds a strict window.
+    ``pres`` is the presentation the class was built on, its catalog's, and
+    :meth:`contains` closes keys on it."""
+
+    __slots__ = ("pres", "members", "key")
+
+    def __init__(self, pres: SurfacePresentation, word):
+        core = unpack(cyclic_core(pres, pack(free_reduce(word)))[0])
+        self.pres = pres
+        self.members = frozenset(_component(pres, core)).union(_component(pres, inverse(core)))
+        self.key = min(self.members)
+
+    def contains(self, key) -> bool:
+        """True iff the curve whose core key (:func:`core_key`) is ``key``
+        lies in this class.  The key is closed only if it is no member and
+        at most 2 floor(n / (g-2)) letters longer than the n-letter
+        members.
+
+        A member is conjugate to the class's word or its inverse.
+        Conversely, let the key, a cyclic core, be conjugate to a member m.
+        Neither cyclic word holds a strict window, so a reduced annular
+        diagram between them has one layer (Lyndon-Schupp, ch. V sec. 5;
+        see :func:`letter_conjugator`): each region reads a rotation, 2g
+        letters, as an arc on the key, an arc on m and at most two
+        one-letter pieces shared with its neighbours.  The arc on the key
+        has at most g letters, so the arc on m has at least g - 2, and at
+        most 2 fewer than the arc on the key.  The arcs on m are disjoint,
+        so there are at most floor(n / (g-2)) regions, and the key is at
+        most twice that longer than m.  Without regions the key is a
+        rotation of m, so m itself.  With pieces on both sides a region is
+        no half exchange: the core ``x1 x1 x2 x2 x3^-1 x2^-1 x2^-1 x1^-1
+        x3^-1`` at genus 4 is conjugate to a core two letters shorter.
+        """
+        if key in self.members:
+            return True
+        n = len(self.key)
+        if len(key) > n + 2 * (n // (self.pres.genus - 2)):
+            return False
+        return CurveClass(self.pres, key) == self
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CurveClass)
+            and self.pres.genus == other.pres.genus
+            and self.key == other.key
+        )
+
+    def __hash__(self):
+        return hash((self.pres.genus, self.key))
+
+    def __repr__(self):
+        return f"CurveClass({format_word(self.key)})"

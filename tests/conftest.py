@@ -8,8 +8,6 @@ from mcgverify.mcg import (
     BETA_WORD,
     Inner,
     NotInner,
-    _common_power,
-    _compose_pairs,
     compose,
     evaluate,
     identity_status,
@@ -20,6 +18,8 @@ from mcgverify.mcg import (
 from mcgverify.words import (
     SurfacePresentation,
     _cancel,
+    common_power,
+    compose_pairs,
     conjugator,
     free_reduce,
     inverse,
@@ -214,7 +214,7 @@ def scan_order(catalog, word, limit):
     pairs = step = power_pairs(catalog, word, period)
     for n in range(period, limit + 1, period):
         if n > period:
-            pairs = _compose_pairs(pres, pairs, step)
+            pairs = compose_pairs(pres, pairs, step)
         if isinstance(is_inner(pres, pairs), Inner):
             return n
     return None
@@ -229,7 +229,7 @@ def tuple_is_inner(pres, images):
         if not is_conjugate(pres, (i,), images[i - 1]):
             return NotInner(f"image of x{i} not conjugate to x{i}")
     b1 = conjugator(pres, (1,), images[0])
-    k = _common_power(pres, b1, conjugator(pres, (2,), images[1]))
+    k = common_power(pres, pack(b1), pack(conjugator(pres, (2,), images[1])))
     if k is None:
         return NotInner("x1 and x2 have no common conjugator")
     c = mul(b1, (1 if k > 0 else -1,) * abs(k))

@@ -15,6 +15,7 @@ import pytest
 
 import mcgverify.claims
 import mcgverify.cli
+import mcgverify.words
 from mcgverify.claims import (
     build_claims,
     exit_code,
@@ -154,13 +155,13 @@ def test_run_claim_compares_stated_expected(claim_id, wrong):
 def spy_component(monkeypatch):
     """The lengths of the words that curve classes close, in call order."""
     seen = []
-    component = mcgverify.mcg._component
+    component = mcgverify.words._component
 
     def spy(pres, core):
         seen.append(len(core))
         return component(pres, core)
 
-    monkeypatch.setattr(mcgverify.mcg, "_component", spy)
+    monkeypatch.setattr(mcgverify.words, "_component", spy)
     return seen
 
 
@@ -430,6 +431,39 @@ def test_catalog_memo_is_the_only_module_level_empty_table():
             if _is_empty_container(node.value):
                 found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
     assert found == {"mcg._CATALOGS"}
+
+
+def packed_word_leaks(source: str) -> list:
+    """What a module's source knows of the packed word outside ``words``:
+    underscore names imported from ``words``, ``bytearray``, ``array``,
+    ``int.from_bytes``, ``.translate`` and the byte literals 0x80 and 0xFF."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("words", "mcgverify.words"):
+            found += [f"import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Name) and node.id in ("bytearray", "array"):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "translate"):
+            found.append(f".{node.attr}")
+        elif (isinstance(node, ast.Constant) and type(node.value) is int
+              and node.value in (0x80, 0xFF)):
+            found.append(hex(node.value))
+    return found
+
+
+def test_only_words_knows_the_packed_word():
+    """``words`` is the one module that reads packed words byte by byte:
+    every other module of the package uses only its public functions and
+    does no byte arithmetic."""
+    assert packed_word_leaks("from .words import _cancel\nbytearray(w)\n") == [
+        "import _cancel", "bytearray"]
+    found = {}
+    for path in sorted((Path(SRC) / "mcgverify").glob("*.py")):
+        if path.name != "words.py":
+            leaks = packed_word_leaks(path.read_text())
+            if leaks:
+                found[path.name] = leaks
+    assert found == {}
 
 
 def test_order_claims_alone_match_the_full_run():

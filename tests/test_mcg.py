@@ -738,7 +738,7 @@ def run_cases(rng, genus):
 
 
 def squaring_cases(rng, genus):
-    """(a, b) image tables for _compose_pairs: seeded tables from
+    """(a, b) image tables for compose_pairs: seeded tables from
     ``kernel_cases``, with the case's word as the first image of b, the
     runs of ``run_cases``, and every square the power table's ladder takes
     towards the orders of s, s', r and r', with one product P^h P^1 per
@@ -767,7 +767,7 @@ def squaring_cases(rng, genus):
 
 @pytest.mark.parametrize("genus", [*range(3, 13), 24, 30, MAX_GENUS])
 def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
-    """The run-substituting loop of ``_compose_pairs`` gives, image for
+    """The run-substituting loop of ``compose_pairs`` gives, image for
     image, what ``compose`` (the reference route) and the tuple oracle that
     cancels one letter at a time give, with exact inverses, on seeded
     tables, on the runs of ``run_cases`` and on the squares of the power
@@ -785,7 +785,7 @@ def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
     for a_images, b_images in squaring_cases(rng, genus):
         a = [(pack(im), pack(inverse(im))) for im in a_images]
         b = [(pack(im), pack(inverse(im))) for im in b_images]
-        got = mcgverify.mcg._compose_pairs(pres, a, b)
+        got = mcgverify.mcg.compose_pairs(pres, a, b)
         want = compose(packed_table(a_images), packed_table(b_images))
         assert unpacked(got) == unpacked(want)
         assert all(invert(w) == inv for w, inv in got)
@@ -812,7 +812,7 @@ def test_compose_pairs_matches_compose_and_tuple_oracle(genus):
 
 
 def letter_compose_pairs(pres, a, b):
-    """Oracle: ``_compose_pairs`` one letter of b's images at a time, each
+    """Oracle: ``compose_pairs`` one letter of b's images at a time, each
     letter's piece from a 256-slot table indexed by its signed byte, joined
     by the same junction cancellation and strict pass."""
     table = [None] * 256
@@ -857,7 +857,7 @@ def test_compose_pairs_matches_letter_loop_on_chain_ladders(genus):
         for n in set().union(*map(power_rungs, targets)):
             if n % 2 == 0:
                 half = power_pairs(cat, word, n // 2)
-                got = mcgverify.mcg._compose_pairs(pres, half, half)
+                got = mcgverify.mcg.compose_pairs(pres, half, half)
                 assert got == letter_compose_pairs(pres, half, half), n
                 squares += 1
     assert squares >= 6
@@ -1205,9 +1205,9 @@ def test_is_inner_rejects_a_shifted_centralizer_power(monkeypatch):
         cat = get_catalog(genus)
         cases.append((cat.presentation, power_pairs(cat, word_r_prime(genus), genus - 1)))
     assert all(isinstance(is_inner(*case), Inner) for case in cases)
-    common_power = mcgverify.mcg._common_power
+    common_power = mcgverify.mcg.common_power
     for shift in (1, -1):
-        monkeypatch.setattr(mcgverify.mcg, "_common_power",
+        monkeypatch.setattr(mcgverify.mcg, "common_power",
                             lambda *args: common_power(*args) + shift)
         for case in cases:
             assert isinstance(is_inner(*case), NotInner), shift
@@ -1360,14 +1360,14 @@ def test_shared_power_is_squared_once(monkeypatch):
     cat = build_catalog(genus)
     monkeypatch.setitem(mcgverify.mcg._CATALOGS, genus, cat)
     squared = []
-    compose_pairs = mcgverify.mcg._compose_pairs
+    compose_pairs = mcgverify.mcg.compose_pairs
 
     def compose_spy(pres, a, b):
         if a == b:
             squared.append(tuple(a))
         return compose_pairs(pres, a, b)
 
-    monkeypatch.setattr(mcgverify.mcg, "_compose_pairs", compose_spy)
+    monkeypatch.setattr(mcgverify.mcg, "compose_pairs", compose_spy)
     reports = run_claims(resolve_claims(f"thm1.*.g{genus}"))
     assert {r.status for r in reports} == {"pass"}
     shared = power_pairs(cat, word_s(genus), genus)
