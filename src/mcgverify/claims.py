@@ -452,12 +452,12 @@ def _run_identity(claim):
 
 def _run_curve_image(claim):
     """Passes iff the target's class contains the image of the start
-    curve, taken as its core key (:func:`~mcgverify.mcg.product_curve_key`).
-    A pass observes the target's key, a fail the image's core key."""
+    curve's catalog word, taken as its core key
+    (:func:`~mcgverify.mcg.product_curve_key`); only the target's class is
+    closed.  A pass observes the target's key, a fail the image's core key."""
     catalog, factors = _family_word(claim)
-    start = CurveClass(catalog.presentation, catalog.curves[claim.params["curve"]])
     target = CurveClass(catalog.presentation, catalog.curves[claim.expected])
-    image = product_curve_key(catalog, factors, start)
+    image = product_curve_key(catalog, factors, catalog.curves[claim.params["curve"]])
     ok = target.contains(image)
     return _status(ok), format_word(target.key if ok else image), format_word(target.key)
 

@@ -51,9 +51,11 @@ sides of an identity entry by entry, so the orders of s and s' reuse the
 chain-power identity's powers.  The other maps a table, by content, to
 its square.  The chain-power identity makes s^g and (s')^(g-1) one
 table, so it is squared once for both orders.  A curve-orbit map is a
-product of such entries (:func:`product_pairs`), so ``x r^k x^-1`` costs
-the ladder of ``r^k`` and two compositions.  Squaring and composing run
-through :func:`~mcgverify.words.compose_pairs`, which describes its kernel.
+product of such entries, and :func:`product_curve_key` substitutes the
+curve's word into one entry after another, so ``x r^k x^-1`` costs the
+ladder of ``r^k`` and three substitutions of a short word, and no table of
+a product is built.  Squaring and composing run through
+:func:`~mcgverify.words.compose_pairs`, which describes its kernel.
 
 :func:`is_inner` decides exactly, with no bound: one cyclic strict
 reduction of each of the images of x_1 and x_2 decides whether it is
@@ -376,19 +378,6 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
     return pairs
 
 
-def product_pairs(catalog: GeneratorCatalog, factors) -> tuple:
-    """Packed image pairs of the product ``W_1^n_1 W_2^n_2 ...`` of one or
-    more ``(word, exponent)`` factors, exponents >= 1, rightmost factor
-    applied first, as for a word.  Each factor is its :func:`power_pairs`
-    entry, so a power costs a ladder of squarings, not n copies of its
-    word; the entries are composed left to right by :func:`compose_pairs`."""
-    (word, n), *rest = factors
-    pairs = power_pairs(catalog, tuple(word), n)
-    for word, n in rest:
-        pairs = compose_pairs(catalog.presentation, pairs, power_pairs(catalog, tuple(word), n))
-    return pairs
-
-
 def evaluate(catalog: GeneratorCatalog, word) -> tuple:
     """The packed image pairs of a mapping-class word, rightmost symbol
     applied first: the n = 1 entry of :func:`power_pairs`."""
@@ -401,15 +390,20 @@ def evaluate(catalog: GeneratorCatalog, word) -> tuple:
 
 def curve_image(catalog: GeneratorCatalog, word, curve) -> CurveClass:
     """Image of a curve class under a mapping-class word."""
-    return CurveClass(catalog.presentation, product_curve_key(catalog, ((word, 1),), curve))
+    return CurveClass(catalog.presentation, product_curve_key(catalog, ((word, 1),), curve.key))
 
 
-def product_curve_key(catalog: GeneratorCatalog, factors, curve) -> tuple:
-    """The core key (:func:`core_key`) of the image of a curve class under
-    the product of ``(word, exponent)`` factors (:func:`product_pairs`),
-    found without closing the image under exchanges."""
+def product_curve_key(catalog: GeneratorCatalog, factors, word) -> tuple:
+    """The core key (:func:`core_key`) of the image of the curve ``word``
+    under the product of one or more ``(word, exponent)`` factors,
+    exponents >= 1, rightmost first, as for a word.  The curve's word is
+    substituted into each factor's :func:`power_pairs` entry in turn, so a
+    power costs a ladder of squarings and no table of the product is
+    built; the image is not closed under exchanges."""
     pres = catalog.presentation
-    return core_key(pres, reduce_image(pres, product_pairs(catalog, factors), curve.key))
+    for factor, n in reversed(factors):
+        word = unpack(reduce_image(pres, power_pairs(catalog, tuple(factor), n), word))
+    return core_key(pres, pack(word))
 
 
 # ---------------------------------------------------------------------------

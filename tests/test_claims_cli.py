@@ -188,10 +188,27 @@ def test_curve_claims_fail_on_every_wrong_target(monkeypatch):
     assert max(seen) <= 8
 
 
+@pytest.mark.parametrize("genus", [12, 30])
+def test_passing_curve_row_closes_only_its_target(genus, monkeypatch):
+    """A passing curve row of each family closes one class, its target's:
+    two closures, of the target's core and of its inverse.  The start
+    curve's word is mapped as it is, without closing its class."""
+    seen = spy_component(monkeypatch)
+    rows = {}
+    for claim in build_claims(genus_range=(genus, genus)):
+        if claim.kind == "curve_image":
+            rows.setdefault(claim.params["family"], claim)
+    assert len(rows) == 7
+    for claim in rows.values():
+        seen.clear()
+        assert run_claim(claim).status == "pass", claim.id
+        assert len(seen) == 2, (claim.id, seen)
+
+
 def test_long_curve_image_fails_without_closing_it(monkeypatch):
     """(s t_b)^16 sends a1 at genus 30 to a curve whose cyclic core has 898
     letters.  A claim that names a2 as that image is a failed row that
-    shows the core, and only the two catalog curves are closed."""
+    shows the core, and only the target's class is closed."""
     seen = spy_component(monkeypatch)
     claim = find_claim(build_claims(genus_range=(30, 30)), "thm1.orbit.s.a1.g30")
     family = mcgverify.claims.FAMILIES[claim.params["family"]]._replace(
@@ -200,7 +217,7 @@ def test_long_curve_image_fails_without_closing_it(monkeypatch):
     report = run_claim(claim._replace(params={**claim.params, "family": family.id}))
     assert report.status == "fail"
     assert len(report.observed.split()) == 898
-    assert seen and max(seen) <= 8
+    assert seen == [2, 2]
 
 
 @pytest.mark.parametrize("wrong,observed", [

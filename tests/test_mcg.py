@@ -47,7 +47,6 @@ from mcgverify.mcg import (
     order_of,
     power_pairs,
     product_curve_key,
-    product_pairs,
     substitute,
     talpha,
     tbeta,
@@ -1597,8 +1596,7 @@ def test_factored_orbit_maps_match_flat_words(genus):
     """The x r^k x^-1 maps of the orbit claims, kept as the factors
     (x, 1), (r, k), (x^-1, 1), send a3 to the class the flat word sends it
     to, the word test_acceptance.py spells out symbol by symbol, and that
-    class is the expected curve.  The product's images are those of the
-    flat word as group elements."""
+    class is the expected curve."""
     cat = get_catalog(genus)
     pres = cat.presentation
     x, r = word_x(genus), word_r(genus)
@@ -1610,8 +1608,28 @@ def test_factored_orbit_maps_match_flat_words(genus):
         factors = FAMILIES[family].word(genus, None)
         assert factors == ((x, 1), (r, k), (inverse_word(x), 1))
         flat = x + word_power(r, k) + inverse_word(x)
-        image = CurveClass(pres, product_curve_key(cat, factors, a3))
+        image = CurveClass(pres, product_curve_key(cat, factors, a3.key))
         assert image == curve_image(cat, flat, a3) == CurveClass(pres, cat.curves[target])
-        product = product_pairs(cat, factors)
-        for got, want in zip(unpacked(product), unpacked(evaluate(cat, flat))):
-            assert is_trivial(pres, mul(got, inverse(want)))
+
+
+def test_orbit_maps_compose_only_the_power_ladder(monkeypatch):
+    """Mapping a3 under x r^k x^-1 and x r^2 x^-1 at genus 40 composes
+    tables only to square r on its way to r^k, the ladder r^2 lies on: no
+    table of a product is built."""
+    maps = [FAMILIES[f].word(40, None) for f in ("thm1.orbit.xrkx.g{g}", "thm1.orbit.xr2x.g{g}")]
+    _, (r, k), _ = maps[0]
+    calls = []
+    compose_pairs = mcgverify.mcg.compose_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return compose_pairs(*args)
+
+    monkeypatch.setattr(mcgverify.mcg, "compose_pairs", counted)
+    power_pairs(build_catalog(40), r, k)
+    ladder = len(calls)
+    calls.clear()
+    cat = build_catalog(40)
+    for factors in maps:
+        product_curve_key(cat, factors, cat.curves["a3"])
+    assert ladder > 0 and len(calls) == ladder
