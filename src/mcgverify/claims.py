@@ -17,12 +17,12 @@ from the family table ``FAMILIES``, and their mapping-class words are built
 only when a claim runs, so building, listing or explaining a catalog at a
 high genus builds no word.
 
-Claim ids name their parameters: ``.g<n>`` is the genus (of a ``cor4`` id,
-the genus it decomposes), ``.k<k>.p<p>.q<q>`` the rotation model of a
-``lemma-embed`` id, and the ``.k<k>`` of a ``cor4`` id its rotation order.
-``resolve_claims`` builds the catalog from the parameters an id or an id
-glob names, so ``explain`` and ``list`` find every claim ``run`` can
-produce.
+``build_claims`` alone decides which claims exist.  Claim ids name its
+parameters: ``.g<n>`` is the genus and ``.k<k>.p<p>.q<q>`` the rotation
+model of a ``lemma-embed`` id; a ``cor4`` id names none (its genus is only
+decomposed, its k is 12, 14 or 16).  ``resolve_claims`` builds the catalog
+from the parameters an id or an id glob names, so ``explain`` and ``list``
+find every claim ``run`` can produce, and no other.
 
 Reports are reproducible: the report is ordered by claim id.  An order
 claim is checked against the order N it states (``order_of`` tests only the
@@ -43,7 +43,6 @@ from collections import namedtuple
 
 from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
 from .homology import (
-    MODEL_LEAST,
     EgRotationSpec,
     build_eg_rotation,
     decompose_genus,
@@ -297,9 +296,11 @@ def _genus_claims(g: int):
     return claims
 
 
-def _eg_claims(ks, ps, qs):
+def _eg_claims(*ranges):
+    """The rotation-model claims of the inclusive k, p and q ranges."""
     claims = []
-    for k, p, q, extra in itertools.product(ks, ps, qs, (False, True)):
+    spans = (range(lo, hi + 1) for lo, hi in ranges)
+    for k, p, q, extra in itertools.product(*spans, (False, True)):
         params = {"k": k, "p": p, "q": q, "extra_crosscap": extra}
         genus = EgRotationSpec(**params).genus
         suffix = f"k{k}.p{p}.q{q}" + (".x" if extra else "")
@@ -319,11 +320,9 @@ def _eg_claims(ks, ps, qs):
     return claims
 
 
-def _cor4_claims(ks):
+def _cor4_claims():
     claims = []
-    for k in ks:
-        if k < 12 or k % 2:
-            continue
+    for k in (12, 14, 16):
         lo = 2 * (k - 1) * (k - 2) + k
         for g in range(lo, lo + 201):
             claims.append(Claim(
@@ -365,16 +364,29 @@ def _lantern_claims(budget):
     return claims
 
 
-def build_claims(genus_range=(3, 9), ks=range(2, 14), ps=(1, 2, 3), qs=(0, 1, 2),
-                 cor4_ks=(12, 14, 16), budget=DEFAULT_BUDGET):
-    """The full built-in catalog for the given parameter ranges; ``budget``
-    bounds the node expansions of the ``lemma1.proof`` derivation search."""
+# the default inclusive (lo, hi) range of each catalog parameter, which the
+# defaults of `mcgverify run --genus/--k/--p/--q` read
+DEFAULT_RANGES = {"genus": (3, 9), "k": (2, 13), "p": (1, 3), "q": (0, 2)}
+
+
+def build_claims(*, genus=DEFAULT_RANGES["genus"], k=DEFAULT_RANGES["k"],
+                 p=DEFAULT_RANGES["p"], q=DEFAULT_RANGES["q"], budget=DEFAULT_BUDGET):
+    """The built-in catalog for the inclusive ``(lo, hi)`` ranges of the genus
+    and of the rotation models' k, p and q; ``budget`` bounds the node
+    expansions of the ``lemma1.proof`` derivation search.  Raises
+    ValueError, naming the parameter, for a genus outside 3..``MAX_GENUS``
+    (one signed byte per packed letter), a k, p or q below its least value
+    in ``EgRotationSpec``, or a negative budget."""
+    if genus[0] < 3 or genus[1] > MAX_GENUS:
+        raise ValueError(f"genus must be within 3..{MAX_GENUS}, got {genus[0]}..{genus[1]}")
+    EgRotationSpec(k[0], p[0], q[0])  # the least model: "k must be at least 2, got 1"
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     claims = []
-    lo, hi = genus_range
-    for g in range(max(lo, 3), hi + 1):
+    for g in range(genus[0], genus[1] + 1):
         claims.extend(_genus_claims(g))
-    claims.extend(_eg_claims(ks, ps, qs))
-    claims.extend(_cor4_claims(cor4_ks))
+    claims.extend(_eg_claims(k, p, q))
+    claims.extend(_cor4_claims())
     claims.extend(_lantern_claims(budget))
     claims.sort(key=lambda c: c.id)
     ids = [c.id for c in claims]
@@ -391,30 +403,22 @@ def filter_claims(claims, pattern: str):
 
 def resolve_claims(pattern: str):
     """The claims matching the id or id glob ``pattern``, from the catalog
-    built for the parameters its ``.g<n>``, ``.k<k>``, ``.p<p>`` and
-    ``.q<q>`` parts name; parameters it does not name keep their defaults.
-    A pattern naming a rotation-model parameter below its least value, or
-    a genus above ``MAX_GENUS`` that ``run`` refuses, selects nothing; a
-    ``cor4`` id's genus is only decomposed, so it has no cap."""
-    params = {}
-    for part in pattern.split("."):
-        match = re.fullmatch(r"([gkpq])(\d+)", part)
-        if match:
-            params[match[1]] = int(match[2])
-    if any(params.get(name, least) < least for name, least in MODEL_LEAST.items()):
-        return []
-    cor4 = pattern.startswith("cor4.")
-    if not cor4 and params.get("g", 0) > MAX_GENUS:
-        return []
+    ``build_claims`` builds for the parameters its ``.g<n>``, ``.k<k>``,
+    ``.p<p>`` and ``.q<q>`` parts name (``g`` is ``genus``); parameters it
+    does not name keep their defaults.  A ``cor4`` id names no parameter.
+    A pattern naming parameters that ``build_claims`` refuses selects
+    nothing."""
     ranges = {}
-    if "g" in params and not cor4:
-        ranges["genus_range"] = (params["g"], params["g"])
-    if "k" in params:
-        ranges["cor4_ks" if cor4 else "ks"] = (params["k"],)
-    for name in ("p", "q"):
-        if name in params:
-            ranges[name + "s"] = (params[name],)
-    return filter_claims(build_claims(**ranges), pattern)
+    if not pattern.startswith("cor4."):
+        for part in pattern.split("."):
+            match = re.fullmatch(r"([gkpq])(\d+)", part)
+            if match:
+                ranges["genus" if match[1] == "g" else match[1]] = (int(match[2]),) * 2
+    try:
+        claims = build_claims(**ranges)
+    except ValueError:
+        return []
+    return filter_claims(claims, pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ Subcommands:
   expected value, provenance.
 * ``mcgverify list``    -- list the claims whose ids match a glob.
 
+``run`` passes its ranges and budget to ``claims.build_claims``, which
+alone decides which catalogs exist; what it refuses is a bad argument.
 ``explain`` and ``list`` build the catalog from the parameters their id or
 glob names (``.g12`` is genus 12, ``.k20.p1.q0`` a rotation model; see
-``claims.resolve_claims``), so they find any claim ``run`` can produce.
+``claims.resolve_claims``), so they find any claim ``run`` can produce, and
+no other.
 
 Exit codes: 0 all selected claims pass (or none selected), 2 some claim
 failed, 3 some claim inconclusive and none failed, 4 unknown claim id or
@@ -23,6 +26,7 @@ import argparse
 import sys
 
 from .claims import (
+    DEFAULT_RANGES,
     build_claims,
     exit_code,
     filter_claims,
@@ -32,9 +36,7 @@ from .claims import (
     run_claims,
 )
 from .errors import UnknownClaim
-from .homology import EgRotationSpec
 from .lantern import DEFAULT_BUDGET
-from .words import MAX_GENUS
 
 USAGE_EXIT = 4
 
@@ -57,31 +59,11 @@ def _parse_range(text: str, name: str):
 
 
 def _cmd_run(args) -> int:
-    genus_range = _parse_range(args.genus, "genus")
-    if genus_range[0] < 3:
-        raise SystemExit("mcgverify: genus must be at least 3")
-    if genus_range[1] > MAX_GENUS:
-        raise SystemExit(
-            f"mcgverify: genus must be at most {MAX_GENUS}, the cap of the packed "
-            f"word kernel (one signed byte per letter), got {genus_range[1]}"
-        )
-    k_range = _parse_range(args.k, "k")
-    p_range = _parse_range(args.p, "p")
-    q_range = _parse_range(args.q, "q")
+    ranges = {name: _parse_range(getattr(args, name), name) for name in DEFAULT_RANGES}
     try:
-        EgRotationSpec(k_range[0], p_range[0], q_range[0])  # the least model the ranges name
+        claims = build_claims(**ranges, budget=args.budget)
     except ValueError as exc:  # it names the parameter: "k must be at least 2, got 1"
         raise SystemExit(f"mcgverify: --{exc}") from None
-    if args.budget < 0:
-        raise SystemExit(f"mcgverify: --budget must be at least 0, got {args.budget}")
-
-    claims = build_claims(
-        genus_range=genus_range,
-        ks=range(k_range[0], k_range[1] + 1),
-        ps=range(p_range[0], p_range[1] + 1),
-        qs=range(q_range[0], q_range[1] + 1),
-        budget=args.budget,
-    )
     reports = run_claims(filter_claims(claims, args.filter))
 
     if args.format == "json":
@@ -141,10 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the claim catalog")
     run.add_argument("--filter", default="", help="claim-id glob, e.g. 'thm1.*'")
-    run.add_argument("--genus", default="3..9", help="genus range A..B (default 3..9)")
-    run.add_argument("--k", default="2..13", help="rotation order range for the model grid")
-    run.add_argument("--p", default="1..3", help="nonorientable summand count range")
-    run.add_argument("--q", default="0..2", help="orientable summand count range")
+    for name, text in (("genus", "genus range"), ("k", "rotation order range"),
+                       ("p", "nonorientable summand count range"),
+                       ("q", "orientable summand count range")):
+        lo, hi = DEFAULT_RANGES[name]
+        run.add_argument(f"--{name}", default=f"{lo}..{hi}",
+                         help=f"{text} A..B (default %(default)s)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="rewriting search budget (node expansions)")
     run.add_argument("--format", choices=("text", "json"), default="text")

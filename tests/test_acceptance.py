@@ -297,7 +297,7 @@ def test_high_genus_reports_match_committed_digest():
     """``run --filter '[mt]*' --genus 24..30``: orders, identities, curve
     orbits and determinants at genera 24..30, report equal to the
     committed one apart from timings."""
-    claims = filter_claims(build_claims(genus_range=(24, 30)), "[mt]*")
+    claims = filter_claims(build_claims(genus=(24, 30)), "[mt]*")
     reports = run_claims(claims)
     assert len(reports) == 847
     assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 24..30"]
@@ -307,7 +307,7 @@ def test_genus_cap_reports_match_committed_digest():
     """``run --filter '[mt]*' --genus 127..127``: the same claims at the
     genus cap, where the power tables are longest, report equal to the
     committed one apart from timings."""
-    claims = filter_claims(build_claims(genus_range=(127, 127)), "[mt]*")
+    claims = filter_claims(build_claims(genus=(127, 127)), "[mt]*")
     reports = run_claims(claims)
     assert len(reports) == 521
     assert report_digest(reports) == REPORT_DIGESTS["[mt]* genus 127..127"]

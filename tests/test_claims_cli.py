@@ -17,6 +17,7 @@ import mcgverify.claims
 import mcgverify.cli
 import mcgverify.words
 from mcgverify.claims import (
+    DEFAULT_RANGES,
     build_claims,
     exit_code,
     filter_claims,
@@ -129,15 +130,45 @@ def test_run_claims_deterministic():
     assert all(r.status == "pass" for r in first)
 
 
-def test_build_claims_builds_no_words():
-    """Words are built when a claim runs: a genus-300 catalog stays small."""
+def test_build_claims_builds_no_words(monkeypatch):
+    """Words are built when a claim runs: building the genus-127 catalog
+    calls no family's ``word`` and stays small."""
+    def no_word(g, i):
+        raise AssertionError(f"a word was built at genus {g}")
+
+    monkeypatch.setattr(mcgverify.claims, "FAMILIES", {
+        name: family._replace(word=no_word) for name, family in mcgverify.claims.FAMILIES.items()})
     tracemalloc.start()
     try:
-        build_claims(genus_range=(300, 300))
+        claims = build_claims(genus=(127, 127))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert any(c.id == "thm1.orbit.xrkx.g127" for c in claims)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("param,value", [
+    ("genus", (2, 5)),
+    ("genus", (5, 128)),
+    ("k", (1, 3)),
+    ("p", (0, 1)),
+    ("q", (-1, 0)),
+    ("budget", -1),
+])
+def test_build_claims_refuses_what_run_refuses(param, value):
+    """``build_claims`` is the one judge of which catalogs exist: it
+    refuses a genus outside 3..127, a model below the least one and a
+    negative budget, naming the parameter, and never clamps."""
+    with pytest.raises(ValueError, match=f"^{param} must be "):
+        build_claims(**{param: value})
+
+
+def test_build_claims_takes_only_named_parameters():
+    with pytest.raises(TypeError):
+        build_claims(genus_range=(3, 9))
+    with pytest.raises(TypeError):
+        build_claims((3, 9))
 
 
 @pytest.mark.parametrize("claim_id,wrong", [
@@ -147,7 +178,7 @@ def test_build_claims_builds_no_words():
     ("thm1.orbit.s.a1.g5", "a3"),
 ])
 def test_run_claim_compares_stated_expected(claim_id, wrong):
-    claim = find_claim(build_claims(genus_range=(5, 5)), claim_id)
+    claim = find_claim(build_claims(genus=(5, 5)), claim_id)
     assert run_claim(claim).status == "pass"
     assert run_claim(claim._replace(expected=wrong)).status == "fail"
 
@@ -172,7 +203,7 @@ def test_curve_claims_fail_on_every_wrong_target(monkeypatch):
     true target's class, and no word longer than 8 letters, the longest
     catalog curve, is closed."""
     seen = spy_component(monkeypatch)
-    claims = [c for c in build_claims(genus_range=(3, 30)) if c.kind == "curve_image"]
+    claims = [c for c in build_claims(genus=(3, 30)) if c.kind == "curve_image"]
     mutants = 0
     for claim in claims:
         catalog = get_catalog(claim.params["genus"])
@@ -195,7 +226,7 @@ def test_passing_curve_row_closes_only_its_target(genus, monkeypatch):
     curve's word is mapped as it is, without closing its class."""
     seen = spy_component(monkeypatch)
     rows = {}
-    for claim in build_claims(genus_range=(genus, genus)):
+    for claim in build_claims(genus=(genus, genus)):
         if claim.kind == "curve_image":
             rows.setdefault(claim.params["family"], claim)
     assert len(rows) == 7
@@ -210,7 +241,7 @@ def test_long_curve_image_fails_without_closing_it(monkeypatch):
     letters.  A claim that names a2 as that image is a failed row that
     shows the core, and only the target's class is closed."""
     seen = spy_component(monkeypatch)
-    claim = find_claim(build_claims(genus_range=(30, 30)), "thm1.orbit.s.a1.g30")
+    claim = find_claim(build_claims(genus=(30, 30)), "thm1.orbit.s.a1.g30")
     family = mcgverify.claims.FAMILIES[claim.params["family"]]._replace(
         id="long-image", word=lambda g, i: ((word_s(g) + (tbeta(),), 16),))
     monkeypatch.setitem(mcgverify.claims.FAMILIES, family.id, family)
@@ -239,7 +270,7 @@ def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys
     sign: +-1 of the wrong sign, or a value the criterion does not allow,
     is a failed row that shows the determinant, and ``run`` exits 2."""
     monkeypatch.setattr(mcgverify.claims, "determinant", lambda matrix: det)
-    claim = find_claim(build_claims(genus_range=(3, 3)), "twist.det.a1.g3")
+    claim = find_claim(build_claims(genus=(3, 3)), "twist.det.a1.g3")
     report = run_claim(claim)
     assert (report.status, report.observed) == ("fail", det)
     args = ["run", "--filter", "twist.det.a1.g3", "--genus", "3..3", "--format", "json"]
@@ -262,7 +293,7 @@ def test_determinant_claims_read_the_moved_block(genus, monkeypatch):
         return determinant(matrix)
 
     monkeypatch.setattr(mcgverify.claims, "determinant", spy)
-    claims = [c for c in build_claims(genus_range=(genus, genus)) if c.kind == "determinant"]
+    claims = [c for c in build_claims(genus=(genus, genus)) if c.kind == "determinant"]
     assert {c.id.split(".")[0] for c in claims} == {"twist", "mcg", "thm1", "tsub"}
     for claim in claims:
         _, word = mcgverify.claims._family_word(claim)
@@ -283,7 +314,7 @@ def test_decomposition_claim_fails_on_a_wrong_decomposition(p, q, monkeypatch):
     decompose = mcgverify.claims.decompose_genus
     monkeypatch.setattr(mcgverify.claims, "decompose_genus",
                         lambda g, k: decompose(g, k)._replace(p=p, q=q))
-    claim = find_claim(build_claims(genus_range=(3, 3)), "cor4.decomp.g232.k12")
+    claim = find_claim(build_claims(genus=(3, 3)), "cor4.decomp.g232.k12")
     report = run_claim(claim)
     assert report.status == "fail"
     assert (report.observed["p"], report.observed["q"]) == (p, q)
@@ -533,6 +564,20 @@ def test_cli_help_exits_0():
     assert proc.returncode == 0
     for removed in ("--jobs", "--cache", "--bound-conj", "--bound-order"):
         assert removed not in proc.stdout
+    help_text = " ".join(proc.stdout.split())
+    for name, (lo, hi) in DEFAULT_RANGES.items():
+        assert f"--{name} {name.upper()} " in help_text
+        assert f"(default {lo}..{hi})" in help_text
+
+
+def test_cli_default_catalog_is_build_claims(monkeypatch, capsys):
+    """``run`` without options selects exactly ``build_claims()``."""
+    selected = []
+    monkeypatch.setattr(mcgverify.cli, "run_claims", lambda claims: selected.extend(claims) or [])
+    assert mcgverify.cli.main(["run"]) == 0
+    ids = [c.id for c in build_claims()]
+    assert len(ids) == 1270
+    assert [c.id for c in selected] == ids
 
 
 def test_cli_explain_known():
@@ -596,10 +641,17 @@ def test_cli_explain_unknown_exits_4():
     "thm1.order.t12.g4",  # a genus-3 family at another genus
     "lemma-embed.det.k1.p1.q0",  # k below 2
     "thm1.order.s.g128",  # genus above MAX_GENUS, which run refuses
+    "cor4.decomp.g600.k18",  # cor4 rows have k 12, 14 and 16 only
 ])
 def test_cli_explain_id_run_cannot_produce_exits_4(claim_id):
     proc = run_cli("explain", claim_id)
     assert proc.returncode == 4
+    assert proc.stdout == ""
+
+
+def test_cli_list_of_a_cor4_k_run_cannot_produce_is_empty():
+    proc = run_cli("list", "--filter", "cor4.decomp.*.k18")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
 
 

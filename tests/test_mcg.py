@@ -1533,7 +1533,7 @@ def test_one_presentation_per_genus(monkeypatch):
         init(self, genus)
 
     monkeypatch.setattr(SurfacePresentation, "__init__", counting_init)
-    claims = filter_claims(build_claims(genus_range=(5, 6)), "[mt]*")
+    claims = filter_claims(build_claims(genus=(5, 6)), "[mt]*")
     assert claims and all(r.status == "pass" for r in run_claims(claims))
     cat = get_catalog(4)
     word = (1, 1, 2, 2, -3, -2, -2, -1, -3)
