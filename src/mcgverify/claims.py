@@ -24,12 +24,17 @@ decomposed, its k is 12, 14 or 16).  ``resolve_claims`` builds the catalog
 from the parameters an id or an id glob names, so ``explain`` and ``list``
 find every claim ``run`` can produce, and no other.
 
-Reports are reproducible: the report is ordered by claim id.  An order
-claim is checked against the order N it states (``order_of`` tests only the
-divisors of N), so it needs no search bound.  The one search that has a
-bound is the ``lemma1.proof`` derivation: ``build_claims(budget=...)``
-puts its rewriting budget into that claim's params, and only that claim's
-report row lists a ``bounds`` entry.
+Reports are reproducible: the report is ordered by claim id, and no
+report depends on which process ran its claim.  ``run_claims`` deals the
+claims out in units (all claims about one genus, which share that genus's
+catalog, or one claim that reads no catalog) to one worker process per CPU
+it may run on; a memo entry is what its computation gives in any process,
+so a unit's verdicts do not depend on the units that ran before it in the
+same process.  An order claim is checked against the order N it states
+(``order_of`` tests only the divisors of N), so it needs no search bound.
+The one search that has a bound is the ``lemma1.proof`` derivation:
+``build_claims(budget=...)`` puts its rewriting budget into that claim's
+params, and only that claim's report row lists a ``bounds`` entry.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from __future__ import annotations
 import fnmatch
 import itertools
 import json
+import marshal
+import os
 import re
 import time
 from collections import namedtuple
@@ -375,8 +382,11 @@ def build_claims(*, genus=DEFAULT_RANGES["genus"], k=DEFAULT_RANGES["k"],
     and of the rotation models' k, p and q; ``budget`` bounds the node
     expansions of the ``lemma1.proof`` derivation search.  Raises
     ValueError, naming the parameter, for a genus outside 3..``MAX_GENUS``
-    (one signed byte per packed letter), a k, p or q below its least value
-    in ``EgRotationSpec``, or a negative budget."""
+    (one signed byte per packed letter), an empty range, a k, p or q below
+    its least value in ``EgRotationSpec``, or a negative budget."""
+    for name, (lo, hi) in (("genus", genus), ("k", k), ("p", p), ("q", q)):
+        if lo > hi:
+            raise ValueError(f"{name} must be a nonempty range, got {lo}..{hi}")
     if genus[0] < 3 or genus[1] > MAX_GENUS:
         raise ValueError(f"genus must be within 3..{MAX_GENUS}, got {genus[0]}..{genus[1]}")
     EgRotationSpec(k[0], p[0], q[0])  # the least model: "k must be at least 2, got 1"
@@ -555,9 +565,97 @@ def run_claim(claim: Claim) -> ClaimReport:
     )
 
 
+def _units(claims):
+    """The claims in units of work, in order of first claim: all family
+    claims of one genus form one unit, because they share that genus's
+    catalog and its memo tables; every other claim reads no catalog and is a
+    unit of its own."""
+    units, genera = [], {}
+    for claim in claims:
+        if "family" not in claim.params:
+            units.append([claim])
+            continue
+        unit = genera.setdefault(claim.params["genus"], [])
+        if not unit:
+            units.append(unit)
+        unit.append(claim)
+    return units
+
+
+def _fork_share(share, inherited):
+    """Fork a worker that runs the claims ``share`` and writes their
+    reports, as marshalled tuples, to a pipe; returns its pid and the pipe's
+    read end.  The worker closes ``inherited``, the read ends of the workers
+    forked before it, and always leaves by ``os._exit``: with status 0 once
+    the reports are written, 1 if a claim raised or the parent died."""
+    read, write = os.pipe()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        for pipe in inherited:
+            pipe.close()
+        reports = []
+        for claim in share:
+            if os.getppid() != parent:  # orphaned: nobody reads the reports
+                break
+            reports.append(tuple(run_claim(claim)))
+        else:
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(reports))
+            code = 0
+    finally:
+        os._exit(code)
+
+
 def run_claims(claims):
-    """Run the given claims in order of claim id."""
-    return [run_claim(c) for c in sorted(claims, key=lambda c: c.id)]
+    """Run the given claims; the reports are in order of claim id.
+
+    The claims are split into units (see :func:`_units`), which are dealt by
+    stride to one worker per CPU this process may run on.  This process runs
+    the first share, and a forked worker each other share.  A worker that
+    fails has its share run again here, so that the exception it raised
+    surfaces with its traceback; if a share raises here, every worker is
+    killed and reaped first.  With one CPU, one unit, or no ``os.fork``, the
+    claims run here one after another.  A report does not depend on which
+    process ran its claim."""
+    claims = sorted(claims, key=lambda c: c.id)
+    units = _units(claims)
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), len(units))
+    if n < 2:
+        return [run_claim(c) for c in claims]
+    shares = [[c for unit in units[i::n] for c in unit] for i in range(n)]
+    pending = {}  # pid -> (read end of its pipe, share) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            pid, pipe = _fork_share(share, [pipe for pipe, _ in pending.values()])
+            pending[pid] = pipe, share
+        reports = [run_claim(c) for c in shares[0]]
+        for pid, (pipe, share) in list(pending.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pending[pid]
+            if status:
+                reports.extend(run_claim(c) for c in share)
+            else:
+                reports.extend(ClaimReport(*r) for r in marshal.loads(data))
+    finally:
+        if pending:
+            from signal import SIGKILL
+
+            for pid, (pipe, _) in pending.items():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    reports.sort(key=lambda r: r.id)
+    return reports
 
 
 def exit_code(reports) -> int:

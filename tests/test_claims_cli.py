@@ -4,8 +4,10 @@ import ast
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -130,6 +132,128 @@ def test_run_claims_deterministic():
     assert all(r.status == "pass" for r in first)
 
 
+def count_forks(monkeypatch):
+    """The list each ``os.fork`` in this process appends to."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def see_cpus(monkeypatch, count):
+    """Let ``run_claims`` see ``count`` CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_run_claims_same_reports_serial_and_parallel(monkeypatch):
+    """Pinned to one CPU, ``run_claims`` runs the claims in this process;
+    with three CPUs it forks two workers.  Both give the same reports."""
+    claims = [c for c in build_claims(genus=(5, 7), k=(2, 4), p=(1, 1), q=(0, 1))
+              if not c.id.startswith("lemma1.")]
+    forks = count_forks(monkeypatch)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        serial = run_claims(claims)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert forks == []
+    see_cpus(monkeypatch, 3)
+    parallel = run_claims(claims)
+    assert len(forks) == 2
+    assert [r.id for r in serial] == sorted(c.id for c in claims)
+    assert [r._replace(millis=0) for r in serial] == [r._replace(millis=0) for r in parallel]
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", [
+    ("mcg.det.u1.g5", "mcg.det.u1.g6"),  # one claim in each share
+    ("mcg.det.u1.g6",),                  # one claim in the worker's share
+    ("mcg.det.u1.g5",),                  # one claim here, with the worker still busy
+], ids=["every-share", "worker-share", "caller-share"])
+def test_run_claims_raises_and_leaves_no_worker(monkeypatch, raising):
+    """A claim that raises in any share raises the same exception from
+    ``run_claims``, and no worker outlives it: a raise here kills the
+    worker at once, and a worker that failed has its share run again here.
+    The worker's determinant claims take 0.5 s each, about 9 s in all."""
+    see_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    determinant = mcgverify.claims.RUNNERS["determinant"]
+    caller = os.getpid()
+
+    def runner(claim):
+        if claim.id in raising:
+            raise Boom(claim.id)
+        if os.getpid() != caller:
+            time.sleep(0.5)
+        return determinant(claim)
+
+    monkeypatch.setitem(mcgverify.claims.RUNNERS, "determinant", runner)
+    start = time.monotonic()
+    with pytest.raises(Boom, match=raising[0]):
+        run_claims(filter_claims(build_claims(genus=(5, 6)), "[mt]*"))
+    assert time.monotonic() - start < 4
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_orphaned_worker_leaves(monkeypatch, tmp_path):
+    """A worker whose parent died leaves before its next claim, so killing
+    a run without its workers leaves none running."""
+    see_cpus(monkeypatch, 2)
+    log = tmp_path / "pids"
+    determinant = mcgverify.claims.RUNNERS["determinant"]
+
+    def slow_runner(claim):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        time.sleep(0.05)
+        return determinant(claim)
+
+    def worker_claims():
+        pids = [int(pid) for pid in log.read_text().split()] if log.exists() else []
+        return [pid for pid in pids if pid != run]
+
+    monkeypatch.setitem(mcgverify.claims.RUNNERS, "determinant", slow_runner)
+    claims = filter_claims(build_claims(genus=(5, 6)), "*det*")
+    run = os.fork()
+    if run == 0:
+        try:
+            run_claims(claims)
+        finally:
+            os._exit(0)
+    deadline = time.monotonic() + 30
+    while not worker_claims() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os.kill(run, signal.SIGKILL)
+    os.waitpid(run, 0)
+    started = len(worker_claims())
+    (worker,) = set(worker_claims())
+    while time.monotonic() < deadline and running(worker):
+        time.sleep(0.01)
+    assert not running(worker)
+    # the claim it was running, and at most one it had passed the check for
+    assert len(worker_claims()) <= started + 1 < len([c for c in claims if c.id.endswith("g6")])
+
+
+def running(pid):
+    """Whether the process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def test_build_claims_builds_no_words(monkeypatch):
     """Words are built when a claim runs: building the genus-127 catalog
     calls no family's ``word`` and stays small."""
@@ -155,11 +279,15 @@ def test_build_claims_builds_no_words(monkeypatch):
     ("p", (0, 1)),
     ("q", (-1, 0)),
     ("budget", -1),
+    ("genus", (5, 3)),
+    ("k", (5, 3)),
+    ("p", (3, 1)),
+    ("q", (2, 0)),
 ])
 def test_build_claims_refuses_what_run_refuses(param, value):
     """``build_claims`` is the one judge of which catalogs exist: it
-    refuses a genus outside 3..127, a model below the least one and a
-    negative budget, naming the parameter, and never clamps."""
+    refuses a genus outside 3..127, an empty range, a model below the least
+    one and a negative budget, naming the parameter, and never clamps."""
     with pytest.raises(ValueError, match=f"^{param} must be "):
         build_claims(**{param: value})
 
@@ -549,6 +677,7 @@ def test_cli_out_of_range_flag_exits_4(flag, value):
     ("--k", "1..2"),
     ("--p", "0..1"),
     ("--q=-1..0",),        # "--q -1..0" would read -1..0 as an option
+    ("--genus", "5..3"),   # an empty range
 ], ids="-".join)
 def test_cli_bad_arguments_exit_4(args):
     """Bad arguments exit 4, never 2 (some claim failed) or a traceback."""

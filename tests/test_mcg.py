@@ -33,6 +33,7 @@ from mcgverify.homology import (
 from mcgverify.mcg import (
     BETA_WORD,
     CurveClass,
+    GeneratorCatalog,
     Inner,
     NotInner,
     build_catalog,
@@ -1520,19 +1521,26 @@ def test_curve_class_contains_a_longer_core():
         assert cls.contains(min(least_rotation(other), least_rotation(inverse(other)))) == same
 
 
-def test_one_presentation_per_genus(monkeypatch):
+def test_one_presentation_per_genus(monkeypatch, tmp_path):
     """A run builds each genus's presentation once, in its catalog: the
     claim runners and the closing fallback of ``CurveClass.contains`` reuse
-    ``catalog.presentation`` rather than building their own."""
+    ``catalog.presentation`` rather than building their own.  The workers
+    of ``run_claims`` are other processes, so the spies append to a file."""
     monkeypatch.setattr(mcgverify.mcg, "_CATALOGS", {})
-    built = []
-    init = SurfacePresentation.__init__
+    log = tmp_path / "built"
 
-    def counting_init(self, genus):
-        built.append(genus)
-        init(self, genus)
+    def spy(cls, what):
+        init = cls.__init__
 
-    monkeypatch.setattr(SurfacePresentation, "__init__", counting_init)
+        def counting_init(self, genus):
+            with open(log, "a") as out:
+                out.write(f"{what} {genus}\n")
+            init(self, genus)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    spy(SurfacePresentation, "presentation")
+    spy(GeneratorCatalog, "catalog")
     claims = filter_claims(build_claims(genus=(5, 6)), "[mt]*")
     assert claims and all(r.status == "pass" for r in run_claims(claims))
     cat = get_catalog(4)
@@ -1540,7 +1548,11 @@ def test_one_presentation_per_genus(monkeypatch):
     cls = CurveClass(cat.presentation, word)
     key = min(least_rotation(word), least_rotation(inverse(word)))
     assert key not in cls.members and cls.contains(key)
-    assert sorted(built) == sorted(mcgverify.mcg._CATALOGS) == [4, 5, 6]
+    built = {"presentation": [], "catalog": []}
+    for line in log.read_text().splitlines():
+        what, genus = line.split()
+        built[what].append(int(genus))
+    assert sorted(built["presentation"]) == sorted(built["catalog"]) == [4, 5, 6]
 
 
 def test_s_and_r_shift_chain_curves():
