@@ -48,7 +48,7 @@ import re
 import time
 from collections import namedtuple
 
-from .errors import BudgetExceeded, InvariantViolation, UnknownClaim
+from .errors import BudgetExceeded, InvariantViolation
 from .homology import (
     EgRotationSpec,
     build_eg_rotation,
@@ -587,10 +587,17 @@ def _fork_share(share, inherited):
     reports, as marshalled tuples, to a pipe; returns its pid and the pipe's
     read end.  The worker closes ``inherited``, the read ends of the workers
     forked before it, and always leaves by ``os._exit``: with status 0 once
-    the reports are written, 1 if a claim raised or the parent died."""
+    the reports are written, 1 if a claim raised or the parent died.  If
+    ``os.fork`` fails, both ends of the pipe are closed before its OSError
+    propagates."""
     read, write = os.pipe()
     parent = os.getpid()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, open(read, "rb")
@@ -617,25 +624,28 @@ def run_claims(claims):
 
     The claims are split into units (see :func:`_units`), which are dealt by
     stride to one worker per CPU this process may run on.  This process runs
-    the first share, and a forked worker each other share.  A worker that
-    fails has its share run again here, so that the exception it raised
-    surfaces with its traceback; if a share raises here, every worker is
-    killed and reaped first.  With one CPU, one unit, or no ``os.fork``, the
-    claims run here one after another.  A report does not depend on which
-    process ran its claim."""
+    the first share, and a forked worker each other share.  A share whose
+    worker could not be forked runs here too, and a worker that fails has
+    its share run again here, so that the exception it raised surfaces with
+    its traceback; if a share raises here, every worker is killed and reaped
+    first.  With one CPU, one unit, or no ``os.fork``, there is one share
+    and nothing forks.  A report does not depend on which process ran its
+    claim."""
     claims = sorted(claims, key=lambda c: c.id)
     units = _units(claims)
     n = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = min(len(os.sched_getaffinity(0)), len(units))
-    if n < 2:
-        return [run_claim(c) for c in claims]
+        n = max(1, min(len(os.sched_getaffinity(0)), len(units)))
     shares = [[c for unit in units[i::n] for c in unit] for i in range(n)]
     pending = {}  # pid -> (read end of its pipe, share) of each worker not yet reaped
     try:
         for share in shares[1:]:
-            pid, pipe = _fork_share(share, [pipe for pipe, _ in pending.values()])
-            pending[pid] = pipe, share
+            try:
+                pid, pipe = _fork_share(share, [pipe for pipe, _ in pending.values()])
+            except OSError:  # no process or pipe to spare, e.g. EAGAIN
+                shares[0].extend(share)
+            else:
+                pending[pid] = pipe, share
         reports = [run_claim(c) for c in shares[0]]
         for pid, (pipe, share) in list(pending.items()):
             with pipe:
@@ -673,9 +683,3 @@ def report_json(reports) -> str:
     object of its fields in declaration order."""
     return "[\n" + ",\n".join("  " + json.dumps(r._asdict()) for r in reports) + "\n]"
 
-
-def find_claim(claims, claim_id: str) -> Claim:
-    for c in claims:
-        if c.id == claim_id:
-            return c
-    raise UnknownClaim(claim_id)

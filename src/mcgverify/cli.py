@@ -17,7 +17,8 @@ no other.
 
 Exit codes: 0 all selected claims pass (or none selected), 2 some claim
 failed, 3 some claim inconclusive and none failed, 4 unknown claim id or
-bad arguments.
+bad arguments.  Every refusal is one ``error`` call of the subcommand's
+parser: a usage line, then ``mcgverify <command>: error: <message>``.
 """
 
 from __future__ import annotations
@@ -30,18 +31,16 @@ from .claims import (
     build_claims,
     exit_code,
     filter_claims,
-    find_claim,
     report_json,
     resolve_claims,
     run_claims,
 )
-from .errors import UnknownClaim
 from .lantern import DEFAULT_BUDGET
 
 USAGE_EXIT = 4
 
 
-def _parse_range(text: str, name: str):
+def _range(text: str):
     """Parse 'A..B' or a single integer into an inclusive range."""
     parts = text.split("..")
     try:
@@ -52,15 +51,15 @@ def _parse_range(text: str, name: str):
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise SystemExit(f"mcgverify: bad {name} range {text!r} (expected A..B)") from None
+    raise argparse.ArgumentTypeError(f"bad range {text!r} (expected A..B)")
 
 
 def _cmd_run(args) -> int:
-    ranges = {name: _parse_range(getattr(args, name), name) for name in DEFAULT_RANGES}
+    ranges = {name: getattr(args, name) for name in DEFAULT_RANGES}
     try:
         claims = build_claims(**ranges, budget=args.budget)
     except ValueError as exc:  # it names the parameter: "k must be at least 2, got 1"
-        raise SystemExit(f"mcgverify: --{exc}") from None
+        args.error(f"--{exc}")
     reports = run_claims(filter_claims(claims, args.filter))
 
     if args.format == "json":
@@ -82,11 +81,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    try:
-        claim = find_claim(resolve_claims(args.id), args.id)
-    except UnknownClaim:
-        print(f"mcgverify: unknown claim id {args.id!r}", file=sys.stderr)
-        return USAGE_EXIT
+    claim = next((c for c in resolve_claims(args.id) if c.id == args.id), None)
+    if claim is None:
+        args.error(f"unknown claim id {args.id!r}")
     print(f"id:          {claim.id}")
     print(f"kind:        {claim.kind}")
     print(f"statement:   {claim.description}")
@@ -124,35 +121,29 @@ def build_parser() -> argparse.ArgumentParser:
                        ("p", "nonorientable summand count range"),
                        ("q", "orientable summand count range")):
         lo, hi = DEFAULT_RANGES[name]
-        run.add_argument(f"--{name}", default=f"{lo}..{hi}",
+        run.add_argument(f"--{name}", type=_range, default=f"{lo}..{hi}",
                          help=f"{text} A..B (default %(default)s)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="rewriting search budget (node expansions)")
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, error=run.error)
 
     explain = sub.add_parser("explain", help="describe one claim")
     explain.add_argument("id")
-    explain.set_defaults(func=_cmd_explain)
+    explain.set_defaults(func=_cmd_explain, error=explain.error)
 
     lst = sub.add_parser("list", help="list claim ids")
     lst.add_argument("--filter", default="", help="claim-id glob")
-    lst.set_defaults(func=_cmd_list)
+    lst.set_defaults(func=_cmd_list, error=lst.error)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        code = args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE_EXIT
-        raise
-    return code
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # refused by the subcommand, not by "mcgverify" itself
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: a failed certificate, an
+exhausted budget and a package bug.  A bad argument, such as a genus out of
+range or a pair of words that is not conjugate, raises ``ValueError``."""
 
 
 class McgVerifyError(Exception):
     """Base class for all package errors."""
-
-
-class ConjugacyMismatch(McgVerifyError):
-    """A conjugator lookup (``conjugator``, ``find_conjugators``) was asked
-    for a pair that is not conjugate."""
 
 
 class ValidationFailure(McgVerifyError):
@@ -18,18 +15,9 @@ class ValidationFailure(McgVerifyError):
     """
 
 
-class OutOfRange(McgVerifyError):
-    """A genus outside a supported range: below the range of the
-    decomposition arithmetic, or above ``words.MAX_GENUS``."""
-
-
 class BudgetExceeded(McgVerifyError):
     """A bounded search ran out of budget; the result is inconclusive,
     never silently wrong."""
-
-
-class UnknownClaim(McgVerifyError):
-    """Claim id not present in the catalog."""
 
 
 class InvariantViolation(McgVerifyError):

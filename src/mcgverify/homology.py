@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .errors import InvariantViolation, OutOfRange
+from .errors import InvariantViolation
 from .words import abelianized, unpack
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,9 @@ def decompose_genus(g: int, k: int) -> GenusDecomposition:
     Sets n = (g-k)/2 (even g) or (g-k-1)/2 (odd g), m = floor(n/(k-1)),
     r = n - m(k-1), and returns p = 2r+1, q = m-r.  For every genus at or
     above 2(k-1)(k-2)+k (+1 for odd g) the result is guaranteed to exist;
-    smaller genera are accepted whenever the arithmetic produces q >= 0,
-    and OutOfRange is raised otherwise.  Whether the fields reconstruct g
+    smaller genera are accepted whenever the arithmetic produces q >= 0.
+    Raises ValueError for a k that is not an even integer >= 12 and for a
+    genus with no such decomposition.  Whether the fields reconstruct g
     is the ``decomposition`` claim's check, not this function's.
     """
     if k < 12 or k % 2:
@@ -258,14 +259,14 @@ def decompose_genus(g: int, k: int) -> GenusDecomposition:
     plus_one = bool(g % 2)  # k even makes pk + 2q(k-1) even
     n2 = g - k - (1 if plus_one else 0)
     if n2 < 0 or n2 % 2:
-        raise OutOfRange(f"genus {g} below the k={k} decomposition range")
+        raise ValueError(f"genus {g} below the k={k} decomposition range")
     n = n2 // 2
     m = n // (k - 1)
     r = n - m * (k - 1)
     p = 2 * r + 1
     q = m - r
     if q < 0:
-        raise OutOfRange(
+        raise ValueError(
             f"genus {g} admits no decomposition with p odd for k={k}"
         )
     return GenusDecomposition(p=p, q=q, plus_one=plus_one, n=n, m=m, r=r)

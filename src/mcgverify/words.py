@@ -78,7 +78,7 @@ from collections import deque
 from itertools import chain, compress, count
 from operator import ne, neg
 
-from .errors import ConjugacyMismatch, InvariantViolation, OutOfRange
+from .errors import InvariantViolation
 
 Word = tuple  # tuple of nonzero ints
 
@@ -202,15 +202,15 @@ class SurfacePresentation:
     packed pair (x_i, x_i^-1) of each generator: the image table of the
     identity.
 
-    Raises OutOfRange above ``MAX_GENUS``, where letters no longer fit a
-    signed byte.
+    Raises ValueError below genus 3, and above ``MAX_GENUS``, where
+    letters no longer fit a signed byte.
     """
 
     def __init__(self, genus: int):
         if genus < 3:
             raise ValueError("genus must be at least 3")
         if genus > MAX_GENUS:
-            raise OutOfRange(
+            raise ValueError(
                 f"genus {genus} is above MAX_GENUS = {MAX_GENUS}, "
                 "the largest letter a signed byte holds"
             )
@@ -611,7 +611,7 @@ def conjugator(pres: SurfacePresentation, a, b) -> Word:
     the canonical forms a = conj_a K conj_a^-1 and b = conj_b K conj_b^-1
     gives, verified with ``is_trivial``.
 
-    Raises ConjugacyMismatch if the two words are not conjugate, and
+    Raises ValueError if the two words are not conjugate, and
     InvariantViolation if the matched conjugator fails the check, which
     only wrong canonical forms can cause.
     """
@@ -619,7 +619,7 @@ def conjugator(pres: SurfacePresentation, a, b) -> Word:
     canon_a, conj_a = _canonical_with_conj(pres, a)
     canon_b, conj_b = _canonical_with_conj(pres, b)
     if canon_a != canon_b:
-        raise ConjugacyMismatch(
+        raise ValueError(
             f"{format_word(a)} and {format_word(b)} are not conjugate"
         )
     c = mul(conj_b, inverse(conj_a))
@@ -690,7 +690,7 @@ def find_conjugators(pres: SurfacePresentation, a, b, bound: int = CONJ_BOUND) -
     ``base`` is :func:`conjugator`'s and z is the primitive root of ``a``,
     which spans its centralizer.
 
-    Raises ConjugacyMismatch if the two words are not conjugate, and
+    Raises ValueError if the two words are not conjugate, and
     InvariantViolation if the base conjugator does not verify.
     """
     a, b = tuple(a), tuple(b)

@@ -1,6 +1,7 @@
 """Claim catalog integrity and the command-line interface."""
 
 import ast
+import errno
 import json
 import os
 import re
@@ -23,14 +24,13 @@ from mcgverify.claims import (
     build_claims,
     exit_code,
     filter_claims,
-    find_claim,
     report_json,
     resolve_claims,
     run_claim,
     run_claims,
     word_s,
 )
-from mcgverify.errors import InvariantViolation, UnknownClaim
+from mcgverify.errors import InvariantViolation
 from mcgverify.homology import abelianize, determinant
 from mcgverify.mcg import CurveClass, evaluate, get_catalog, tbeta
 from mcgverify.words import format_word
@@ -116,11 +116,6 @@ def test_filter_claims_glob():
     assert filter_claims(claims, "no-such-claim.*") == []
 
 
-def test_find_claim_unknown():
-    with pytest.raises(UnknownClaim):
-        find_claim(build_claims(), "bogus.id")
-
-
 def test_run_claims_deterministic():
     claims = filter_claims(build_claims(), "thm1.*.g5")
     first = run_claims(claims)
@@ -202,6 +197,27 @@ def test_run_claims_raises_and_leaves_no_worker(monkeypatch, raising):
         run_claims(filter_claims(build_claims(genus=(5, 6)), "[mt]*"))
     assert time.monotonic() - start < 4
     assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_claims_runs_a_share_it_cannot_fork_here(monkeypatch):
+    """An ``os.fork`` that fails, as under a process limit, leaves no pipe
+    end open and no child: its share runs in this process, and the reports
+    are those of a one-CPU run."""
+    claims = filter_claims(build_claims(genus=(5, 6)), "[mt]*")
+    see_cpus(monkeypatch, 1)
+    serial = run_claims(claims)
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    see_cpus(monkeypatch, 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    reports = run_claims(claims)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert [r._replace(millis=0) for r in reports] == [r._replace(millis=0) for r in serial]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -306,7 +322,7 @@ def test_build_claims_takes_only_named_parameters():
     ("thm1.orbit.s.a1.g5", "a3"),
 ])
 def test_run_claim_compares_stated_expected(claim_id, wrong):
-    claim = find_claim(build_claims(genus=(5, 5)), claim_id)
+    (claim,) = [c for c in build_claims(genus=(5, 5)) if c.id == claim_id]
     assert run_claim(claim).status == "pass"
     assert run_claim(claim._replace(expected=wrong)).status == "fail"
 
@@ -369,7 +385,7 @@ def test_long_curve_image_fails_without_closing_it(monkeypatch):
     letters.  A claim that names a2 as that image is a failed row that
     shows the core, and only the target's class is closed."""
     seen = spy_component(monkeypatch)
-    claim = find_claim(build_claims(genus=(30, 30)), "thm1.orbit.s.a1.g30")
+    (claim,) = [c for c in build_claims(genus=(30, 30)) if c.id == "thm1.orbit.s.a1.g30"]
     family = mcgverify.claims.FAMILIES[claim.params["family"]]._replace(
         id="long-image", word=lambda g, i: ((word_s(g) + (tbeta(),), 16),))
     monkeypatch.setitem(mcgverify.claims.FAMILIES, family.id, family)
@@ -398,7 +414,7 @@ def test_determinant_claim_fails_on_a_wrong_determinant(det, monkeypatch, capsys
     sign: +-1 of the wrong sign, or a value the criterion does not allow,
     is a failed row that shows the determinant, and ``run`` exits 2."""
     monkeypatch.setattr(mcgverify.claims, "determinant", lambda matrix: det)
-    claim = find_claim(build_claims(genus=(3, 3)), "twist.det.a1.g3")
+    (claim,) = [c for c in build_claims(genus=(3, 3)) if c.id == "twist.det.a1.g3"]
     report = run_claim(claim)
     assert (report.status, report.observed) == ("fail", det)
     args = ["run", "--filter", "twist.det.a1.g3", "--genus", "3..3", "--format", "json"]
@@ -442,7 +458,7 @@ def test_decomposition_claim_fails_on_a_wrong_decomposition(p, q, monkeypatch):
     decompose = mcgverify.claims.decompose_genus
     monkeypatch.setattr(mcgverify.claims, "decompose_genus",
                         lambda g, k: decompose(g, k)._replace(p=p, q=q))
-    claim = find_claim(build_claims(genus=(3, 3)), "cor4.decomp.g232.k12")
+    (claim,) = [c for c in build_claims(genus=(3, 3)) if c.id == "cor4.decomp.g232.k12"]
     report = run_claim(claim)
     assert report.status == "fail"
     assert (report.observed["p"], report.observed["q"]) == (p, q)
@@ -686,6 +702,36 @@ def test_cli_bad_arguments_exit_4(args):
     assert args[0].split("=")[0] in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+REFUSALS = {
+    ("run", "--bogus"): "--bogus",
+    ("run", "--budget", "x"): "--budget",
+    ("run", "--genus", "abc"): "--genus",
+    ("run", "--genus", "5..3"): "--genus",
+    ("run", "--genus", "3..128"): "--genus",
+    ("run", "--k", "1..2"): "--k",
+    ("run", "--q=-1..0"): "--q",
+    ("run", "--budget", "-1"): "--budget",
+    ("explain", "no.such.claim"): "no.such.claim",
+    ("explain", "cor4.decomp.g600.k18"): "cor4.decomp.g600.k18",
+}
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+def test_cli_refusal_is_one_argparse_error(argv, capsys):
+    """Every refusal leaves through the subcommand parser's ``error``: exit
+    4, nothing on stdout, the subcommand's usage and then one line
+    ``mcgverify <command>: error: ...`` naming the flag or the id."""
+    with pytest.raises(SystemExit) as exc:
+        mcgverify.cli.main(list(argv))
+    assert exc.value.code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: mcgverify {argv[0]} ")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"mcgverify {argv[0]}: error: ")
+    assert REFUSALS[argv] in last
 
 
 def test_cli_help_exits_0():

@@ -6,7 +6,6 @@ import mcgverify.lantern
 from mcgverify.claims import (
     build_claims,
     filter_claims,
-    find_claim,
     resolve_claims,
     run_claim,
     run_claims,
@@ -212,7 +211,7 @@ IDENTITY_7 = list(range(7))
      "atom f is not a permutation of the 7 points"),
 ])
 def test_corrupted_countermodel_fails_claim(monkeypatch, claim_id, names, perm, failure):
-    claim = find_claim(resolve_claims(claim_id), claim_id)
+    (claim,) = [c for c in resolve_claims(claim_id) if c.id == claim_id]
     models = load_countermodels()
     ablate = claim.params["ablate"]
     atoms = models[ablate]["atoms"]
