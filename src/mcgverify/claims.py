@@ -436,8 +436,8 @@ def resolve_claims(pattern: str):
 
 
 def _status(ok: bool) -> str:
-    """A runner's verdict.  ``inconclusive`` comes only from the
-    ``BudgetExceeded`` that :func:`run_claim` catches."""
+    """A runner's verdict.  Only :func:`_run_lantern` returns
+    ``inconclusive``, when the search of ``lemma1.proof`` runs out."""
     return "pass" if ok else "fail"
 
 
@@ -521,10 +521,14 @@ def _run_lantern(claim):
     """The derivation of t_a1 by the search bounded by ``params["budget"]``
     when ``params["ablate"]`` is None; otherwise the shipped countermodel
     showing that the rules without that hypothesis (``"relation"``: the
-    relation reversed) never derive it."""
+    relation reversed) never derive it.  A search out of budget is
+    ``inconclusive``."""
     ablate = claim.params["ablate"]
     if ablate is None:
-        ok = verify_lemma1(canonical_rules(), budget=claim.params["budget"])
+        try:
+            ok = verify_lemma1(canonical_rules(), budget=claim.params["budget"])
+        except BudgetExceeded as exc:
+            return "inconclusive", str(exc), None
         return _status(ok == claim.expected), ok, "derivation chain verified"
     try:
         witness = check_countermodel(ablate)
@@ -546,13 +550,11 @@ RUNNERS = {
 
 
 def run_claim(claim: Claim) -> ClaimReport:
-    """Run one claim; its report's ``bounds`` holds the budget of the search
-    it ran, which only ``lemma1.proof`` has, and is empty otherwise."""
+    """Run and time one claim's runner, whose exceptions propagate; the
+    report's ``bounds`` holds the budget of the search it ran, which only
+    ``lemma1.proof`` has, and is empty otherwise."""
     start = time.perf_counter()
-    try:
-        status, observed, witness = RUNNERS[claim.kind](claim)
-    except BudgetExceeded as exc:
-        status, observed, witness = "inconclusive", str(exc), None
+    status, observed, witness = RUNNERS[claim.kind](claim)
     millis = (time.perf_counter() - start) * 1000.0
     return ClaimReport(
         id=claim.id,

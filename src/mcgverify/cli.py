@@ -140,9 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # refused by the subcommand, not by "mcgverify" itself
-        args.error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # refused by "mcgverify" itself if it precedes the subcommand
+        before = argv.index(extra[0]) < argv.index(args.command)
+        (parser.error if before else args.error)(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)
 
 

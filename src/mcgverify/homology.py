@@ -47,6 +47,8 @@ def matrix_mul(a, b):
 
 
 def matrix_power(a, k: int):
+    if k < 0:
+        raise ValueError("k must be >= 0")
     n = len(a)
     result = matrix_identity(n)
     base = a

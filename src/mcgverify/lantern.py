@@ -2,15 +2,17 @@
 
 A small term rewriter over an alphabet of twist symbols and abstract
 mapping classes.  Words are freely reduced sequences of signed atoms; a
-rule set consists of two-sided rewrite rules (the lantern-type relation,
+rule set is a tuple of two-sided base rules (the lantern-type relation,
 the commutations between boundary twists and everything else, and the
-conjugation hypotheses on the abstract classes f, g, h).
+conjugation hypotheses on the abstract classes f, g, h), and
+:func:`kept_rules` gives the base rules of each ablation.
 
 :func:`verify_step` decides joinability of two expressions by a
-bidirectional breadth-first search over rule applications, memoized on
-reduced forms, within a node budget and a word-length cap.  Exhausting the
-budget raises BudgetExceeded (inconclusive); exhausting the bounded search
-space returns False.
+bidirectional breadth-first search over the base rules and the
+:func:`variants` it makes of them, memoized on reduced forms, within a
+node budget and a word-length cap.  Exhausting the budget raises
+BudgetExceeded (inconclusive); exhausting the bounded search space returns
+False.
 
 :func:`verify_lemma1` replays the derivation that writes the first
 boundary twist as a product of f, g, h, a conjugate of f, and inverses:
@@ -69,55 +71,42 @@ def format_expr(expr) -> str:
     return " ".join(a if s > 0 else f"{a}^-1" for a, s in expr)
 
 
-class RuleSet:
-    """Two-sided rewrite rules plus mechanically generated variants.
+def variants(rules) -> tuple:
+    """The rules the search applies: each base rule in both directions plus
+    generated variants.  Every rule L -> R yields L^-1 -> R^-1; commutations
+    (ab -> ba) yield all sign combinations; conjugation rules (c X c^-1 -> Y)
+    also yield the flipped form c^-1 Y c -> X and the inverted exponents.
+    All variants are consequences of the base rules, added so that the short
+    derivations are reachable without inventing insertion moves."""
+    seen = set()
+    expanded = []
 
-    Every rule L -> R yields L^-1 -> R^-1; commutations (ab -> ba) yield
-    all sign combinations; conjugation rules (c X c^-1 -> Y) also yield
-    the flipped form c^-1 Y c -> X and the inverted exponents.  All
-    variants are consequences of the originals, added so that the short
-    derivations are reachable without inventing insertion moves.
-    """
+    def add(l, r):
+        l, r = reduce_expr(l), reduce_expr(r)
+        for a, b in ((l, r), (r, l)):
+            if a and (a, b) not in seen and a != b:
+                seen.add((a, b))
+                expanded.append((a, b))
 
-    def __init__(self, rules):
-        base = [(reduce_expr(l), reduce_expr(r)) for l, r in rules]
-        self.base_rules = tuple(base)
-        seen = set()
-        expanded = []
-
-        def add(l, r):
-            l, r = reduce_expr(l), reduce_expr(r)
-            for a, b in ((l, r), (r, l)):
-                if a and (a, b) not in seen and a != b:
-                    seen.add((a, b))
-                    expanded.append((a, b))
-
-        for l, r in base:
-            add(l, r)
-            add(invert_expr(l), invert_expr(r))
-            if len(l) == 2 and len(r) == 2 and l[0] == r[1] and l[1] == r[0]:
-                (a, sa), (b, sb) = l
-                for fa in (1, -1):
-                    for fb in (1, -1):
-                        add(((a, sa * fa), (b, sb * fb)), ((b, sb * fb), (a, sa * fa)))
-            if len(l) == 3 and len(r) == 1 and l[0][0] == l[2][0] and l[0][1] == -l[2][1]:
-                c, x, ci = l
-                y = r[0]
-                add((c, (x[0], -x[1]), ci), ((y[0], -y[1]),))
-                add((ci, y, c), (x,))
-                add((ci, (y[0], -y[1]), c), ((x[0], -x[1]),))
-        self.rules = tuple(expanded)
-
-    def without(self, lhs_text: str) -> "RuleSet":
-        """Copy of this rule set with one base rule removed (ablation)."""
-        target = parse_expr(lhs_text)
-        kept = [(l, r) for l, r in self.base_rules if l != target]
-        if len(kept) == len(self.base_rules):
-            raise ValueError(f"no base rule with left side {lhs_text!r}")
-        return RuleSet(kept)
+    for l, r in rules:
+        add(l, r)
+        add(invert_expr(l), invert_expr(r))
+        if len(l) == 2 and len(r) == 2 and l[0] == r[1] and l[1] == r[0]:
+            (a, sa), (b, sb) = l
+            for fa in (1, -1):
+                for fb in (1, -1):
+                    add(((a, sa * fa), (b, sb * fb)), ((b, sb * fb), (a, sa * fa)))
+        if len(l) == 3 and len(r) == 1 and l[0][0] == l[2][0] and l[0][1] == -l[2][1]:
+            c, x, ci = l
+            y = r[0]
+            add((c, (x[0], -x[1]), ci), ((y[0], -y[1]),))
+            add((ci, y, c), (x,))
+            add((ci, (y[0], -y[1]), c), ((x[0], -x[1]),))
+    return tuple(expanded)
 
 
-def parse_rules(text: str) -> RuleSet:
+def parse_rules(text: str) -> tuple:
+    """The base rules of a rule file, one ``lhs -> rhs`` per line."""
     rules = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -127,12 +116,31 @@ def parse_rules(text: str) -> RuleSet:
         if not arrow:
             raise ValueError(f"rule line without '->': {line!r}")
         rules.append((parse_expr(lhs), parse_expr(rhs)))
-    return RuleSet(rules)
+    return tuple(rules)
 
 
-def canonical_rules() -> RuleSet:
-    """The shipped rule file, parsed."""
+def canonical_rules() -> tuple:
+    """The shipped rule file's base rules."""
     return parse_rules(resources.files("mcgverify.data").joinpath("lantern_rules.txt").read_text())
+
+
+# the left side of the lantern-type relation in the rule file
+RELATION = parse_expr("ta1 tb tg ta5")
+
+
+def kept_rules(ablate: str) -> tuple:
+    """The base rules of one ablation: without the rule whose left side is
+    ``ablate`` (a hypothesis), or, for ``"relation"``, with the relation's
+    right side reversed, which is not equivalent under the commutations the
+    rule set carries."""
+    rules = canonical_rules()
+    if ablate == "relation":
+        return tuple((l, tuple(reversed(r)) if l == RELATION else r) for l, r in rules)
+    target = parse_expr(ablate)
+    kept = tuple((l, r) for l, r in rules if l != target)
+    if len(kept) == len(rules):
+        raise ValueError(f"no base rule with left side {ablate!r}")
+    return kept
 
 
 def load_countermodels() -> dict:
@@ -144,7 +152,7 @@ def check_countermodel(ablate: str) -> str:
     """Check the shipped countermodel for the rules without ``ablate``: every
     atom permutes range(n), words act left to right, every kept base rule holds
     and ta1 != STEP_F.  Returns the witness; raises ValueError naming the failed check."""
-    rules = reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
+    rules = kept_rules(ablate)
     models = load_countermodels()
     model = models.get(ablate, {}) if isinstance(models, dict) else None
     if not isinstance(model, dict):
@@ -170,7 +178,7 @@ def check_countermodel(ablate: str) -> str:
             image = [perm[x] for x in image]
         return image
 
-    for lhs, rhs in rules.base_rules:
+    for lhs, rhs in rules:
         if value(lhs) != value(rhs):
             raise ValueError(f"rule {format_expr(lhs)} -> {format_expr(rhs)} fails in the model")
     if value(STEP_TARGET) == value(STEP_F):
@@ -178,8 +186,8 @@ def check_countermodel(ablate: str) -> str:
     return f"countermodel {model.get('name')!r} on {n} points"
 
 
-def _neighbors(rules: RuleSet, expr, max_len: int):
-    for lhs, rhs in rules.rules:
+def _neighbors(rules, expr, max_len: int):
+    for lhs, rhs in rules:
         ln = len(lhs)
         if ln > len(expr):
             continue
@@ -191,11 +199,11 @@ def _neighbors(rules: RuleSet, expr, max_len: int):
                     yield new
 
 
-def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff lhs and rhs are joinable under the rules and free
-    reduction, through expressions at most 4 letters longer than the
-    longer endpoint.  Bidirectional BFS; symmetric in lhs/rhs.  Raises
-    BudgetExceeded after ``budget`` node expansions."""
+def verify_step(rules, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff lhs and rhs are joinable under the base rules, their
+    :func:`variants` and free reduction, through expressions at most 4
+    letters longer than the longer endpoint.  Bidirectional BFS; symmetric
+    in lhs/rhs.  Raises BudgetExceeded after ``budget`` node expansions."""
     start = reduce_expr(lhs)
     goal = reduce_expr(rhs)
     if start == goal:
@@ -203,6 +211,7 @@ def verify_step(rules: RuleSet, lhs, rhs, budget: int = DEFAULT_BUDGET) -> bool:
     # the replayed derivation never overshoots its endpoints by more than
     # one insertion; slack 4 keeps failing searches exhaustible
     max_len = max(len(start), len(goal)) + 4
+    rules = variants(rules)
     sides = [({start}, deque([start])), ({goal}, deque([goal]))]
     expansions = 0
     while sides[0][1] or sides[1][1]:
@@ -239,7 +248,7 @@ STEP_F = parse_expr(
 DERIVATION_CHAIN = (STEP_TARGET, STEP_BLOCKS, STEP_GH, STEP_F)
 
 
-def verify_lemma1(rules: RuleSet, budget: int = DEFAULT_BUDGET) -> bool:
+def verify_lemma1(rules, budget: int = DEFAULT_BUDGET) -> bool:
     """Replay the full derivation: the relation rearranged into difference
     blocks, the g/h hypotheses substituted, then the f hypothesis
     substituted, which gives the final product.  Each consecutive pair is
@@ -249,15 +258,3 @@ def verify_lemma1(rules: RuleSet, budget: int = DEFAULT_BUDGET) -> bool:
     pairs = zip(DERIVATION_CHAIN, DERIVATION_CHAIN[1:])
     return all(verify_step(rules, a, b, budget=budget) for a, b in pairs)
 
-
-def reversed_lantern_rules() -> RuleSet:
-    """Ablation: the relation with its right-hand side reversed, which is
-    not equivalent under the commutations the rule set carries."""
-    rules = [(l, r) for l, r in canonical_rules().base_rules]
-    out = []
-    for l, r in rules:
-        if l == parse_expr("ta1 tb tg ta5"):
-            out.append((l, tuple(reversed(r))))
-        else:
-            out.append((l, r))
-    return RuleSet(out)

@@ -328,7 +328,7 @@ class GeneratorCatalog:
         try:
             return self._moves[(kind, idx, sign)]
         except KeyError:
-            raise KeyError(f"no generator {symbol} in genus {self.genus}") from None
+            raise ValueError(f"no generator {symbol} in genus {self.genus}") from None
 
 
 def _append(catalog: GeneratorCatalog, pairs, word) -> list:
@@ -363,6 +363,8 @@ def power_pairs(catalog: GeneratorCatalog, word, n: int) -> tuple:
     key = (word, n)
     pairs = catalog._powers.get(key)
     if pairs is None:
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if n == 1:
             pairs = _append(catalog, catalog.presentation.letters_packed, word)
         elif n % 2:

@@ -715,22 +715,26 @@ REFUSALS = {
     ("run", "--budget", "-1"): "--budget",
     ("explain", "no.such.claim"): "no.such.claim",
     ("explain", "cor4.decomp.g600.k18"): "cor4.decomp.g600.k18",
+    ("list", "--bogus"): "--bogus",
+    ("--bogus", "run"): "--bogus",
 }
 
 
 @pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
 def test_cli_refusal_is_one_argparse_error(argv, capsys):
-    """Every refusal leaves through the subcommand parser's ``error``: exit
-    4, nothing on stdout, the subcommand's usage and then one line
-    ``mcgverify <command>: error: ...`` naming the flag or the id."""
+    """Every refusal leaves through one parser's ``error``: the
+    subcommand's, or the top-level one's for an option before the
+    subcommand.  Exit 4, nothing on stdout, that parser's usage and then
+    one line ``<prog>: error: ...`` naming the flag or the id."""
+    prog = "mcgverify" if argv[0].startswith("-") else f"mcgverify {argv[0]}"
     with pytest.raises(SystemExit) as exc:
         mcgverify.cli.main(list(argv))
     assert exc.value.code == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"usage: mcgverify {argv[0]} ")
+    assert err.startswith(f"usage: {prog} ")
     last = err.splitlines()[-1]
-    assert last.startswith(f"mcgverify {argv[0]}: error: ")
+    assert last.startswith(f"{prog}: error: ")
     assert REFUSALS[argv] in last
 
 

@@ -93,6 +93,13 @@ def test_matrix_order_small_cases():
     assert matrix_order(((1, 1), (0, 1)), 50) is None
 
 
+def test_matrix_power_rejects_negative_exponent():
+    swap = ((0, 1), (1, 0))
+    assert matrix_power(swap, 0) == matrix_identity(2)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        matrix_power(swap, -1)
+
+
 def test_vector_period_small_cases():
     cycle = tuple(tuple(1 if i == (j + 1) % 5 else 0 for j in range(5)) for i in range(5))
     assert vector_period(cycle, (1, 0, 0, 0, 0), 5) == 5

@@ -2,6 +2,7 @@
 
 import pytest
 
+import mcgverify.claims
 import mcgverify.lantern
 from mcgverify.claims import (
     build_claims,
@@ -18,16 +19,17 @@ from mcgverify.lantern import (
     STEP_F,
     STEP_GH,
     STEP_TARGET,
-    RuleSet,
+    RELATION,
     canonical_rules,
     check_countermodel,
     format_expr,
     invert_expr,
+    kept_rules,
     load_countermodels,
     parse_expr,
     parse_rules,
     reduce_expr,
-    reversed_lantern_rules,
+    variants,
     verify_lemma1,
     verify_step,
 )
@@ -52,23 +54,39 @@ def test_parse_rejects_unknown_atom():
         parse_expr("tz9")
 
 
+ABLATIONS = ["f ta3 f^-1", "g td1 g^-1", "g tg g^-1", "h td2 h^-1", "h tb h^-1", "relation"]
+
+
 def test_rule_file_loads():
     rules = canonical_rules()
-    assert len(rules.base_rules) == 24  # relation + 18 commutations + 5 hypotheses
-    assert any(l == parse_expr("ta1 tb tg ta5") for l, _ in rules.base_rules)
+    assert len(rules) == 24  # relation + 18 commutations + 5 hypotheses
+    assert any(l == RELATION for l, _ in rules)
 
 
 def test_parse_rules_two_rules():
     rules = parse_rules("ta1 tb -> tb ta1\nf ta3 f^-1 -> ta5\n")
-    assert len(rules.base_rules) == 2
+    assert rules == (
+        (parse_expr("ta1 tb"), parse_expr("tb ta1")),
+        (parse_expr("f ta3 f^-1"), parse_expr("ta5")),
+    )
 
 
-def test_without_removes_rule():
+def test_kept_rules_builds_each_ablation():
     rules = canonical_rules()
-    smaller = rules.without("f ta3 f^-1")
-    assert len(smaller.base_rules) == len(rules.base_rules) - 1
-    with pytest.raises(ValueError):
-        rules.without("ta9 ta9")
+    for ablate in ABLATIONS:
+        kept = kept_rules(ablate)
+        if ablate == "relation":
+            # the relation's right side reversed, every other rule kept
+            changed = [(a, b) for a, b in zip(rules, kept) if a != b]
+            ((old, new),) = changed
+            assert old[0] == new[0] == RELATION and new[1] == old[1][::-1]
+        else:
+            assert kept == tuple(r for r in rules if r[0] != parse_expr(ablate))
+            assert len(kept) == len(rules) - 1
+    with pytest.raises(ValueError, match="no base rule with left side 'ta1 ta1'"):
+        kept_rules("ta1 ta1")
+    with pytest.raises(ValueError, match="unknown atom 'ta9'"):
+        kept_rules("ta9 ta9")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +121,7 @@ def test_unjoinable_returns_false():
 
 
 def test_budget_exceeded_raises():
-    rules = canonical_rules().without("g td1 g^-1")
+    rules = kept_rules("g td1 g^-1")
     with pytest.raises(BudgetExceeded):
         verify_step(rules, STEP_BLOCKS, STEP_GH, budget=50)
 
@@ -133,18 +151,11 @@ def test_single_hypothesis_ablation_breaks_derivation(removed):
 
 
 def test_reversed_lantern_fails():
-    assert verify_lemma1(reversed_lantern_rules(), budget=120_000) is False
+    assert verify_lemma1(kept_rules("relation"), budget=120_000) is False
 
 
 # ---------------------------------------------------------------------------
 # the shipped countermodels, checked by an evaluator of their own
-
-
-ABLATIONS = ["f ta3 f^-1", "g td1 g^-1", "g tg g^-1", "h td2 h^-1", "h tb h^-1", "relation"]
-
-
-def _kept_rules(ablate):
-    return reversed_lantern_rules() if ablate == "relation" else canonical_rules().without(ablate)
 
 
 def _act(atoms, expr):
@@ -174,19 +185,19 @@ def test_countermodels_cover_each_ablation_with_every_atom():
 @pytest.mark.parametrize("ablate", ABLATIONS)
 def test_countermodel_satisfies_its_kept_rules_and_their_variants(ablate):
     atoms = load_countermodels()[ablate]["atoms"]
-    rules = _kept_rules(ablate)
+    rules = kept_rules(ablate)
     # the variants are claimed to be consequences of the base rules
-    assert _satisfies(atoms, rules.base_rules) and _satisfies(atoms, rules.rules)
+    assert _satisfies(atoms, rules) and _satisfies(atoms, variants(rules))
     assert _act(atoms, STEP_TARGET) != _act(atoms, STEP_F)
 
 
 @pytest.mark.parametrize("ablate", ABLATIONS)
 def test_countermodel_fails_every_other_rule_set(ablate):
     atoms = load_countermodels()[ablate]["atoms"]
-    assert not _satisfies(atoms, canonical_rules().base_rules)
+    assert not _satisfies(atoms, canonical_rules())
     for other in ABLATIONS:
         if other != ablate:
-            assert not _satisfies(atoms, _kept_rules(other).base_rules), other
+            assert not _satisfies(atoms, kept_rules(other)), other
 
 
 IDENTITY_7 = list(range(7))
@@ -237,6 +248,18 @@ def test_lemma1_ablations_do_not_rest_on_the_search_budget():
     assert len(status) == 6 and set(status.values()) == {"pass"}
 
 
+def test_run_claim_lets_other_runners_budget_exceeded_through(monkeypatch):
+    # only the lemma-1 search is bounded: from any other runner an exhausted
+    # budget is a bug and keeps its traceback
+    def runner(claim):
+        raise BudgetExceeded("not a search")
+
+    monkeypatch.setitem(mcgverify.claims.RUNNERS, "decomposition", runner)
+    claim = resolve_claims("cor4.decomp.*")[0]
+    with pytest.raises(BudgetExceeded, match="not a search"):
+        run_claim(claim)
+
+
 # ---------------------------------------------------------------------------
 # partial-model soundness: rules whose atoms all carry genus-6
 # realizations must hold among the actual mapping classes
@@ -264,7 +287,7 @@ def test_commutation_rules_hold_in_genus6_model():
 
     cat = get_catalog(6)
     checked = 0
-    for lhs, rhs in canonical_rules().base_rules:
+    for lhs, rhs in canonical_rules():
         w1, w2 = _concrete_word(lhs), _concrete_word(rhs)
         if w1 is None or w2 is None:
             continue

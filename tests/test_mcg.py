@@ -644,6 +644,24 @@ def test_order_of_rejects_n_below_1():
             order_of(cat, word_s(5), n)
 
 
+def test_power_tables_reject_exponents_below_1():
+    cat = get_catalog(5)
+    word = (talpha(1),)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            power_pairs(cat, word, n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            identity_status(cat, (word, 1), (word, n))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            product_curve_key(cat, ((word, n),), cat.curves["a1"])
+
+
+def test_catalog_rejects_a_generator_the_genus_lacks():
+    cat = get_catalog(3)
+    with pytest.raises(ValueError, match="no generator .* in genus 3"):
+        evaluate(cat, (tbeta(),))
+
+
 @pytest.mark.parametrize("genus", [31, 32])
 def test_orders_above_benchmark_window(genus):
     cat = get_catalog(genus)
